@@ -177,21 +177,21 @@ Status BPlusTree::Insert(int64_t key, uint64_t value, int64_t aux) {
         // while the stripe is still held (DESIGN.md §13): releasing
         // first would let a concurrent txn log this txn's uncommitted
         // pages as its own before-images.
-        WalScope ws(pager_);
+        TxnScope txn(pager_);
         auto pos = std::upper_bound(node.entries.begin(),
                                     node.entries.end(), entry);
         node.entries.insert(pos, entry);
         sy_->size.fetch_add(1, std::memory_order_relaxed);
         CCIDX_RETURN_IF_ERROR(
             SplitAndPropagate(std::move(path), std::move(node)));
-        return ws.Commit();
+        return txn.Commit();
       }
     }
   }
   std::unique_lock<std::shared_mutex> tl(sy_->tree_mu);
-  WalScope ws(pager_);
+  TxnScope txn(pager_);
   CCIDX_RETURN_IF_ERROR(InsertExclusive(entry));
-  return ws.Commit();
+  return txn.Commit();
 }
 
 Status BPlusTree::InsertExclusive(const BtEntry& entry) {
@@ -199,10 +199,14 @@ Status BPlusTree::InsertExclusive(const BtEntry& entry) {
     Node leaf;
     leaf.is_leaf = true;
     leaf.entries.push_back(entry);
-    root_ = pager_->Allocate();
+    // Publish the root only once it is stored: a failed store's page is
+    // rolled back by the caller's scope.
+    PageId id = pager_->Allocate();
+    CCIDX_RETURN_IF_ERROR(StoreNode(id, leaf));
+    root_ = id;
     height_ = 1;
     sy_->size.store(1, std::memory_order_relaxed);
-    return StoreNode(root_, leaf);
+    return Status::OK();
   }
 
   // Descend with insert routing, recording the path. Internal levels are
@@ -238,16 +242,25 @@ Status BPlusTree::SplitAndPropagate(
       node.next = right_id;
     }
     BtEntry promoted{right.entries[0].key, right_id, 0};
-    CCIDX_RETURN_IF_ERROR(StoreNode(node_id, node));
+    // The fresh sibling first: until the left half is stored no page links
+    // to it, so the caller's rollback may free it.
     CCIDX_RETURN_IF_ERROR(StoreNode(right_id, right));
+    CCIDX_RETURN_IF_ERROR(StoreNode(node_id, node));
+    // The stored left half may now link to this sibling (leaf chain) and
+    // to the one split below (promoted child). The chain is not fault-
+    // atomic (DESIGN.md §13): a later failure must leak, not free, them.
+    pager_->KeepAllocation(right_id);
 
     if (level == 0) {
       Node new_root;
       new_root.is_leaf = false;
       new_root.entries = {{node.entries[0].key, node_id, 0}, promoted};
-      root_ = pager_->Allocate();
+      // Publish the root only once it is stored.
+      PageId new_root_id = pager_->Allocate();
+      CCIDX_RETURN_IF_ERROR(StoreNode(new_root_id, new_root));
+      root_ = new_root_id;
       height_++;
-      return StoreNode(root_, new_root);
+      return Status::OK();
     }
 
     level--;
@@ -282,7 +295,7 @@ Status BPlusTree::Delete(int64_t key, uint64_t value, bool* found) {
       // Declared under the stripe so both commit and (in-process) abort
       // resolve before another writer can observe the leaf. Not-found
       // exits log nothing and the scope unwinds for free.
-      WalScope ws(pager_);
+      TxnScope txn(pager_);
       std::vector<std::pair<PageId, size_t>> path;
       CCIDX_RETURN_IF_ERROR(DescendToLeaf(child, key, &path));
       Node node;
@@ -299,16 +312,16 @@ Status BPlusTree::Delete(int64_t key, uint64_t value, bool* found) {
           sy_->size.fetch_sub(1, std::memory_order_relaxed);
           *found = true;
           CCIDX_RETURN_IF_ERROR(StoreNode(path.back().first, node));
-          return ws.Commit();
+          return txn.Commit();
         }
       }
       if (passed || node.next == kInvalidPageId) return Status::OK();
     }
   }
   std::unique_lock<std::shared_mutex> tl(sy_->tree_mu);
-  WalScope ws(pager_);
+  TxnScope txn(pager_);
   CCIDX_RETURN_IF_ERROR(DeleteExclusive(key, value, found));
-  return *found ? ws.Commit() : Status::OK();
+  return *found ? txn.Commit() : Status::OK();
 }
 
 Status BPlusTree::DeleteExclusive(int64_t key, uint64_t value, bool* found) {
@@ -614,11 +627,10 @@ class BtBulkLoader {
 Result<BPlusTree> BPlusTree::BulkLoad(Pager* pager,
                                       RecordStream<BtEntry>* sorted) {
   BPlusTree tree(pager);
-  // Every page is txn-allocated, so the WAL txn carries only kAlloc
-  // records (no before-images): an uncommitted bulk load is undone at
-  // recovery purely by re-freeing its pages.
-  WalScope ws(pager);
-  AllocationScope scope(pager);
+  // Every page is txn-allocated, so under a WAL the txn carries only
+  // kAlloc records (no before-images): an uncommitted bulk load is undone
+  // at recovery purely by re-freeing its pages.
+  TxnScope txn(pager);
   BtBulkLoader loader(&tree, pager, tree.fanout_);
   uint64_t n = 0;
   BtEntry prev{};
@@ -636,8 +648,7 @@ Result<BPlusTree> BPlusTree::BulkLoad(Pager* pager,
     }
   }
   if (n == 0) {
-    scope.Commit();
-    CCIDX_RETURN_IF_ERROR(ws.Commit());
+    CCIDX_RETURN_IF_ERROR(txn.Commit());
     return tree;
   }
   uint32_t height = 0;
@@ -646,8 +657,7 @@ Result<BPlusTree> BPlusTree::BulkLoad(Pager* pager,
   tree.root_ = *root;
   tree.height_ = height;
   tree.sy_->size.store(n, std::memory_order_relaxed);
-  scope.Commit();
-  CCIDX_RETURN_IF_ERROR(ws.Commit());
+  CCIDX_RETURN_IF_ERROR(txn.Commit());
   return tree;
 }
 
@@ -662,7 +672,7 @@ Status BPlusTree::Destroy() {
   // Iterative post-order free. Under a WAL the frees are logged with
   // their before-images and deferred to scope exit, so a crash mid-
   // destroy restores the whole tree.
-  WalScope ws(pager_);
+  TxnScope txn(pager_);
   std::vector<PageId> stack = {root_};
   Node node;
   while (!stack.empty()) {
@@ -677,7 +687,7 @@ Status BPlusTree::Destroy() {
   root_ = kInvalidPageId;
   sy_->size.store(0, std::memory_order_relaxed);
   height_ = 0;
-  return ws.Commit();
+  return txn.Commit();
 }
 
 std::vector<uint8_t> BPlusTree::SerializeMeta() const {

@@ -21,7 +21,7 @@
 // All device traffic flows through the Pager, so IoStats counts sort I/Os
 // like any other operation and fault injection exercises every transfer.
 // For fault-atomicity (no leaked run pages when a transfer fails), run
-// the sorter inside an AllocationScope — rollback frees spilled pages
+// the sorter inside a TxnScope — rollback frees spilled pages
 // without reading them, which chain-walking cleanup cannot do once the
 // device is failing.
 
@@ -282,7 +282,7 @@ class ExternalSorter {
       }
       if (!s.ok()) {
         (void)merge.Discard();  // the unfinished writer's pages are
-        return s;               // reclaimed by the caller's AllocationScope
+        return s;               // reclaimed by the caller's TxnScope
       }
       auto run = writer.Finish();
       CCIDX_RETURN_IF_ERROR(run.status());

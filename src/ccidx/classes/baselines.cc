@@ -53,7 +53,7 @@ Result<SingleIndexBaseline> SingleIndexBaseline::Build(
     return Status::InvalidArgument("hierarchy must be frozen");
   }
   SingleIndexBaseline index(pager, hierarchy);
-  AllocationScope scope(pager);
+  TxnScope txn(pager);
   ExternalSorter<BtEntry> sorter(pager);
   while (true) {
     auto block = objects->Next();
@@ -72,7 +72,7 @@ Result<SingleIndexBaseline> SingleIndexBaseline::Build(
   auto tree = BPlusTree::BulkLoad(pager, *merged);
   CCIDX_RETURN_IF_ERROR(tree.status());
   index.tree_ = std::move(*tree);
-  scope.Commit();
+  CCIDX_RETURN_IF_ERROR(txn.Commit());
   return index;
 }
 
@@ -132,7 +132,7 @@ Result<FullExtentIndex> FullExtentIndex::Build(Pager* pager,
     return Status::InvalidArgument("hierarchy must be frozen");
   }
   FullExtentIndex index(pager, hierarchy);
-  AllocationScope scope(pager);
+  TxnScope txn(pager);
   const ClassHierarchy& h = *hierarchy;
   uint64_t n = 0;
   CCIDX_RETURN_IF_ERROR(BulkLoadCollections(
@@ -144,7 +144,7 @@ Result<FullExtentIndex> FullExtentIndex::Build(Pager* pager,
         }
         return Status::OK();
       }));
-  scope.Commit();
+  CCIDX_RETURN_IF_ERROR(txn.Commit());
   index.size_.store(n, std::memory_order_relaxed);
   return index;
 }
@@ -219,7 +219,7 @@ Result<ExtentOnlyIndex> ExtentOnlyIndex::Build(Pager* pager,
     return Status::InvalidArgument("hierarchy must be frozen");
   }
   ExtentOnlyIndex index(pager, hierarchy);
-  AllocationScope scope(pager);
+  TxnScope txn(pager);
   const ClassHierarchy& h = *hierarchy;
   uint64_t n = 0;
   CCIDX_RETURN_IF_ERROR(BulkLoadCollections(
@@ -227,7 +227,7 @@ Result<ExtentOnlyIndex> ExtentOnlyIndex::Build(Pager* pager,
       [&h](const Object& o, internal::CollectionSorter* sorter) {
         return sorter->Add({o.class_id, {o.attr, o.id, h.code(o.class_id)}});
       }));
-  scope.Commit();
+  CCIDX_RETURN_IF_ERROR(txn.Commit());
   index.size_.store(n, std::memory_order_relaxed);
   return index;
 }

@@ -45,7 +45,7 @@ Result<RakeContractIndex> RakeContractIndex::Build(
   }
   const ClassHierarchy& h = *hierarchy;
   RakeContractIndex index(hierarchy);
-  AllocationScope scope(pager);
+  TxnScope txn(pager);
 
   // Thick-path decomposition (label-edges).
   std::vector<uint32_t> thick = ComputeThickEdges(h);
@@ -149,7 +149,7 @@ Result<RakeContractIndex> RakeContractIndex::Build(
       pending = *has_group;
     }
   }
-  scope.Commit();
+  CCIDX_RETURN_IF_ERROR(txn.Commit());
   return index;
 }
 

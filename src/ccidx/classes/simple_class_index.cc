@@ -26,7 +26,7 @@ Result<SimpleClassIndex> SimpleClassIndex::Build(
     return Status::InvalidArgument("hierarchy must be frozen");
   }
   SimpleClassIndex index(pager, hierarchy);
-  AllocationScope scope(pager);
+  TxnScope txn(pager);
   internal::CollectionSorter sorter(pager);
   std::vector<size_t> path;
   uint64_t n = 0;
@@ -52,7 +52,7 @@ Result<SimpleClassIndex> SimpleClassIndex::Build(
   CCIDX_RETURN_IF_ERROR(
       internal::LoadGroupedTrees(pager, *merged, &index.trees_));
   index.size_.store(n, std::memory_order_relaxed);
-  scope.Commit();
+  CCIDX_RETURN_IF_ERROR(txn.Commit());
   return index;
 }
 

@@ -207,23 +207,23 @@ Result<AugmentedMetablockTree> AugmentedMetablockTree::Build(
   if (points.empty()) {
     return AugmentedMetablockTree(pager, kInvalidPageId, 0, branching);
   }
-  AllocationScope scope(pager);
+  TxnScope txn(pager);
   uint64_t n = points.size();
   auto root = BuildNode(pager, std::move(points), branching);
   CCIDX_RETURN_IF_ERROR(root.status());
   CCIDX_RETURN_IF_ERROR(WriteControl(pager, root->control_page, root->ctrl));
-  scope.Commit();
+  CCIDX_RETURN_IF_ERROR(txn.Commit());
   return AugmentedMetablockTree(pager, root->control_page, n, branching);
 }
 
 Result<AugmentedMetablockTree> AugmentedMetablockTree::Build(
     Pager* pager, RecordStream<Point>* points) {
-  AllocationScope scope(pager);
+  TxnScope txn(pager);
   auto group = SortPointStream(pager, points, /*require_above_diagonal=*/true);
   CCIDX_RETURN_IF_ERROR(group.status());
   auto tree = Build(pager, std::move(*group));
   CCIDX_RETURN_IF_ERROR(tree.status());
-  scope.Commit();
+  CCIDX_RETURN_IF_ERROR(txn.Commit());
   return tree;
 }
 
@@ -570,10 +570,10 @@ Status AugmentedMetablockTree::Insert(const Point& p) {
     size_++;
     return Status::OK();
   }
-  // Single-writer tree: one WAL txn covers the descent, any split
-  // rebuild, and the buffered-update page writes, committed under
-  // write_mu_. (The resurrection path above writes nothing.)
-  WalScope ws(pager_);
+  // Single-writer tree: one txn covers the descent, any split rebuild,
+  // and the buffered-update page writes, committed under write_mu_.
+  // (The resurrection path above writes nothing.)
+  TxnScope txn(pager_);
   if (root_ == kInvalidPageId) {
     auto built = BuildNode(pager_, PointGroup::FromVector({p}), branching_);
     CCIDX_RETURN_IF_ERROR(built.status());
@@ -581,7 +581,7 @@ Status AugmentedMetablockTree::Insert(const Point& p) {
         WriteControl(pager_, built->control_page, built->ctrl));
     root_ = built->control_page;
     size_ = 1;
-    return ws.Commit();
+    return txn.Commit();
   }
   auto res = AddPoints(root_, {p});
   CCIDX_RETURN_IF_ERROR(res.status());
@@ -605,7 +605,7 @@ Status AugmentedMetablockTree::Insert(const Point& p) {
     root_ = built->control_page;
   }
   size_++;
-  return ws.Commit();
+  return txn.Commit();
 }
 
 Status AugmentedMetablockTree::Delete(const Point& p, bool* found) {
@@ -677,12 +677,12 @@ Status AugmentedMetablockTree::VisitSubtreePages(
 Status AugmentedMetablockTree::GlobalPurgeRebuild() {
   // Shared fault-atomic skeleton (dynamic/purge_rebuild.h): harvest
   // points + page ids read-only, drop tombstoned points, rebuild the
-  // live set through the bulk-build pipeline under an AllocationScope,
-  // then retire the old pages by id.
-  // One WAL txn spans build and retire: a crash mid-purge rolls back to
+  // live set through the bulk-build pipeline under a TxnScope, then
+  // retire the old pages by id.
+  // One txn spans build and retire: a crash mid-purge rolls back to
   // the pre-purge tree (the in-memory tombstones are not durable — this
   // family recovers through its owner's rebuild, not AttachMeta).
-  WalScope ws(pager_);
+  TxnScope txn(pager_);
   PageId new_root = kInvalidPageId;
   CCIDX_RETURN_IF_ERROR(PurgeRebuild(
       pager_, &tombstones_, &sched_,
@@ -700,7 +700,7 @@ Status AugmentedMetablockTree::GlobalPurgeRebuild() {
         return Status::OK();
       }));
   root_ = new_root;
-  return ws.Commit();
+  return txn.Commit();
 }
 
 // ---------------------------------------------------------------------------
@@ -921,13 +921,13 @@ Status AugmentedMetablockTree::DestroySubtree(PageId id, bool keep_ts) {
 Status AugmentedMetablockTree::Destroy() {
   std::lock_guard<std::mutex> write_lock(*write_mu_);
   if (root_ == kInvalidPageId) return Status::OK();
-  WalScope ws(pager_);
+  TxnScope txn(pager_);
   CCIDX_RETURN_IF_ERROR(DestroySubtree(root_, false));
   root_ = kInvalidPageId;
   size_ = 0;
   tombstones_.Clear();
   sched_.Reset();
-  return ws.Commit();
+  return txn.Commit();
 }
 
 Status AugmentedMetablockTree::CheckSubtree(PageId id, bool is_root,

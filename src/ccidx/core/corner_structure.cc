@@ -241,10 +241,10 @@ Status CornerStructure::Rebuild() {
   // read-only, drop tombstoned points, build under a scope, retire the
   // old pages by id. The pending buffer joins the live set in the build
   // step (it is never tombstoned).
-  // One WAL txn spans build + retire: fresh pages are txn-allocated, the
+  // One txn spans build + retire: fresh pages are txn-allocated, the
   // old pages free with before-images, and the commit carries the meta
   // snapshot (header/count/pending) of the replacement.
-  WalScope ws(pager_);
+  TxnScope txn(pager_);
   PageId new_header = kInvalidPageId;
   uint64_t new_count = 0;
   CCIDX_RETURN_IF_ERROR(PurgeRebuild(
@@ -262,7 +262,7 @@ Status CornerStructure::Rebuild() {
   header_ = new_header;
   stored_count_ = new_count;
   pending_.clear();
-  return ws.Commit();
+  return txn.Commit();
 }
 
 Status CornerStructure::VisitPages(std::vector<PageId>* out) const {
@@ -308,7 +308,7 @@ Status CornerStructure::CollectPoints(std::vector<Point>* out) const {
 }
 
 Status CornerStructure::Free() {
-  WalScope ws(pager_);
+  TxnScope txn(pager_);
   std::vector<VBlockEntry> vblocks;
   std::vector<CStarEntry> cstar;
   CCIDX_RETURN_IF_ERROR(LoadIndexes(&vblocks, &cstar));
@@ -330,7 +330,7 @@ Status CornerStructure::Free() {
     CCIDX_RETURN_IF_ERROR(io.FreeChain(h.cstar_head));
   }
   CCIDX_RETURN_IF_ERROR(pager_->Free(header_));
-  return ws.Commit();
+  return txn.Commit();
 }
 
 Result<uint64_t> CornerStructure::CountPages() const {

@@ -33,7 +33,7 @@
 // structure is bounded (k <= O(B^2)), so a rebuild costs O(k/B) = O(B)
 // I/Os and updates amortize to O(1) I/Os each. Rebuilds are fault-atomic:
 // the old pages are enumerated read-only, the replacement is built under
-// an AllocationScope, and the old pages are freed by id afterwards.
+// a TxnScope, and the old pages are freed by id afterwards.
 // Handles re-attached with Open() are static views (the enclosing
 // metablock trees use them that way) and must not be updated.
 

@@ -133,25 +133,25 @@ Result<MetablockTree> MetablockTree::Build(Pager* pager, PointGroup points,
   if (points.empty()) {
     return MetablockTree(pager, kInvalidPageId, 0, branching, options);
   }
-  AllocationScope scope(pager);
+  TxnScope txn(pager);
   uint64_t n = points.size();
   auto root = BuildNode(pager, std::move(points), branching, options);
   CCIDX_RETURN_IF_ERROR(root.status());
   CCIDX_RETURN_IF_ERROR(
       WriteControl(pager, root->control_page, root->ctrl));
-  scope.Commit();
+  CCIDX_RETURN_IF_ERROR(txn.Commit());
   return MetablockTree(pager, root->control_page, n, branching, options);
 }
 
 Result<MetablockTree> MetablockTree::Build(Pager* pager,
                                            RecordStream<Point>* points,
                                            const MetablockOptions& options) {
-  AllocationScope scope(pager);
+  TxnScope txn(pager);
   auto group = SortPointStream(pager, points, /*require_above_diagonal=*/true);
   CCIDX_RETURN_IF_ERROR(group.status());
   auto tree = Build(pager, std::move(*group), options);
   CCIDX_RETURN_IF_ERROR(tree.status());
-  scope.Commit();
+  CCIDX_RETURN_IF_ERROR(txn.Commit());
   return tree;
 }
 

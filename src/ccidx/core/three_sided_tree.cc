@@ -150,24 +150,24 @@ Result<ThreeSidedTree> ThreeSidedTree::Build(Pager* pager,
   if (points.empty()) {
     return ThreeSidedTree(pager, kInvalidPageId, 0, branching);
   }
-  AllocationScope scope(pager);
+  TxnScope txn(pager);
   uint64_t n = points.size();
   auto root = BuildNode(pager, std::move(points), branching);
   CCIDX_RETURN_IF_ERROR(root.status());
   CCIDX_RETURN_IF_ERROR(WriteControl(pager, root->control_page, root->ctrl));
-  scope.Commit();
+  CCIDX_RETURN_IF_ERROR(txn.Commit());
   return ThreeSidedTree(pager, root->control_page, n, branching);
 }
 
 Result<ThreeSidedTree> ThreeSidedTree::Build(Pager* pager,
                                              RecordStream<Point>* points) {
-  AllocationScope scope(pager);
+  TxnScope txn(pager);
   auto group =
       SortPointStream(pager, points, /*require_above_diagonal=*/false);
   CCIDX_RETURN_IF_ERROR(group.status());
   auto tree = Build(pager, std::move(*group));
   CCIDX_RETURN_IF_ERROR(tree.status());
-  scope.Commit();
+  CCIDX_RETURN_IF_ERROR(txn.Commit());
   return tree;
 }
 

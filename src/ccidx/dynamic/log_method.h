@@ -29,7 +29,7 @@
 //     propagates: the shared filter sink latches, and no further level is
 //     consulted once the consumer stops.
 //
-// Fault atomicity: every merge runs inside a Pager::AllocationScope. The
+// Fault atomicity: every merge runs inside a Pager TxnScope. The
 // source levels are only read; the replacement structure (and any sorter
 // spill runs) is built under the scope, each level's complete page set is
 // retained from the scope snapshot, and the old levels are freed only
@@ -138,19 +138,17 @@ class Dynamized {
     while (out.LevelCapacity(k) < records.size()) k++;
     out.EnsureLevels(k + 1);
 
-    WalScope ws(pager);
-    AllocationScope scope(pager);
+    TxnScope txn(pager);
     const uint64_t n = records.size();
     SpanStream<Record> stream(std::span<const Record>(records),
                               PageIo(pager).CapacityFor(sizeof(Record)));
     auto st = Traits::BuildFromSorted(pager, &stream, n);
     CCIDX_RETURN_IF_ERROR(st.status());
-    out.levels_[k].pages = scope.pages();
-    scope.Commit();
+    out.levels_[k].pages = txn.pages();
     out.levels_[k].st.emplace(std::move(*st));
     out.levels_[k].count = n;
     out.sy_->stored.store(n, kRlx);
-    CCIDX_RETURN_IF_ERROR(ws.Commit());
+    CCIDX_RETURN_IF_ERROR(txn.Commit());
     return out;
   }
 
@@ -342,8 +340,7 @@ class Dynamized {
     // between prepare and commit the built pages survive recovery live
     // but unreferenced — a bounded leak (one pending rebuild), noted in
     // DESIGN.md §13.
-    WalScope ws(pager_);
-    AllocationScope scope(pager_);
+    TxnScope txn(pager_);
     ExternalSorter<Record, typename Traits::BuildLess> sorter(pager_);
     CCIDX_RETURN_IF_ERROR(HarvestInto(&sorter, buf_copy, k, &p.purged));
     p.merged = sorter.records_added();
@@ -353,10 +350,9 @@ class Dynamized {
       auto st = Traits::BuildFromSorted(pager_, *sorted, p.merged);
       CCIDX_RETURN_IF_ERROR(st.status());
       p.fresh.emplace(std::move(*st));
-      p.pages = scope.pages();
+      p.pages = txn.pages();
     }
-    scope.Commit();
-    CCIDX_RETURN_IF_ERROR(ws.Commit());
+    CCIDX_RETURN_IF_ERROR(txn.Commit());
     return p;
   }
 
@@ -367,10 +363,10 @@ class Dynamized {
   /// re-fires). Either way the purge-pending latch is released.
   bool CommitGlobalRebuild(PendingRebuild&& p) {
     std::lock_guard<std::mutex> mg(sy_->merge_mu);
-    WalScope ws(pager_);
+    TxnScope txn(pager_);
     if (p.stamp != sched_.update_stamp()) {
-      AbandonGlobalRebuild(std::move(p));  // nested scope folds into ws
-      (void)ws.Commit();
+      AbandonGlobalRebuild(std::move(p));  // nested scope folds into txn
+      (void)txn.Commit();
       return false;
     }
     InstallLocked(p.level, p.harvested_buffer, std::move(p.fresh),
@@ -379,7 +375,7 @@ class Dynamized {
     sy_->purge_pending.store(false, kRlx);
     // Best-effort: a failed commit resolves through the scope's abort
     // protocol, which forces the installed pages and keeps this state.
-    (void)ws.Commit();
+    (void)txn.Commit();
     return true;
   }
 
@@ -387,21 +383,21 @@ class Dynamized {
   /// when no WAL is attached — under one, each free first captures its
   /// before-image) and releases the purge-pending latch.
   void AbandonGlobalRebuild(PendingRebuild&& p) {
-    WalScope ws(pager_);
+    TxnScope txn(pager_);
     for (PageId id : p.pages) {
       (void)pager_->Free(id);
     }
     p.fresh.reset();
     p.pages.clear();
     sy_->purge_pending.store(false, kRlx);
-    (void)ws.Commit();
+    (void)txn.Commit();
   }
 
   /// Frees every page of every level — by retained page id, no device
   /// reads, so it succeeds even under active fault injection. Requires
   /// full quiescence.
   Status Destroy() {
-    WalScope ws(pager_);
+    TxnScope txn(pager_);
     Status first = Status::OK();
     for (Level& lv : levels_) {
       for (PageId id : lv.pages) {
@@ -417,7 +413,7 @@ class Dynamized {
     sy_->buffer_size.store(0, kRlx);
     sy_->purge_pending.store(false, kRlx);
     sched_.Reset();
-    if (first.ok()) return ws.Commit();
+    if (first.ok()) return txn.Commit();
     return first;
   }
 
@@ -724,15 +720,12 @@ class Dynamized {
       }
     } lower{sy_.get()};
 
-    // One WAL txn spans build + install: the fresh pages are txn-
-    // allocated (kAlloc only), the retired levels' pages free with
+    // One txn spans build + install: the fresh pages are txn-allocated
+    // (kAlloc only under a WAL), the retired levels' pages free with
     // before-images, and the commit — still under merge_mu, before any
     // later writer can observe the installed level — carries the meta
-    // snapshot. Destruction order matters: the AllocationScope rolls a
-    // failed build back first (its frees land in this txn), then the
-    // WalScope aborts.
-    WalScope ws(pager_);
-    AllocationScope scope(pager_);
+    // snapshot. A failed build rolls its pages back.
+    TxnScope txn(pager_);
     ExternalSorter<Record, typename Traits::BuildLess> sorter(pager_);
     std::vector<Record> purged;
     CCIDX_RETURN_IF_ERROR(HarvestInto(&sorter, buf_copy, k, &purged));
@@ -746,18 +739,17 @@ class Dynamized {
       auto st = Traits::BuildFromSorted(pager_, *sorted, merged);
       CCIDX_RETURN_IF_ERROR(st.status());
       fresh.emplace(std::move(*st));
-      fresh_pages = scope.pages();
+      fresh_pages = txn.pages();
     }
-    scope.Commit();
 
-    // Point of no return: the replacement is durable. InstallLocked
+    // Point of no return: the replacement is built. InstallLocked
     // retires the old levels by page id (no device reads — cannot fail
     // mid-way), removes the harvested prefix, consumes the expunged
     // tombstones, and lowers the flag.
     lower.armed = false;
     InstallLocked(k, harvest_n, std::move(fresh), std::move(fresh_pages),
                   merged, purged);
-    return ws.Commit();
+    return txn.Commit();
   }
 
   Status Flush() {

@@ -5,7 +5,7 @@
 // harvest the stored records and the old structure's page ids strictly
 // read-only — a failure here changes nothing; (2) drop the records the
 // tombstone set marks dead; (3) build the replacement from the live set
-// under an AllocationScope — a failure rolls the new pages back and the
+// under a TxnScope — a failure rolls the new pages back and the
 // old structure still answers queries; (4) only then retire the old
 // pages by id, which needs no device transfer and so cannot fail
 // mid-way, consume the expunged tombstones, and reset the rebuild
@@ -21,8 +21,8 @@
 //   build(std::vector<Record>)     — build the replacement from the live
 //                                    set and stage the new roots in
 //                                    caller locals; runs inside the
-//                                    AllocationScope, so returning an
-//                                    error rolls everything back
+//                                    TxnScope, so returning an error
+//                                    rolls everything back
 // The caller installs the staged roots after PurgeRebuild returns OK
 // (ordering relative to the frees is immaterial: both are in-memory /
 // free-list-only effects past the commit point).
@@ -67,9 +67,9 @@ Status PurgeRebuild(Pager* pager, TombstoneSet<Record, Hash>* tombstones,
   }
 
   // Phase 3: build the replacement under a scope.
-  AllocationScope scope(pager);
+  TxnScope txn(pager);
   CCIDX_RETURN_IF_ERROR(build(std::move(live)));
-  scope.Commit();
+  CCIDX_RETURN_IF_ERROR(txn.Commit());
 
   // Phase 4: point of no return — retire the old pages by id (free-list
   // only, no device transfer), settle the bookkeeping.

@@ -12,7 +12,7 @@ IntervalIndex::IntervalIndex(Pager* pager)
 
 Result<IntervalIndex> IntervalIndex::Build(Pager* pager,
                                            RecordStream<Interval>* intervals) {
-  AllocationScope scope(pager);
+  TxnScope txn(pager);
   ExternalSorter<BtEntry> entry_sorter(pager);
   ExternalSorter<Point, PointXOrder> point_sorter(pager);
   while (true) {
@@ -39,7 +39,7 @@ Result<IntervalIndex> IntervalIndex::Build(Pager* pager,
   CCIDX_RETURN_IF_ERROR(points.status());
   auto stabbing = AugmentedMetablockTree::Build(pager, std::move(*points));
   CCIDX_RETURN_IF_ERROR(stabbing.status());
-  scope.Commit();
+  CCIDX_RETURN_IF_ERROR(txn.Commit());
   return IntervalIndex(std::move(*endpoints), std::move(*stabbing));
 }
 

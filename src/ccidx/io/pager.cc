@@ -268,77 +268,162 @@ void Pager::TableEraseLocked(Shard& shard, uint32_t pos) {
 }
 
 // ---------------------------------------------------------------------------
-// AllocationScope
+// TxnScope
 // ---------------------------------------------------------------------------
 
-void Pager::RecordAllocation(PageId id) {
-  std::lock_guard lock(alloc_scopes_mu_);
-  // Allocations land in the calling thread's innermost scope only:
-  // concurrent writers' scoped builds stay disjoint by construction.
-  auto it = alloc_scopes_.find(std::this_thread::get_id());
-  if (it != alloc_scopes_.end() && !it->second.empty()) {
-    it->second.back().insert(id);
+namespace {
+// The calling thread's innermost open TxnScope on any pager; `prev_`
+// links the rest of the thread's scope stack.
+thread_local TxnScope* tls_innermost_scope = nullptr;
+}  // namespace
+
+TxnScope* Pager::InnermostScope() const {
+  for (TxnScope* s = tls_innermost_scope; s != nullptr; s = s->prev_) {
+    if (s->pager_ == this) return s;
   }
+  return nullptr;
+}
+
+internal::TxnState* Pager::TxnLocked(TxnScope* scope) {
+  TxnScope* root = scope->outermost_;
+  if (root->txn_ == nullptr) {
+    auto [it, inserted] = txns_.try_emplace(std::this_thread::get_id());
+    CCIDX_CHECK(inserted);  // one outermost scope per thread and pager
+    root->txn_ = &it->second;
+  }
+  return root->txn_;
+}
+
+void Pager::RecordAllocation(PageId id) {
+  TxnScope* scope = InnermostScope();
+  if (scope == nullptr) return;
+  internal::TxnState* txn;
+  {
+    std::lock_guard lock(txns_mu_);
+    // Allocations land in the calling thread's innermost level only:
+    // concurrent writers' transactions stay disjoint by construction.
+    txn = TxnLocked(scope);
+    txn->levels.resize(std::max(txn->levels.size(), scope->depth_ + 1));
+    txn->levels[scope->depth_].insert(id);
+  }
+  if (txn->wal == nullptr) return;
+  // A failed append (simulated crash or a real EIO/ENOSPC, which latches
+  // the wal's sticky failed state) guarantees the commit record can never
+  // be written either, so the lost record is harmless: the txn is
+  // uncommitted by construction and recovery leaves the page free.
+  (void)txn->wal->LogAlloc(txn->id, id);
+  txn->touched.push_back(id);  // forced at commit
 }
 
 void Pager::ForgetAllocation(PageId id) {
-  std::lock_guard lock(alloc_scopes_mu_);
-  // A page is recorded in at most one scope; erase wherever it lives
-  // (frees may run on a different thread than the allocating scope).
-  for (auto& [tid, stack] : alloc_scopes_) {
-    for (auto& scope : stack) {
-      if (scope.erase(id) > 0) return;
+  std::lock_guard lock(txns_mu_);
+  // A page is recorded at most once; erase wherever it lives (frees may
+  // run on a different thread than the allocating scope).
+  for (auto& [tid, txn] : txns_) {
+    for (auto& level : txn.levels) {
+      if (level.erase(id) > 0) return;
     }
   }
 }
 
-AllocationScope::AllocationScope(Pager* pager)
-    : pager_(pager), tid_(std::this_thread::get_id()) {
-  std::lock_guard lock(pager_->alloc_scopes_mu_);
-  auto& stack = pager_->alloc_scopes_[tid_];
-  depth_ = stack.size();
-  stack.emplace_back();
+TxnScope::TxnScope(Pager* pager)
+    : pager_(pager), prev_(tls_innermost_scope) {
+  if (TxnScope* enclosing = pager_->InnermostScope()) {
+    outermost_ = enclosing->outermost_;
+    depth_ = enclosing->depth_ + 1;
+  } else if (pager_->wal_ != nullptr) {
+    std::lock_guard lock(pager_->txns_mu_);
+    internal::TxnState* txn = pager_->TxnLocked(this);
+    txn->wal = pager_->wal_;  // attach is pre-threading: fixed per txn
+    txn->id = txn->wal->BeginTxn();
+  }
+  tls_innermost_scope = this;
 }
 
-std::vector<PageId> AllocationScope::pages() const {
-  std::lock_guard lock(pager_->alloc_scopes_mu_);
-  auto it = pager_->alloc_scopes_.find(tid_);
-  CCIDX_CHECK(it != pager_->alloc_scopes_.end() &&
-              depth_ < it->second.size());
-  const std::unordered_set<PageId>& set = it->second[depth_];
-  return std::vector<PageId>(set.begin(), set.end());
+std::vector<PageId> TxnScope::pages() const {
+  internal::TxnState* txn = this->txn();
+  if (txn == nullptr) return {};
+  std::lock_guard lock(pager_->txns_mu_);
+  if (txn->levels.size() <= depth_) return {};
+  const std::unordered_set<PageId>& level = txn->levels[depth_];
+  return std::vector<PageId>(level.begin(), level.end());
 }
 
-AllocationScope::~AllocationScope() {
-  CCIDX_CHECK(tid_ == std::this_thread::get_id());
-  std::unordered_set<PageId> pages;
+Status TxnScope::Commit() {
+  committed_ = true;
+  internal::TxnState* txn = this->txn();
+  if (depth_ > 0 || txn == nullptr || txn->wal == nullptr ||
+      wal_committed_) {
+    return Status::OK();
+  }
+  // Force phase: the txn's touched pages go to the device (each write-back
+  // syncs the log first — WAL-before-data), then a data barrier, then the
+  // commit record makes the txn durable. Meta-only updates (no touched
+  // pages) still commit: the record carries the registered metas. On
+  // failure the destructor runs the abort protocol instead; the
+  // allocations stay kept either way.
+  CCIDX_RETURN_IF_ERROR(pager_->FlushPages(txn->touched));
+  CCIDX_RETURN_IF_ERROR(pager_->device_->SyncData());
+  CCIDX_RETURN_IF_ERROR(txn->wal->CommitTxn(txn->id));
+  wal_committed_ = true;
+  return Status::OK();
+}
+
+TxnScope::~TxnScope() {
+  // Scopes unwind in reverse creation order on their creating thread.
+  CCIDX_CHECK(tls_innermost_scope == this);
+  internal::TxnState* txn = this->txn();
+  if (!committed_) {
+    // Rollback: free every page still recorded at this depth. Free() needs
+    // no device transfer, so this succeeds under active fault injection.
+    // The level stays on the stack meanwhile, so under a WAL each page is
+    // still txn-allocated: an imageless free record, an immediate free.
+    for (PageId id : pages()) (void)pager_->Free(id);
+  }
+  if (txn != nullptr && txn->levels.size() > depth_) {
+    std::lock_guard lock(pager_->txns_mu_);
+    std::unordered_set<PageId> level = std::move(txn->levels.back());
+    txn->levels.pop_back();
+    // Fold into the enclosing level so an outer rollback still covers
+    // these pages.
+    if (committed_ && depth_ > 0) txn->levels.back().merge(level);
+  }
+  tls_innermost_scope = prev_;
+  if (depth_ > 0 || txn == nullptr) return;
+  if (txn->wal != nullptr && !wal_committed_ &&
+      (!txn->touched.empty() || !txn->deferred_frees.empty())) {
+    // In-process abort (a device error unwound the op). Zero-record
+    // scopes (a shared-mode restart, a not-found delete) skip this:
+    // nothing was logged, so there is nothing to resolve. The family left
+    // its documented pre-or-post-op coherent state, and execution
+    // CONTINUES from that state — later committed txns may build on it.
+    // So the abort must resolve like a meta-less commit: force the
+    // surviving pages, then mark the txn resolved so recovery keeps them.
+    // Best-effort — if the force fails (the device is the thing that is
+    // broken), the abort record is skipped and recovery undoes the txn
+    // from its already-durable before-images instead: the coherent pre-op
+    // state.
+    Status fs = pager_->FlushPages(txn->touched);
+    if (fs.ok()) fs = pager_->device_->SyncData();
+    if (fs.ok()) (void)txn->wal->AbortTxn(txn->id);
+  }
+  // Deferred frees apply on exit whether or not the commit record made it
+  // out: in-process, families free pre-existing pages only past their
+  // point of no return, and across a crash the allocation state is rebuilt
+  // from the log, not from this in-memory application.
+  std::vector<PageId> frees = std::move(txn->deferred_frees);
   {
-    std::lock_guard lock(pager_->alloc_scopes_mu_);
-    auto it = pager_->alloc_scopes_.find(tid_);
-    CCIDX_CHECK(it != pager_->alloc_scopes_.end() && !it->second.empty());
-    auto& stack = it->second;
-    pages = std::move(stack.back());
-    stack.pop_back();
-    if (committed_) {
-      // Fold into the enclosing scope (if any) so an outer rollback still
-      // covers these pages.
-      if (!stack.empty()) {
-        stack.back().merge(pages);
-      } else {
-        pager_->alloc_scopes_.erase(it);
-      }
-      return;
-    }
-    if (stack.empty()) pager_->alloc_scopes_.erase(it);
+    std::lock_guard lock(pager_->txns_mu_);
+    pager_->txns_.erase(std::this_thread::get_id());
   }
-  // Rollback: free every recorded page that is still live. Free() needs
-  // no device transfer, so this succeeds under active fault injection.
-  for (PageId id : pages) {
-    (void)pager_->Free(id);
+  for (PageId id : frees) {
+    Status s = pager_->device_->Free(id);
+    if (s.ok()) {
+      pager_->ForgetAllocation(id);
+      if (pager_->capacity_ > 0) pager_->RequestReviveAsync();
+    }
   }
 }
-
-void AllocationScope::Commit() { committed_ = true; }
 
 // ---------------------------------------------------------------------------
 // Frame acquisition: hits, misses, clock eviction
@@ -454,7 +539,6 @@ Result<Pager::Frame*> Pager::GetFrameLocked(Shard& shard, PageId id,
 PageId Pager::Allocate() {
   PageId id = device_->Allocate();
   RecordAllocation(id);
-  if (wal_ != nullptr) WalOnAlloc(id);
   if (capacity_ == 0) return id;
   // Freshly allocated pages are zeroed on the device; cache a zero copy so
   // the first write does not need a device read. Best-effort: if no frame
@@ -469,11 +553,19 @@ PageId Pager::Allocate() {
 }
 
 Status Pager::Free(PageId id) {
-  WalTxn* txn = wal_ != nullptr ? CurrentWalTxn() : nullptr;
+  internal::TxnState* txn = nullptr;
   bool txn_allocated = false;
+  if (wal_ != nullptr) {
+    TxnScope* scope = InnermostScope();
+    if (scope != nullptr) txn = scope->txn();
+    if (txn != nullptr && txn->wal == nullptr) txn = nullptr;
+    if (txn != nullptr) {
+      std::lock_guard lock(txns_mu_);
+      txn_allocated = txn->Allocated(id);
+    }
+  }
   std::vector<uint8_t> before_image;
   if (txn != nullptr) {
-    txn_allocated = txn->allocated.contains(id);
     if (!txn_allocated) {
       // Pre-existing page: snapshot its current (possibly dirty-in-pool)
       // content now, before the cached frame is dropped below. The free
@@ -509,7 +601,6 @@ Status Pager::Free(PageId id) {
       // suffices (committed replay marks it freed; uncommitted undo leaves
       // it unallocated) and the device free can happen now — nobody
       // outside this txn can have observed the page.
-      txn->allocated.erase(id);
       txn->captured.erase(id);
       CCIDX_RETURN_IF_ERROR(txn->wal->LogFree(txn->id, id, {}));
     } else {
@@ -517,7 +608,7 @@ Status Pager::Free(PageId id) {
       // if this txn does not commit) and DEFER the device-level free to
       // scope exit — a committing transaction must not reallocate and
       // overwrite a page whose free is not yet durable (class comment on
-      // WalScope). The cached copy was dropped above; reads of a freed
+      // TxnScope). The cached copy was dropped above; reads of a freed
       // page are a caller bug either way.
       CCIDX_RETURN_IF_ERROR(txn->wal->LogFree(txn->id, id, before_image));
       txn->deferred_frees.push_back(id);
@@ -1092,7 +1183,6 @@ Result<MutPageRef> Pager::PinNew() {
   // in a single miss with no redundant lookup or re-zeroing.
   PageId id = device_->Allocate();
   RecordAllocation(id);
-  if (wal_ != nullptr) WalOnAlloc(id);
   if (capacity_ == 0) {
     transient_pin_requests_.fetch_add(1, std::memory_order_relaxed);
     return TransientMutRef(id, MutMode::kOverwrite);
@@ -1283,28 +1373,24 @@ void Pager::AttachWal(Wal* wal) {
   CCIDX_CHECK(wal_ == nullptr || wal_ == wal);
   wal_ = wal;
   // The log must always start with a checkpoint: it is the allocation
-  // baseline recovery replays onto. Writes performed with no WalScope
-  // active (e.g. an initial bulk build) are not logged — callers
-  // checkpoint after such a build to move the baseline past it.
+  // baseline recovery replays onto. Everything built before the attach is
+  // unlogged and lands in that baseline; every TxnScope after it — a bulk
+  // build included — is a logged transaction.
   if (wal->records() == 0) {
     CCIDX_CHECK(wal->Checkpoint(this).ok());
   }
 }
 
-Pager::WalTxn* Pager::CurrentWalTxn() {
-  std::lock_guard lock(wal_txns_mu_);
-  auto it = wal_txns_.find(std::this_thread::get_id());
-  // Node-stable: only this thread mutates or erases its own entry, so the
-  // pointer stays valid after the lock drops.
-  return it == wal_txns_.end() ? nullptr : &it->second;
-}
-
 Status Pager::WalCaptureBeforeImage(PageId id) {
-  WalTxn* txn = CurrentWalTxn();
-  if (txn == nullptr) return Status::OK();
-  if (txn->allocated.contains(id) || txn->captured.contains(id)) {
-    return Status::OK();
+  TxnScope* scope = InnermostScope();
+  internal::TxnState* txn = scope == nullptr ? nullptr : scope->txn();
+  if (txn == nullptr || txn->wal == nullptr) return Status::OK();
+  {
+    std::lock_guard lock(txns_mu_);
+    // Pages this txn allocated need no image: kAlloc undoes them.
+    if (txn->Allocated(id)) return Status::OK();
   }
+  if (txn->captured.contains(id)) return Status::OK();
   // Shared pin: pool-aware, so a dirty resident frame contributes its
   // current (logical) content, not the stale device copy.
   auto ref = Pin(id);
@@ -1315,18 +1401,6 @@ Status Pager::WalCaptureBeforeImage(PageId id) {
   txn->captured.insert(id);
   txn->touched.push_back(id);
   return Status::OK();
-}
-
-void Pager::WalOnAlloc(PageId id) {
-  WalTxn* txn = CurrentWalTxn();
-  if (txn == nullptr) return;
-  // A failed append (simulated crash or a real EIO/ENOSPC, which latches
-  // the wal's sticky failed state) guarantees the commit record can never
-  // be written either, so the lost record is harmless: the txn is
-  // uncommitted by construction and recovery leaves the page free.
-  (void)txn->wal->LogAlloc(txn->id, id);
-  txn->allocated.insert(id);
-  txn->touched.push_back(id);
 }
 
 Status Pager::FlushPages(std::span<const PageId> ids) {
@@ -1372,92 +1446,6 @@ Status Pager::DiscardCache() {
     shard.hand = 0;
   }
   return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// WalScope
-// ---------------------------------------------------------------------------
-
-WalScope::WalScope(Pager* pager)
-    : pager_(pager), tid_(std::this_thread::get_id()) {
-  Wal* wal = pager_->wal_;
-  if (wal == nullptr) return;  // inert: the WAL is strictly opt-in
-  active_ = true;
-  std::lock_guard lock(pager_->wal_txns_mu_);
-  auto [it, inserted] = pager_->wal_txns_.try_emplace(tid_);
-  if (inserted) {
-    it->second.id = wal->BeginTxn();
-    it->second.wal = wal;
-    outermost_ = true;
-  } else {
-    it->second.depth++;
-  }
-}
-
-Status WalScope::Commit() {
-  if (!active_ || committed_) return Status::OK();
-  if (!outermost_) {  // folds into the enclosing txn
-    committed_ = true;
-    return Status::OK();
-  }
-  CCIDX_CHECK(tid_ == std::this_thread::get_id());
-  Pager::WalTxn* txn = pager_->CurrentWalTxn();
-  CCIDX_CHECK(txn != nullptr && txn->depth == 1);
-  // Force phase: the txn's touched pages go to the device (each write-back
-  // syncs the log first — WAL-before-data), then a data barrier, then the
-  // commit record makes the txn durable. Buffer-only updates (no touched
-  // pages) still commit: the record carries the registered metas. On
-  // failure committed_ stays false and the destructor runs the abort
-  // protocol instead.
-  CCIDX_RETURN_IF_ERROR(pager_->FlushPages(txn->touched));
-  CCIDX_RETURN_IF_ERROR(pager_->device_->SyncData());
-  CCIDX_RETURN_IF_ERROR(txn->wal->CommitTxn(txn->id));
-  committed_ = true;
-  return Status::OK();
-}
-
-WalScope::~WalScope() {
-  if (!active_) return;
-  CCIDX_CHECK(tid_ == std::this_thread::get_id());
-  Pager::WalTxn* txn = pager_->CurrentWalTxn();
-  CCIDX_CHECK(txn != nullptr);
-  if (!outermost_) {
-    txn->depth--;
-    return;
-  }
-  if (!committed_ && (!txn->touched.empty() || !txn->deferred_frees.empty())) {
-    // In-process abort (a device error unwound the op). Zero-record
-    // scopes (a shared-mode restart, a not-found delete) skip this:
-    // nothing was logged, so there is nothing to resolve.
-    // The family left
-    // its documented pre-or-post-op coherent state, and execution
-    // CONTINUES from that state — later committed txns may build on it.
-    // So the abort must resolve like a meta-less commit: force the
-    // surviving pages, then mark the txn resolved so recovery keeps them.
-    // Best-effort — if the force fails (the device is the thing that is
-    // broken), the abort record is skipped and recovery undoes the txn
-    // from its already-durable before-images instead: the coherent pre-op
-    // state.
-    Status fs = pager_->FlushPages(txn->touched);
-    if (fs.ok()) fs = pager_->device_->SyncData();
-    if (fs.ok()) (void)txn->wal->AbortTxn(txn->id);
-  }
-  // Deferred frees apply on exit whether or not the commit record made it
-  // out: in-process, families free pre-existing pages only past their
-  // point of no return, and across a crash the allocation state is rebuilt
-  // from the log, not from this in-memory application.
-  std::vector<PageId> frees = std::move(txn->deferred_frees);
-  {
-    std::lock_guard lock(pager_->wal_txns_mu_);
-    pager_->wal_txns_.erase(tid_);
-  }
-  for (PageId id : frees) {
-    Status s = pager_->device_->Free(id);
-    if (s.ok()) {
-      pager_->ForgetAllocation(id);
-      if (pager_->capacity_ > 0) pager_->RequestReviveAsync();
-    }
-  }
 }
 
 }  // namespace ccidx

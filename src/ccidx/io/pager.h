@@ -35,7 +35,7 @@
 //   Thread-safe against each other: Pin, PageRef::Release, and the
 //     evictions / device reads they trigger — the read-serving hot path.
 //   Thread-safe for DISTINCT pages (DESIGN.md §11): PinMut, PinNew,
-//     Allocate, Free, Write, and AllocationScope (scope stacks are per
+//     Allocate, Free, Write, and TxnScope (scope stacks are per
 //     thread). N writer threads may build and mutate concurrently as
 //     long as no two touch the same page at the same time — which is
 //     what the families' internal write latches guarantee, and why
@@ -118,6 +118,32 @@ struct alignas(64) PagerShard {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t pin_requests = 0;
+};
+
+/// One thread's open transaction: its TxnScopes' allocations plus its WAL
+/// state. `levels` holds the pages allocated at each nesting depth
+/// (innermost last; depths past its end allocated nothing). The sets are
+/// guarded by Pager::txns_mu_ — a Free on another thread may erase from
+/// them; only the owning thread resizes `levels` or touches the rest. The
+/// entry is made by the first allocation (at once under a Wal) and erased
+/// by the outermost scope; map nodes are address-stable, so the owner
+/// keeps a pointer.
+struct TxnState {
+  std::vector<std::unordered_set<PageId>> levels;
+  Wal* wal = nullptr;  // wal at outermost entry; nullptr = nothing logged
+  uint64_t id = 0;     // WAL txn id
+  std::unordered_set<PageId> captured;  // before-image logged
+  std::vector<PageId> touched;          // to force at commit, in order
+  std::vector<PageId> deferred_frees;   // device frees applied at exit
+
+  /// Allocated by this transaction at any depth and still live — such a
+  /// page needs no before-image. Requires Pager::txns_mu_.
+  bool Allocated(PageId page) const {
+    for (const auto& level : levels) {
+      if (level.contains(page)) return true;
+    }
+    return false;
+  }
 };
 
 }  // namespace internal
@@ -236,83 +262,74 @@ class MutPageRef {
   size_t size_ = 0;
 };
 
-/// RAII allocation tracker for fault-atomic multi-page constructions
-/// (DESIGN.md §6). While a scope is active, every page allocated through
-/// the pager is recorded; unless Commit() is called, the destructor frees
+/// RAII transaction scope for every multi-page change (DESIGN.md §6, §13):
+/// a build, a split, a merge, a rebuild. One scope gives both guarantees.
+///
+/// In-process rollback: while a scope is active on the current thread,
+/// every page allocated through the pager is recorded at the scope's
+/// nesting depth. Unless Commit() is called, the destructor frees
 /// whichever recorded pages are still live. Rollback never reads the
 /// device (the ids are known), so it reclaims everything even while fault
 /// injection is rejecting transfers — chain-walking cleanup cannot.
-/// Scopes nest: committing an inner scope folds its pages into the
-/// enclosing one, so a sub-build participates in its caller's atomicity.
-/// Scope stacks are per thread (DESIGN.md §11): N writer threads each
-/// run their own scoped builds concurrently without interleaving their
-/// recorded allocations; a scope must be destroyed on the thread that
-/// created it, and nesting composes within one thread only.
-class AllocationScope {
+///
+/// Crash durability, when a Wal is attached: the outermost scope is one
+/// WAL transaction. The first mutable touch of a pre-existing page logs
+/// its before-image, and every Allocate/Free logs an allocation record.
+/// The outermost Commit() keeps the allocations, then forces the touched
+/// pages to the device, data-syncs it, and appends + group-syncs a commit
+/// record — after which the transaction is crash-durable. A failed WAL
+/// commit still keeps the allocations. An uncommitted outermost scope
+/// frees its recorded pages, then runs the abort protocol (~TxnScope in
+/// pager.cc); crash recovery undoes whatever was left unresolved.
+///
+/// Scopes nest per thread: an inner Commit() folds the inner pages into
+/// the enclosing level, so a sub-build participates in its caller's
+/// atomicity, and writes nothing to the log. Scope stacks are per thread
+/// (DESIGN.md §11): N writer threads each run their own transactions
+/// concurrently without interleaving their recorded allocations; scopes
+/// are destroyed on the creating thread in reverse order of creation. A
+/// scope that allocates nothing, with no Wal attached, takes no lock.
+///
+/// Frees of pre-existing pages under a WAL are logged with a before-image
+/// and the device-level free is DEFERRED to the end of the outermost
+/// scope: an uncommitted transaction's freed page must not be reallocated
+/// (and overwritten) by a transaction that commits before it, or recovery
+/// could not restore it. Deferred frees are applied on scope exit whether
+/// or not the commit succeeded — families free pre-existing pages only
+/// past their point of no return (the fault-atomicity contract the fault
+/// sweeps enforce), so an aborted scope has no deferred frees to misapply.
+class TxnScope {
  public:
-  explicit AllocationScope(Pager* pager);
-  ~AllocationScope();
-  AllocationScope(const AllocationScope&) = delete;
-  AllocationScope& operator=(const AllocationScope&) = delete;
+  explicit TxnScope(Pager* pager);
+  ~TxnScope();
+  TxnScope(const TxnScope&) = delete;
+  TxnScope& operator=(const TxnScope&) = delete;
 
-  /// Keeps the recorded pages (the build succeeded).
-  void Commit();
+  /// Keeps the recorded pages. Outermost scope with a Wal attached: then
+  /// runs the force + commit-record protocol and returns its Status.
+  /// Inner scope, or no Wal: OK.
+  Status Commit();
 
-  /// Snapshot of the pages recorded by this scope so far (allocated under
-  /// it and still live). The dynamization layer retains this as the page
-  /// set of a structure built inside the scope, so the structure can later
-  /// be freed without any device reads — the same property rollback
-  /// relies on. Take the snapshot before Commit() (committing folds the
-  /// set into the enclosing scope).
+  /// Snapshot of the pages recorded at this scope's depth so far
+  /// (allocated under it and still live). The dynamization layer retains
+  /// this as the page set of a structure built inside the scope, so the
+  /// structure can later be freed without any device reads — the same
+  /// property rollback relies on.
   std::vector<PageId> pages() const;
 
  private:
+  friend class Pager;
+
+  // This thread's registry entry, or nullptr while nothing is recorded.
+  internal::TxnState* txn() const { return outermost_->txn_; }
+
   Pager* pager_;
-  std::thread::id tid_;  // creating thread: owns this scope's stack
-  size_t depth_ = 0;  // index of this scope's set in its thread's stack
-  bool committed_ = false;
-};
-
-/// One WAL transaction (DESIGN.md §13): while a scope is active on the
-/// current thread, every mutable page touch through the pager logs the
-/// page's before-image (first touch only), and every Allocate/Free logs an
-/// allocation record. Commit() forces the transaction's touched pages to
-/// the device, data-syncs it, and appends + group-syncs a commit record —
-/// after which the transaction is crash-durable. A scope destroyed without
-/// a successful Commit() simply leaves its records uncommitted: crash
-/// recovery undoes them (in-process rollback stays AllocationScope's job —
-/// the two compose, WalScope outermost).
-///
-/// Scopes nest per thread like AllocationScope: inner scopes fold into the
-/// outermost transaction and only the outermost Commit() writes the commit
-/// record. Inert (zero-cost beyond one null check) when no Wal is attached
-/// to the pager, which is what keeps the WAL strictly opt-in.
-///
-/// Frees of pre-existing pages are logged with a before-image and the
-/// device-level free is DEFERRED to the end of the outermost scope: an
-/// uncommitted transaction's freed page must not be reallocated (and
-/// overwritten) by a transaction that commits before it, or recovery could
-/// not restore it. Deferred frees are applied on scope exit whether or not
-/// the commit succeeded — families free pre-existing pages only past their
-/// point of no return (the fault-atomicity contract the fault sweeps
-/// enforce), so an aborted scope has no deferred frees to misapply.
-class WalScope {
- public:
-  explicit WalScope(Pager* pager);
-  ~WalScope();
-  WalScope(const WalScope&) = delete;
-  WalScope& operator=(const WalScope&) = delete;
-
-  /// Outermost scope: force + commit-record protocol (see class comment).
-  /// Inner scope: no-op OK. Idempotent per scope.
-  Status Commit();
-
- private:
-  Pager* pager_;
-  std::thread::id tid_;
-  bool outermost_ = false;
-  bool committed_ = false;
-  bool active_ = false;  // false when no wal is attached (inert scope)
+  TxnScope* prev_;              // thread's previous innermost scope, any pager
+  TxnScope* outermost_ = this;  // depth-0 scope of this pager on this thread
+  internal::TxnState* txn_ = nullptr;  // outermost only; see txn()
+  size_t depth_ = 0;                   // 0 = outermost
+  bool committed_ = false;             // allocations kept
+  bool wal_committed_ = false;  // commit record written (outermost only)
 };
 
 /// Buffer-pool front end for a BlockDevice. Pin-based access is the primary
@@ -350,6 +367,11 @@ class Pager {
   /// Frees a page, discarding any cached copy. Freeing a pinned page is a
   /// checked error.
   Status Free(PageId id);
+
+  /// Drops `id` from the open TxnScopes' records, so a rollback leaks it:
+  /// for a fresh page a stored page already links to while the change can
+  /// still fail, where a free would leave the link dangling (DESIGN §13).
+  void KeepAllocation(PageId id) { ForgetAllocation(id); }
 
   /// Pins a page for reading. Zero-copy on cache hits; one device read on a
   /// miss (or always, when caching is disabled). Safe to call from any
@@ -477,14 +499,14 @@ class Pager {
 
   // --- durability (DESIGN.md §13) ----------------------------------------
 
-  /// Attaches a write-ahead log: from here on, WalScope transactions log
-  /// before-images of every mutable page touch, and no data page reaches
-  /// the device before the log records covering it are synced. If the log
-  /// is empty, an initial checkpoint of the device's current allocation
-  /// state is written (the recovery baseline — the log always starts with
-  /// one). The wal must outlive the pager; `wal->device()` must be this
-  /// pager's device. Not thread-safe against concurrent pager use: attach
-  /// before going multi-threaded.
+  /// Attaches a write-ahead log: from here on, every outermost TxnScope is
+  /// a logged transaction — a bulk build run after the attach included —
+  /// and no data page reaches the device before the log records covering
+  /// it are synced. If the log is empty, an initial checkpoint of the
+  /// device's current allocation state is written (the recovery baseline
+  /// — the log always starts with one). The wal must outlive the pager;
+  /// `wal->device()` must be this pager's device. Not thread-safe against
+  /// concurrent pager use: attach before going multi-threaded.
   void AttachWal(Wal* wal);
 
   /// The attached wal, or nullptr (the common, zero-overhead case).
@@ -513,8 +535,7 @@ class Pager {
  private:
   friend class PageRef;
   friend class MutPageRef;
-  friend class AllocationScope;
-  friend class WalScope;
+  friend class TxnScope;
 
   using Frame = internal::PageFrame;
   using Shard = internal::PagerShard;
@@ -526,8 +547,9 @@ class Pager {
   // keeps >= kMinFramesPerShard frames (1 shard for tiny pools).
   static uint32_t PickShardCount(uint32_t capacity_pages);
 
-  // AllocationScope bookkeeping: Allocate/PinNew record into the active
-  // scope; Free forgets the id wherever it is recorded.
+  // TxnScope bookkeeping: Allocate/PinNew record the page at the calling
+  // thread's innermost depth (and, under a WAL, log kAlloc and mark it
+  // touched); Free forgets the id wherever it is recorded, on any thread.
   void RecordAllocation(PageId id);
   void ForgetAllocation(PageId id);
 
@@ -695,45 +717,27 @@ class Pager {
 
   std::mutex deferred_mu_;
   Status deferred_error_;
-  // Per-thread stacks of active AllocationScopes (innermost last), keyed
-  // by the creating thread so concurrent writers' scoped builds never
-  // interleave their recorded allocations (DESIGN.md §11).
-  std::mutex alloc_scopes_mu_;
-  std::unordered_map<std::thread::id,
-                     std::vector<std::unordered_set<PageId>>>
-      alloc_scopes_;
 
-  // --- WAL state (DESIGN.md §13) -----------------------------------------
+  // --- transactions (DESIGN.md §6, §11, §13) -----------------------------
 
-  // One outermost WalScope transaction on one thread. Nested scopes only
-  // bump `depth`. The entry is created by the outermost WalScope ctor and
-  // erased by its dtor; unordered_map nodes are address-stable, so the
-  // owning thread uses the pointer without holding wal_txns_mu_ (no other
-  // thread ever touches another thread's entry).
-  struct WalTxn {
-    uint64_t id = 0;
-    size_t depth = 1;
-    Wal* wal = nullptr;  // wal at scope entry (attach is pre-threading)
-    std::unordered_set<PageId> captured;   // before-image logged
-    std::unordered_set<PageId> allocated;  // allocated within this txn
-    std::vector<PageId> touched;           // to force at commit, in order
-    std::vector<PageId> deferred_frees;    // device frees applied at exit
-  };
-  // The current thread's active transaction, or nullptr. Takes
-  // wal_txns_mu_ only when a wal is attached.
-  WalTxn* CurrentWalTxn();
+  // One entry per thread whose open TxnScope has recorded something (an
+  // allocation, or a Wal txn), keyed by the creating thread so concurrent
+  // writers' transactions never interleave their recorded allocations.
+  std::mutex txns_mu_;
+  std::unordered_map<std::thread::id, internal::TxnState> txns_;
+  // The calling thread's innermost open TxnScope on this pager, or
+  // nullptr. Lock-free: walks the thread-local scope chain.
+  TxnScope* InnermostScope() const;
+  // The entry of `scope`'s transaction, created on first use. Requires
+  // txns_mu_; called on the scope's thread.
+  internal::TxnState* TxnLocked(TxnScope* scope);
   // First-touch hook from PinMut (before any shard lock — kOverwrite
   // zero-fills the frame, which would destroy the image): logs the page's
-  // before-image once per txn. No-op outside a scope or for pages the txn
-  // allocated itself.
+  // before-image once per txn. No-op outside a logged txn or for pages the
+  // txn allocated itself.
   Status WalCaptureBeforeImage(PageId id);
-  // Allocation hook from Allocate/PinNew: logs kAlloc, marks the page
-  // txn-allocated (skips future capture) and touched (forced at commit).
-  void WalOnAlloc(PageId id);
 
   Wal* wal_ = nullptr;
-  std::mutex wal_txns_mu_;
-  std::unordered_map<std::thread::id, WalTxn> wal_txns_;
 };
 
 /// Meta-only durability point (DESIGN.md §13): opens and immediately
@@ -742,8 +746,8 @@ class Pager {
 /// no pages. Inert when no WAL is attached; folds into an enclosing scope
 /// already open on this thread.
 inline Status WalMetaCommit(Pager* pager) {
-  WalScope ws(pager);
-  return ws.Commit();
+  TxnScope txn(pager);
+  return txn.Commit();
 }
 
 }  // namespace ccidx

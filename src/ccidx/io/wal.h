@@ -1,7 +1,7 @@
 // Write-ahead log of page before-images + checkpoint/recovery
 // (DESIGN.md §13).
 //
-// The engine's update paths are fault-atomic *in process* (AllocationScope
+// The engine's update paths are fault-atomic *in process* (TxnScope
 // rollback, free-by-id installs), but nothing survives a crash: a B+-tree
 // split chain, a Bentley–Saxe level merge, or a corner-structure cascade
 // interrupted mid-flight leaves torn multi-page state on the device. The
@@ -10,7 +10,7 @@
 // on open — the mtree_am2 pattern named in ROADMAP.md):
 //
 //   * Rollback-journal (undo) logging, force-at-commit. Every outermost
-//     Pager::WalScope is one transaction. The first mutable touch of a
+//     TxnScope (pager.h) is one transaction. The first mutable touch of a
 //     pre-existing page logs its full before-image; page allocations and
 //     frees log id records. At commit the txn's touched pages are forced
 //     to the device (log first — see the ordering rule below), the device
@@ -260,7 +260,7 @@ class Wal {
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
-  // --- transaction API (driven by Pager::WalScope) -----------------------
+  // --- transaction API (driven by TxnScope) -------------------------------
 
   uint64_t BeginTxn() {
     return next_txn_.fetch_add(1, std::memory_order_relaxed);
@@ -273,10 +273,10 @@ class Wal {
   Status LogFree(uint64_t txn, PageId id, std::span<const uint8_t> image);
   /// Appends the commit record (with every registered meta blob) and
   /// group-syncs it. The caller has already forced the txn's data pages
-  /// and data-synced the device (WalScope::Commit ordering).
+  /// and data-synced the device (TxnScope::Commit ordering).
   Status CommitTxn(uint64_t txn);
 
-  /// Marks an in-process-aborted txn resolved. The caller (WalScope's
+  /// Marks an in-process-aborted txn resolved. The caller (TxnScope's
   /// destructor) has already forced the txn's surviving page state to the
   /// device, so recovery must NOT undo it: a later committed txn may have
   /// built on what the aborted op left behind (the families' documented

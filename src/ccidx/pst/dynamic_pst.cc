@@ -92,29 +92,28 @@ Result<PageId> DynamicPst::BuildNode(Pager* pager, PointGroup group,
 
 Result<DynamicPst> DynamicPst::Build(Pager* pager, PointGroup points) {
   DynamicPst tree(pager);
-  // Every page is allocated inside the txn, so the log carries kAlloc
-  // records only; a crash mid-build frees the partial tree on recovery.
-  WalScope ws(pager);
-  AllocationScope scope(pager);
+  // Every page is allocated inside the txn, so under a WAL the log
+  // carries kAlloc records only; a crash mid-build frees the partial tree
+  // on recovery.
+  TxnScope txn(pager);
   uint64_t n = points.size();
   auto root = BuildNode(pager, std::move(points), tree.NodeCapacity());
   CCIDX_RETURN_IF_ERROR(root.status());
   tree.root_ = *root;
   tree.size_ = n;
-  scope.Commit();
-  CCIDX_RETURN_IF_ERROR(ws.Commit());
+  CCIDX_RETURN_IF_ERROR(txn.Commit());
   return tree;
 }
 
 Result<DynamicPst> DynamicPst::Build(Pager* pager,
                                      RecordStream<Point>* points) {
-  AllocationScope scope(pager);
+  TxnScope txn(pager);
   auto group =
       SortPointStream(pager, points, /*require_above_diagonal=*/false);
   CCIDX_RETURN_IF_ERROR(group.status());
   auto tree = Build(pager, std::move(*group));
   CCIDX_RETURN_IF_ERROR(tree.status());
-  scope.Commit();
+  CCIDX_RETURN_IF_ERROR(txn.Commit());
   return tree;
 }
 
@@ -131,13 +130,13 @@ Result<DynamicPst> DynamicPst::Build(Pager* pager,
 
 Status DynamicPst::Insert(const Point& p) {
   std::lock_guard<std::mutex> write_lock(*write_mu_);
-  // Single-writer structure: one WAL txn covers the whole insert —
-  // descent writes, any scapegoat rebuild, and the scheduled global
-  // rebuild — committed before write_mu_ is released.
-  WalScope ws(pager_);
+  // Single-writer structure: one txn covers the whole insert — descent
+  // writes, any scapegoat rebuild, and the scheduled global rebuild —
+  // committed before write_mu_ is released. The counters and root_ move
+  // only after the stores that back them succeed: a failed descent store
+  // leaves the tree as it was, and the scope frees its fresh page.
+  TxnScope txn(pager_);
   const uint32_t cap = NodeCapacity();
-  size_++;
-  sched_.NoteInsert();
   if (root_ == kInvalidPageId) {
     NodeHeader h{};
     h.left = kInvalidPageId;
@@ -145,9 +144,12 @@ Status DynamicPst::Insert(const Point& p) {
     h.sub_xlo = h.sub_xhi = p.x;
     h.weight = 1;
     std::vector<Point> pts = {p};
-    root_ = pager_->Allocate();
-    CCIDX_RETURN_IF_ERROR(StoreNode(root_, h, &pts));
-    return ws.Commit();
+    PageId id = pager_->Allocate();
+    CCIDX_RETURN_IF_ERROR(StoreNode(id, h, &pts));
+    root_ = id;
+    size_++;
+    sched_.NoteInsert();
+    return txn.Commit();
   }
 
   struct PathEntry {
@@ -236,30 +238,40 @@ Status DynamicPst::Insert(const Point& p) {
     id = child;
   }
 
-  // Scapegoat check: rebuild the highest child subtree that outweighs the
-  // balance fraction of its parent.
-  for (size_t i = 0; i + 1 < path.size(); ++i) {
-    if (static_cast<double>(path[i + 1].weight) >
-        kAlpha * static_cast<double>(path[i].weight)) {
-      PageId sub = path[i + 1].id;
-      CCIDX_RETURN_IF_ERROR(RebuildAt(&sub));
-      NodeHeader ph;
-      std::vector<Point> ppts;
-      CCIDX_RETURN_IF_ERROR(LoadNode(path[i].id, &ph, &ppts));
-      if (path[i].side == 0) {
-        ph.left = sub;
-      } else {
-        ph.right = sub;
+  size_++;
+  sched_.NoteInsert();
+
+  // The point has landed. A failed rebalance below still leaves it in the
+  // tree, so the descent's fresh leaf must not be rolled back: the txn
+  // commits either way and the rebalance error is reported after it.
+  Status rebalanced = [&]() -> Status {
+    // Scapegoat check: rebuild the highest child subtree that outweighs
+    // the balance fraction of its parent.
+    for (size_t i = 0; i + 1 < path.size(); ++i) {
+      if (static_cast<double>(path[i + 1].weight) >
+          kAlpha * static_cast<double>(path[i].weight)) {
+        PageId sub = path[i + 1].id;
+        CCIDX_RETURN_IF_ERROR(RebuildAt(&sub));
+        NodeHeader ph;
+        std::vector<Point> ppts;
+        CCIDX_RETURN_IF_ERROR(LoadNode(path[i].id, &ph, &ppts));
+        if (path[i].side == 0) {
+          ph.left = sub;
+        } else {
+          ph.right = sub;
+        }
+        CCIDX_RETURN_IF_ERROR(StoreNode(path[i].id, ph, &ppts));
+        break;
       }
-      CCIDX_RETURN_IF_ERROR(StoreNode(path[i].id, ph, &ppts));
-      break;
     }
-  }
-  if (sched_.ShouldRebuild(size_)) {
-    CCIDX_RETURN_IF_ERROR(RebuildAt(&root_));
-    sched_.Reset();
-  }
-  return ws.Commit();
+    if (sched_.ShouldRebuild(size_)) {
+      CCIDX_RETURN_IF_ERROR(RebuildAt(&root_));
+      sched_.Reset();
+    }
+    return Status::OK();
+  }();
+  Status committed = txn.Commit();
+  return rebalanced.ok() ? committed : rebalanced;
 }
 
 Status DynamicPst::DeleteNode(PageId id, const Point& p, bool* found) {
@@ -302,7 +314,7 @@ Status DynamicPst::Delete(const Point& p, bool* found) {
   std::lock_guard<std::mutex> write_lock(*write_mu_);
   // A not-found delete writes nothing: the uncommitted scope unwinds as
   // a zero-record no-op (no fsync).
-  WalScope ws(pager_);
+  TxnScope txn(pager_);
   *found = false;
   if (root_ == kInvalidPageId) return Status::OK();
   CCIDX_RETURN_IF_ERROR(DeleteNode(root_, p, found));
@@ -313,7 +325,7 @@ Status DynamicPst::Delete(const Point& p, bool* found) {
       CCIDX_RETURN_IF_ERROR(RebuildAt(&root_));
       sched_.Reset();
     }
-    return ws.Commit();
+    return txn.Commit();
   }
   return Status::OK();
 }
@@ -378,20 +390,21 @@ Status DynamicPst::RebuildAt(PageId* id) {
   CCIDX_RETURN_IF_ERROR(CollectNode(*id, &all));
   CCIDX_RETURN_IF_ERROR(FreeNode(*id));
   std::sort(all.begin(), all.end(), PointXOrder());
+  TxnScope txn(pager_);  // a failed build frees its partial pages
   auto fresh = BuildNode(pager_, PointGroup::FromVector(std::move(all)),
                          NodeCapacity());
   CCIDX_RETURN_IF_ERROR(fresh.status());
   *id = *fresh;
-  return Status::OK();
+  return txn.Commit();
 }
 
 Status DynamicPst::Destroy() {
   std::lock_guard<std::mutex> write_lock(*write_mu_);
-  WalScope ws(pager_);
+  TxnScope txn(pager_);
   CCIDX_RETURN_IF_ERROR(FreeNode(root_));
   root_ = kInvalidPageId;
   size_ = 0;
-  return ws.Commit();
+  return txn.Commit();
 }
 
 Status DynamicPst::CheckNode(PageId id, Coord parent_min_y, bool is_root,

@@ -74,25 +74,25 @@ Result<ExternalPst> ExternalPst::Build(Pager* pager, PointGroup points) {
   if (cap < 1) {
     return Status::InvalidArgument("page size too small for external PST");
   }
-  AllocationScope scope(pager);
+  TxnScope txn(pager);
   uint64_t n = points.size();
   auto root = BuildNode(pager, std::move(points), cap);
   CCIDX_RETURN_IF_ERROR(root.status());
   tree.root_ = *root;
   tree.sy_->size.store(n, kRlx);
-  scope.Commit();
+  CCIDX_RETURN_IF_ERROR(txn.Commit());
   return tree;
 }
 
 Result<ExternalPst> ExternalPst::Build(Pager* pager,
                                        RecordStream<Point>* points) {
-  AllocationScope scope(pager);
+  TxnScope txn(pager);
   auto group =
       SortPointStream(pager, points, /*require_above_diagonal=*/false);
   CCIDX_RETURN_IF_ERROR(group.status());
   auto tree = Build(pager, std::move(*group));
   CCIDX_RETURN_IF_ERROR(tree.status());
-  scope.Commit();
+  CCIDX_RETURN_IF_ERROR(txn.Commit());
   return tree;
 }
 
@@ -151,7 +151,7 @@ void ExternalPst::RefreshRootMetaLocked() {
 }
 
 Status ExternalPst::CreateRootLocked(const Point& p) {
-  AllocationScope scope(pager_);
+  TxnScope txn(pager_);
   NodeHeader h{};
   h.left = kInvalidPageId;
   h.right = kInvalidPageId;
@@ -159,7 +159,7 @@ Status ExternalPst::CreateRootLocked(const Point& p) {
   PageId id = pager_->Allocate();
   std::vector<Point> pts = {p};
   CCIDX_RETURN_IF_ERROR(StoreNode(id, h, pts));
-  scope.Commit();
+  CCIDX_RETURN_IF_ERROR(txn.Commit());
   root_ = id;
   sy_->root_h = h;  // StoreNode filled count/min_y
   sy_->root_pts = std::move(pts);
@@ -252,7 +252,6 @@ void ExternalPst::UndoRootDisplaceLocked(const Point& p, const Point& carried,
 Status ExternalPst::BuildShadowSubtree(PageId start, Point carried,
                                        uint32_t cap, PageId* top,
                                        size_t* depth,
-                                       std::vector<PageId>* shadow,
                                        std::vector<PageId>* old_path) {
   // Phase 1 — plan the insertion read-only: descend the x-routing path,
   // deciding per node whether the carried point is absorbed, displaces
@@ -358,10 +357,9 @@ Status ExternalPst::BuildShadowSubtree(PageId start, Point carried,
   }
 
   // Phase 2 — shadow the path: every planned node is written as a fresh
-  // page (bottom-up, children wired to the replacements) under an
-  // AllocationScope. A failure rolls the new pages back and leaves the
-  // old subtree — still reachable from the root — untouched.
-  AllocationScope scope(pager_);
+  // page (bottom-up, children wired to the replacements). A failure leaves
+  // the old subtree — still reachable from the root — untouched, and the
+  // caller's TxnScope rolls the new pages back.
   PageId below = kInvalidPageId;
   if (create_leaf) {
     NodeHeader nh{};
@@ -383,8 +381,6 @@ Status ExternalPst::BuildShadowSubtree(PageId start, Point carried,
     CCIDX_RETURN_IF_ERROR(StoreNode(nid, e.h, e.pts));
     below = nid;
   }
-  *shadow = scope.pages();
-  scope.Commit();
   old_path->reserve(plan.size());
   for (const PlanEntry& e : plan) old_path->push_back(e.old_id);
   *top = below;
@@ -400,7 +396,7 @@ Status ExternalPst::Insert(const Point& p) {
     // that ordered the write is still held, so no concurrent writer can
     // capture uncommitted content as its own before-image. A retry
     // abandons a zero-record scope (free — nothing was logged).
-    WalScope ws(pager_);
+    TxnScope txn(pager_);
     // Advisory root step: resolve entirely at the root when possible
     // (create / absorb are real — they only need root_mu); otherwise
     // pick the side latch to take.
@@ -409,7 +405,7 @@ Status ExternalPst::Insert(const Point& p) {
       std::unique_lock<std::mutex> rg(sy_->root_mu);
       if (root_ == kInvalidPageId) {
         CCIDX_RETURN_IF_ERROR(CreateRootLocked(p));
-        return ws.Commit();
+        return txn.Commit();
       }
       CCIDX_RETURN_IF_ERROR(LoadImageLocked());
       Status st;
@@ -417,7 +413,7 @@ Status ExternalPst::Insert(const Point& p) {
         if (st.ok()) {
           sy_->size.fetch_add(1, kRlx);
           sched_.NoteInsert();
-          st = ws.Commit();
+          st = txn.Commit();
         }
         return st;
       }
@@ -445,7 +441,7 @@ Status ExternalPst::Insert(const Point& p) {
           if (st.ok()) {
             sy_->size.fetch_add(1, kRlx);
             sched_.NoteInsert();
-            st = ws.Commit();
+            st = txn.Commit();
           }
           return st;
         }
@@ -479,9 +475,8 @@ Status ExternalPst::Insert(const Point& p) {
     // the insert runs concurrently with root absorbs and with writers on
     // the other side.
     PageId top = kInvalidPageId;
-    std::vector<PageId> shadow, old_path;
-    Status bst =
-        BuildShadowSubtree(oc, carried, cap, &top, &depth, &shadow, &old_path);
+    std::vector<PageId> old_path;
+    Status bst = BuildShadowSubtree(oc, carried, cap, &top, &depth, &old_path);
 
     {
       std::unique_lock<std::mutex> rg(sy_->root_mu);
@@ -497,8 +492,7 @@ Status ExternalPst::Insert(const Point& p) {
       if (!cs.ok()) {
         slot = prev;
         UndoRootDisplaceLocked(p, carried, displaced);
-        for (PageId nid : shadow) (void)pager_->Free(nid);
-        return cs;
+        return cs;  // the scope's rollback frees the shadow pages
       }
       // Point of no return: retire the old path by id (no device reads).
       // Done under root_mu so a concurrent ChooseSideLocked peek never
@@ -508,7 +502,7 @@ Status ExternalPst::Insert(const Point& p) {
       for (PageId oid : old_path) (void)pager_->Free(oid);
       sy_->size.fetch_add(1, kRlx);
       sched_.NoteInsert();
-      CCIDX_RETURN_IF_ERROR(ws.Commit());
+      CCIDX_RETURN_IF_ERROR(txn.Commit());
     }
     sl.unlock();
     // Fall out of the scope's lifetime before any rebuild: TriggerRebuild
@@ -547,9 +541,9 @@ Status ExternalPst::DeleteNode(PageId id, const Point& p, bool* found) {
         // The WAL txn opens here — at the only page write of the whole
         // descent — and commits under this node's stripe latch, before
         // any other writer can touch the page.
-        WalScope ws(pager_);
+        TxnScope txn(pager_);
         CCIDX_RETURN_IF_ERROR(StoreNode(id, h, pts));
-        return ws.Commit();
+        return txn.Commit();
       }
     }
     // Heap order: every descendant lies at or below this node's minimum.
@@ -586,10 +580,10 @@ Status ExternalPst::Delete(const Point& p, bool* found) {
           // Root-resident hit: one page write, committed under root_mu.
           // A failed commit takes the same in-memory undo as a failed
           // store — the dtor abort restores the disk image to match.
-          WalScope ws(pager_);
+          TxnScope txn(pager_);
           pts.erase(pts.begin() + i);
           Status st = StoreRootLocked();
-          if (st.ok()) st = ws.Commit();
+          if (st.ok()) st = txn.Commit();
           if (!st.ok()) {
             auto pos = std::lower_bound(pts.begin(), pts.end(), p, DescY);
             pts.insert(pos, p);
@@ -690,9 +684,9 @@ Status ExternalPst::GlobalRebuildLocked() {
   // is live; the skeleton still supplies the harvest / scoped-build /
   // retire-by-id sequencing. All latches are held, so the disk tree is
   // current (no displacement in flight) and no writer can interleave.
-  // One WAL txn spans harvest, build, and retire: a crash mid-rebuild
-  // rolls the whole replacement back to the pre-rebuild tree.
-  WalScope ws(pager_);
+  // One txn spans harvest, build, and retire: a crash mid-rebuild rolls
+  // the whole replacement back to the pre-rebuild tree.
+  TxnScope txn(pager_);
   PageId new_root = kInvalidPageId;
   CCIDX_RETURN_IF_ERROR(PurgeRebuild(
       pager_, static_cast<PointTombstones*>(nullptr), &sched_,
@@ -708,7 +702,7 @@ Status ExternalPst::GlobalRebuildLocked() {
       }));
   root_ = new_root;
   sy_->image_loaded = false;
-  return ws.Commit();
+  return txn.Commit();
 }
 
 Result<ExternalPst::PendingRebuild> ExternalPst::PrepareGlobalRebuild() {
@@ -728,15 +722,13 @@ Result<ExternalPst::PendingRebuild> ExternalPst::PrepareGlobalRebuild() {
   // The prepare phase commits its own (kAlloc-only) txn: a crash between
   // prepare and commit leaves the fresh pages live but unreferenced —
   // bounded to the one pending rebuild (DESIGN.md §13).
-  WalScope ws(pager_);
-  AllocationScope scope(pager_);
+  TxnScope txn(pager_);
   auto fresh =
       BuildNode(pager_, PointGroup::FromVector(std::move(pts)), NodeCapacity());
   CCIDX_RETURN_IF_ERROR(fresh.status());
   pr.fresh_root = *fresh;
-  pr.fresh_pages = scope.pages();
-  scope.Commit();
-  CCIDX_RETURN_IF_ERROR(ws.Commit());
+  pr.fresh_pages = txn.pages();
+  CCIDX_RETURN_IF_ERROR(txn.Commit());
   return pr;
 }
 
@@ -746,12 +738,12 @@ bool ExternalPst::CommitGlobalRebuild(PendingRebuild&& p) {
   std::unique_lock<std::mutex> rg(sy_->root_mu);
   // The frees below capture before-images into this txn; a failed commit
   // resolves through the dtor abort, which forces the (unchanged) pages.
-  WalScope ws(pager_);
+  TxnScope txn(pager_);
   if (p.stamp != sched_.update_stamp()) {
     // An update landed since the harvest: the prepared tree is stale.
     for (PageId id : p.fresh_pages) (void)pager_->Free(id);
     sy_->rebuild_pending.store(false, kRlx);
-    (void)ws.Commit();
+    (void)txn.Commit();
     return false;
   }
   root_ = p.fresh_root;
@@ -759,15 +751,15 @@ bool ExternalPst::CommitGlobalRebuild(PendingRebuild&& p) {
   for (PageId id : p.old_pages) (void)pager_->Free(id);
   sched_.Reset();
   sy_->rebuild_pending.store(false, kRlx);
-  (void)ws.Commit();
+  (void)txn.Commit();
   return true;
 }
 
 void ExternalPst::AbandonGlobalRebuild(PendingRebuild&& p) {
-  WalScope ws(pager_);
+  TxnScope txn(pager_);
   for (PageId id : p.fresh_pages) (void)pager_->Free(id);
   sy_->rebuild_pending.store(false, kRlx);
-  (void)ws.Commit();
+  (void)txn.Commit();
 }
 
 Status ExternalPst::LoadNode(PageId id, NodeHeader* h,
@@ -848,13 +840,13 @@ Status ExternalPst::FreeNode(PageId id) {
 }
 
 Status ExternalPst::Free() {
-  WalScope ws(pager_);
+  TxnScope txn(pager_);
   CCIDX_RETURN_IF_ERROR(FreeNode(root_));
   root_ = kInvalidPageId;
   sy_->size.store(0, kRlx);
   sy_->image_loaded = false;
   sched_.Reset();
-  return ws.Commit();
+  return txn.Commit();
 }
 
 Status ExternalPst::CheckNode(PageId id, Coord parent_min_y, bool is_root,

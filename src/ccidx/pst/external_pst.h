@@ -20,7 +20,7 @@
 // Dynamization (DESIGN.md §8): Build-constructed handles support updates.
 //   * Insert is a shadow-path PST insertion: the x-routing descent is
 //     planned read-only, every node on the path below the root is
-//     rewritten as a fresh page under an AllocationScope, and the old
+//     rewritten as a fresh page under a TxnScope, and the old
 //     path is freed — by page id, no reads — only after the root commits
 //     the new child pointer, so a failed insert leaves the old tree
 //     untouched and fault-atomic. O(log2 n) I/Os per insert plus an
@@ -237,12 +237,12 @@ class ExternalPst {
 
   // Plans and writes the shadow path of `carried` through the subtree
   // rooted at `start` (kInvalidPageId: a fresh leaf). Caller holds the
-  // owning side latch exclusively. On success *top is the new subtree
-  // root, *shadow the new (committed) pages, *old_path the replaced
-  // pages — freed by the caller under root_mu after the root commits.
+  // owning side latch exclusively, and a TxnScope that owns the new
+  // pages. On success *top is the new subtree root and *old_path the
+  // replaced pages — freed by the caller under root_mu after the root
+  // commits.
   Status BuildShadowSubtree(PageId start, Point carried, uint32_t cap,
                             PageId* top, size_t* depth,
-                            std::vector<PageId>* shadow,
                             std::vector<PageId>* old_path);
 
   Status QueryNode(PageId id, const ThreeSidedQuery& q,

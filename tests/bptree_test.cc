@@ -289,6 +289,57 @@ TEST_P(BPlusTreeRandomTest, MatchesOracle) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BPlusTreeRandomTest,
                          ::testing::Values(1u, 2u, 3u, 17u, 42u));
 
+// A device fault inside a split chain that reaches the root. The chain is
+// not fault-atomic (DESIGN.md §13), but the failed insert's rollback must
+// never free a page the tree still links to: the root and every page of
+// the leaf chain stay live, so a full scan reads no freed page.
+TEST(BPlusTreeFaultTest, FailedRootSplitNeverLinksAFreePage) {
+  // Sequential keys into a fresh tree: the insert of key `m` is the first
+  // to grow the tree to `height`. Height 2 splits a lone leaf; height 3
+  // cascades a leaf split into a full root.
+  for (uint32_t height : {2u, 3u}) {
+    int64_t m = 0;
+    {
+      BlockDevice dev(kPageSize);
+      Pager pager(&dev, 0);
+      BPlusTree tree(&pager);
+      while (tree.height() < height) {
+        ASSERT_TRUE(tree.Insert(m, static_cast<uint64_t>(m)).ok());
+        m++;
+      }
+      m--;
+    }
+    uint64_t needed = 0;  // transfers the insert takes fault-free
+    for (int64_t k = -1; k < 64; ++k) {
+      BlockDevice dev(kPageSize);
+      Pager pager(&dev, 0);
+      BPlusTree tree(&pager);
+      for (int64_t i = 0; i < m; ++i) {
+        ASSERT_TRUE(tree.Insert(i, static_cast<uint64_t>(i)).ok());
+      }
+      const IoStats before = dev.stats();
+      dev.SetFailAfter(k);
+      Status s = tree.Insert(m, static_cast<uint64_t>(m));
+      dev.SetFailAfter(-1);
+      if (k < 0) {  // dry run
+        ASSERT_TRUE(s.ok()) << s.ToString();
+        ASSERT_EQ(tree.height(), height);
+        needed = (dev.stats() - before).TotalIos();
+        continue;
+      }
+      if (static_cast<uint64_t>(k) >= needed) break;
+      EXPECT_FALSE(s.ok()) << "height " << height << " fault at " << k;
+      EXPECT_TRUE(dev.is_live(tree.root()))
+          << "height " << height << " fault at " << k;
+      std::vector<BtEntry> out;
+      Status scan = tree.RangeSearch(INT64_MIN, INT64_MAX, &out);
+      EXPECT_TRUE(scan.ok()) << "height " << height << " fault at " << k
+                             << ": " << scan.ToString();
+    }
+    EXPECT_GE(needed, 3u);
+  }
+}
+
 // Parameterized across page sizes: fanout changes, behaviour must not.
 class BPlusTreePageSizeTest : public ::testing::TestWithParam<uint32_t> {};
 

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <thread>
 
 #include "ccidx/build/external_sorter.h"
 #include "ccidx/build/point_group.h"
@@ -59,7 +60,7 @@ TEST_F(BuildTest, SorterMatchesStdSortAndHonorsBudget) {
   const size_t n = 20000;
   const size_t budget = 512;
   auto pts = RandomPointsAboveDiagonal(n, kDomain, 11);
-  AllocationScope scope(&pager_);
+  TxnScope scope(&pager_);
   ExternalSorter<Point, PointXOrder> sorter(&pager_, PointXOrder(),
                                             {.memory_budget_records = budget});
   ASSERT_TRUE(sorter.AddSpan(pts).ok());
@@ -72,7 +73,7 @@ TEST_F(BuildTest, SorterMatchesStdSortAndHonorsBudget) {
   EXPECT_LE(sorter.high_water_records(), budget);
   EXPECT_GT(sorter.runs_created(), 1u);  // it really spilled
   EXPECT_FALSE(sorter.in_memory());
-  scope.Commit();
+  ASSERT_TRUE(scope.Commit().ok());
   // Run pages were freed as the merge consumed them.
   EXPECT_EQ(dev_.live_pages(), 0u);
 }
@@ -117,7 +118,7 @@ TEST_F(BuildTest, SorterOneOverBudgetSpills) {
   // a hard ceiling on resident records.
   const size_t budget = 512;
   auto pts = RandomPointsAboveDiagonal(budget + 1, kDomain, 15);
-  AllocationScope scope(&pager_);
+  TxnScope scope(&pager_);
   ExternalSorter<Point, PointXOrder> sorter(&pager_, PointXOrder(),
                                             {.memory_budget_records = budget});
   ASSERT_TRUE(sorter.AddSpan(pts).ok());
@@ -131,7 +132,7 @@ TEST_F(BuildTest, SorterOneOverBudgetSpills) {
   EXPECT_EQ(sorter.runs_created(), 2u);
   EXPECT_LE(sorter.high_water_records(), budget);
   EXPECT_GT(dev_.stats().TotalIos(), 0u);
-  scope.Commit();
+  ASSERT_TRUE(scope.Commit().ok());
   EXPECT_EQ(dev_.live_pages(), 0u);  // free-behind reclaimed the run
 }
 
@@ -140,7 +141,7 @@ TEST_F(BuildTest, SorterIoWithinSortBound) {
   // per merge level, run formation included.
   const size_t n = 40000;
   const size_t budget = 256;  // force several merge steps
-  AllocationScope scope(&pager_);
+  TxnScope scope(&pager_);
   ExternalSorter<Point, PointXOrder> sorter(&pager_, PointXOrder(),
                                             {.memory_budget_records = budget});
   PointStream in(PointStream::Shape::kAboveDiagonal, n, kDomain, 13);
@@ -158,8 +159,73 @@ TEST_F(BuildTest, SorterIoWithinSortBound) {
   // slack for partial tail pages of runs.
   double bound = 2.0 * n_over_b * levels + 4.0 * runs * levels;
   EXPECT_LE(static_cast<double>(dev_.stats().TotalIos()), bound);
-  scope.Commit();
+  ASSERT_TRUE(scope.Commit().ok());
   EXPECT_EQ(dev_.live_pages(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// TxnScope allocation tracking
+// ---------------------------------------------------------------------------
+
+std::vector<PageId> SortedPages(const TxnScope& scope) {
+  std::vector<PageId> ids = scope.pages();
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+TEST_F(BuildTest, TxnScopePagesTrackEveryDepth) {
+  {
+    TxnScope outer(&pager_);
+    const PageId a = pager_.Allocate();
+    PageId b, c;
+    {
+      TxnScope mid(&pager_);
+      b = pager_.Allocate();
+      {
+        TxnScope inner(&pager_);
+        c = pager_.Allocate();
+        EXPECT_EQ(SortedPages(inner), std::vector<PageId>({c}));
+        EXPECT_EQ(SortedPages(mid), std::vector<PageId>({b}));
+        EXPECT_EQ(SortedPages(outer), std::vector<PageId>({a}));
+        ASSERT_TRUE(inner.Commit().ok());
+        // The fold happens when the scope ends, not at Commit().
+        EXPECT_EQ(SortedPages(inner), std::vector<PageId>({c}));
+      }
+      EXPECT_EQ(SortedPages(mid), std::vector<PageId>({b, c}));
+      {
+        TxnScope rolled_back(&pager_);
+        const PageId d = pager_.Allocate();
+        EXPECT_EQ(SortedPages(rolled_back), std::vector<PageId>({d}));
+      }  // uncommitted: d is freed and nothing folds
+      EXPECT_EQ(SortedPages(mid), std::vector<PageId>({b, c}));
+      EXPECT_EQ(dev_.live_pages(), 3u);
+      ASSERT_TRUE(mid.Commit().ok());
+    }
+    EXPECT_EQ(SortedPages(outer), std::vector<PageId>({a, b, c}));
+    ASSERT_TRUE(pager_.Free(b).ok());  // a free leaves the recorded set
+    EXPECT_EQ(SortedPages(outer), std::vector<PageId>({a, c}));
+  }  // the uncommitted outermost scope rolls a and c back
+  EXPECT_EQ(dev_.live_pages(), 0u);
+}
+
+TEST_F(BuildTest, TxnScopeForgetsPagesFreedOnAnotherThread) {
+  PageId a, reused;
+  {
+    TxnScope scope(&pager_);
+    a = pager_.Allocate();
+    const PageId b = pager_.Allocate();
+    // Another thread frees `a` and, outside any scope, takes the id back
+    // from the allocator: the page now belongs to someone else.
+    std::thread([&] {
+      ASSERT_TRUE(pager_.Free(a).ok());
+      reused = pager_.Allocate();
+    }).join();
+    EXPECT_EQ(scope.pages(), std::vector<PageId>({b}));
+  }  // rollback frees b only
+  ASSERT_EQ(reused, a);
+  EXPECT_TRUE(dev_.is_live(reused))
+      << "rollback freed a page its scope no longer owns";
+  EXPECT_EQ(dev_.live_pages(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -171,7 +237,7 @@ TEST_F(BuildTest, PointGroupRunPartitionMatchesResident) {
                     PointGroup::SplitMode::kTieFreeX}) {
     auto pts = RandomPointsAboveDiagonal(5000, 300, 14);  // many x ties
     std::sort(pts.begin(), pts.end(), PointXOrder());
-    AllocationScope scope(&pager_);
+    TxnScope scope(&pager_);
     SpanStream<Point> stream(pts);
     auto run_group = PointGroup::FromStream(&pager_, &stream, 64, true);
     ASSERT_TRUE(run_group.ok());
@@ -194,7 +260,7 @@ TEST_F(BuildTest, PointGroupRunPartitionMatchesResident) {
       ASSERT_TRUE(b.ok());
       EXPECT_EQ(*a, *b);
     }
-    scope.Commit();
+    ASSERT_TRUE(scope.Commit().ok());
     EXPECT_EQ(dev_.live_pages(), 0u);
   }
 }

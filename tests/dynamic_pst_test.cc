@@ -192,6 +192,43 @@ TEST_F(DynamicPstTest, DestroyReleasesAllPages) {
   EXPECT_EQ(dev_.live_pages(), 0u);
 }
 
+TEST(DynamicPstFaultTest, FailedInsertLeavesTreeUnchanged) {
+  // A device fault early in an insert leaves no trace: size and root move
+  // only after the stores backing them succeed, and the scope frees the
+  // page a failed store was meant to fill. Covers the empty-tree root
+  // path and a multi-level descent.
+  for (size_t initial : {size_t{0}, size_t{20}}) {
+    std::vector<Point> pts = RandomPoints(initial + 1, 2000, 8);
+    const Point fresh = pts.back();
+    pts.pop_back();
+    uint64_t needed = 0;  // transfers the insert takes fault-free
+    for (int64_t k = -1; k < 3; ++k) {
+      BlockDevice dev(PageSizeForBranching(kB));
+      Pager pager(&dev, 0);
+      DynamicPst pst(&pager);
+      for (const Point& p : pts) ASSERT_TRUE(pst.Insert(p).ok());
+      const uint64_t live = dev.live_pages();
+      const IoStats before = dev.stats();
+      dev.SetFailAfter(k);
+      Status s = pst.Insert(fresh);
+      dev.SetFailAfter(-1);
+      if (k < 0) {  // dry run
+        ASSERT_TRUE(s.ok()) << s.ToString();
+        needed = (dev.stats() - before).TotalIos();
+        continue;
+      }
+      if (static_cast<uint64_t>(k) >= needed) break;
+      EXPECT_FALSE(s.ok()) << "n=" << initial << " fault at " << k;
+      EXPECT_EQ(pst.size(), initial) << "n=" << initial << " fault at " << k;
+      EXPECT_EQ(dev.live_pages(), live) << "n=" << initial << " fault at " << k;
+      Status inv = pst.CheckInvariants();
+      EXPECT_TRUE(inv.ok()) << "n=" << initial << " fault at " << k << ": "
+                            << inv.ToString();
+    }
+    EXPECT_GE(needed, initial == 0 ? 1u : 3u);
+  }
+}
+
 class DynamicIntervalTest : public ::testing::Test {
  protected:
   DynamicIntervalTest() : dev_(PageSizeForBranching(kB)), pager_(&dev_, 0) {}

@@ -6,7 +6,7 @@
 // offset k. The contract under any injected failure:
 //   * the Status propagates (no crash, no CHECK),
 //   * live_pages returns to the pre-op baseline (the failed operation
-//     leaked nothing — AllocationScope rollback plus free-by-id),
+//     leaked nothing — TxnScope rollback plus free-by-id),
 //   * the structure still answers queries correctly afterwards.
 // An operation that fails mid-way may or may not have logically landed
 // (e.g. the tombstone was recorded but the purge it triggered failed, or
@@ -973,6 +973,11 @@ TEST(CrashRecoverySweep, CornerFileBackendClean) {
   CrashRecoverySweep(setup, /*file_backend=*/true, Wal::CrashMode::kClean);
 }
 
+TEST(CrashRecoverySweep, CornerFileBackendTorn) {
+  CornerCrashSetup setup;
+  CrashRecoverySweep(setup, /*file_backend=*/true, Wal::CrashMode::kTorn);
+}
+
 TEST(CrashRecoverySweep, DynamicMetablockMemBackendClean) {
   DynMetaCrashSetup setup;
   CrashRecoverySweep(setup, /*file_backend=*/false, Wal::CrashMode::kClean);
@@ -986,6 +991,11 @@ TEST(CrashRecoverySweep, DynamicMetablockMemBackendTorn) {
 TEST(CrashRecoverySweep, DynamicMetablockFileBackendClean) {
   DynMetaCrashSetup setup;
   CrashRecoverySweep(setup, /*file_backend=*/true, Wal::CrashMode::kClean);
+}
+
+TEST(CrashRecoverySweep, DynamicMetablockFileBackendTorn) {
+  DynMetaCrashSetup setup;
+  CrashRecoverySweep(setup, /*file_backend=*/true, Wal::CrashMode::kTorn);
 }
 
 // Nightly randomized stress (CI stress.yml): extra kill points with

@@ -1,5 +1,5 @@
 // WAL unit tests (DESIGN.md §13): record encode/parse with torn-tail
-// detection, the WalScope commit and abort protocols over the pager, the
+// detection, the TxnScope commit and abort protocols over the pager, the
 // alloc-no-image optimization, crash undo back to the last committed
 // state (clean kill, commit-record kill, pooled pool discard), the meta
 // registry overlay (checkpoint < commit < nothing-in-flight), checkpoint
@@ -122,7 +122,7 @@ TEST(WalTest, RecordRoundTripAndTornTail) {
 }
 
 // ---------------------------------------------------------------------------
-// WalScope protocols
+// TxnScope protocols
 // ---------------------------------------------------------------------------
 
 TEST(WalTest, ScopeCommitLogsAllocWithoutImageAndZeroRecordScopeIsFree) {
@@ -136,7 +136,7 @@ TEST(WalTest, ScopeCommitLogsAllocWithoutImageAndZeroRecordScopeIsFree) {
   // is the allocation replay alone.
   PageId id;
   {
-    WalScope ws(&pager);
+    TxnScope ws(&pager);
     id = pager.Allocate();
     ASSERT_TRUE(pager.Write(id, FilledPage(0x11)).ok());
     ASSERT_TRUE(ws.Commit().ok());
@@ -151,7 +151,7 @@ TEST(WalTest, ScopeCommitLogsAllocWithoutImageAndZeroRecordScopeIsFree) {
   // Txn 2: first mutable touch of the now pre-existing page logs its
   // before-image exactly once.
   {
-    WalScope ws(&pager);
+    TxnScope ws(&pager);
     ASSERT_TRUE(pager.Write(id, FilledPage(0x22)).ok());
     ASSERT_TRUE(pager.Write(id, FilledPage(0x33)).ok());
     ASSERT_TRUE(ws.Commit().ok());
@@ -170,7 +170,7 @@ TEST(WalTest, ScopeCommitLogsAllocWithoutImageAndZeroRecordScopeIsFree) {
   // the no-op path stays free.
   uint64_t before_records = wal.records();
   uint64_t before_commits = wal.commits();
-  { WalScope ws(&pager); }
+  { TxnScope ws(&pager); }
   EXPECT_EQ(wal.records(), before_records);
   EXPECT_EQ(wal.commits(), before_commits);
 
@@ -178,7 +178,7 @@ TEST(WalTest, ScopeCommitLogsAllocWithoutImageAndZeroRecordScopeIsFree) {
   // record carrying the registered metas — the WalMetaCommit durability
   // point buffer-only updates rely on.
   {
-    WalScope ws(&pager);
+    TxnScope ws(&pager);
     EXPECT_TRUE(ws.Commit().ok());
   }
   EXPECT_EQ(wal.records(), before_records + 1);
@@ -187,10 +187,10 @@ TEST(WalTest, ScopeCommitLogsAllocWithoutImageAndZeroRecordScopeIsFree) {
   // Nested scopes fold: one txn, one commit record.
   before_commits = wal.commits();
   {
-    WalScope outer(&pager);
+    TxnScope outer(&pager);
     ASSERT_TRUE(pager.Write(id, FilledPage(0x44)).ok());
     {
-      WalScope inner(&pager);
+      TxnScope inner(&pager);
       ASSERT_TRUE(pager.Write(id, FilledPage(0x55)).ok());
       ASSERT_TRUE(inner.Commit().ok());
     }
@@ -207,7 +207,7 @@ TEST(WalTest, CrashUndoRestoresLastCommittedState) {
 
   PageId id;
   {
-    WalScope ws(&pager);
+    TxnScope ws(&pager);
     id = pager.Allocate();
     ASSERT_TRUE(pager.Write(id, FilledPage(0x11)).ok());
     ASSERT_TRUE(ws.Commit().ok());
@@ -216,7 +216,7 @@ TEST(WalTest, CrashUndoRestoresLastCommittedState) {
   // The overwrite reaches the device, then the machine dies at the
   // commit-record append: recovery must undo it from the before-image.
   {
-    WalScope ws(&pager);
+    TxnScope ws(&pager);
     ASSERT_TRUE(pager.Write(id, FilledPage(0x22)).ok());
     wal.SetCrashAfterRecords(0, Wal::CrashMode::kClean);
     EXPECT_FALSE(ws.Commit().ok());
@@ -257,13 +257,13 @@ TEST(WalTest, InProcessAbortResolvesSurvivingState) {
 
   PageId id;
   {
-    WalScope ws(&pager);
+    TxnScope ws(&pager);
     id = pager.Allocate();
     ASSERT_TRUE(pager.Write(id, FilledPage(0x11)).ok());
     ASSERT_TRUE(ws.Commit().ok());
   }
   {
-    WalScope ws(&pager);
+    TxnScope ws(&pager);
     ASSERT_TRUE(pager.Write(id, FilledPage(0x22)).ok());
     // The op fails here; the scope unwinds without Commit.
   }
@@ -289,13 +289,13 @@ TEST(WalTest, PooledPagerCrashDiscardsStaleCache) {
 
   PageId id;
   {
-    WalScope ws(&pager);
+    TxnScope ws(&pager);
     id = pager.Allocate();
     ASSERT_TRUE(pager.Write(id, FilledPage(0x11)).ok());
     ASSERT_TRUE(ws.Commit().ok());
   }
   {
-    WalScope ws(&pager);
+    TxnScope ws(&pager);
     ASSERT_TRUE(pager.Write(id, FilledPage(0x22)).ok());
     wal.SetCrashAfterRecords(0, Wal::CrashMode::kTorn);
     EXPECT_FALSE(ws.Commit().ok());
@@ -319,13 +319,13 @@ TEST(WalTest, UncommittedFreeIsDeferredAndUndone) {
 
   PageId id;
   {
-    WalScope ws(&pager);
+    TxnScope ws(&pager);
     id = pager.Allocate();
     ASSERT_TRUE(pager.Write(id, FilledPage(0x11)).ok());
     ASSERT_TRUE(ws.Commit().ok());
   }
   {
-    WalScope ws(&pager);
+    TxnScope ws(&pager);
     // Free of a pre-existing page: logged with its before-image and the
     // device-level free deferred to scope exit, so no concurrent txn can
     // recycle (and overwrite) it while this txn can still abort.
@@ -340,6 +340,87 @@ TEST(WalTest, UncommittedFreeIsDeferredAndUndone) {
   std::vector<uint8_t> out;
   ASSERT_TRUE(ReadPage(&pager, id, &out).ok());
   EXPECT_EQ(out, FilledPage(0x11));
+}
+
+TEST(WalTest, UncommittedScopeFreesItsPagesAndRecoveryAgrees) {
+  // One scope both logs and rolls back: an abandoned scope frees its
+  // allocations in process (imageless free records), resolves by abort,
+  // and a later crash recovers to the same allocation state.
+  BlockDevice dev(kPageSize);
+  Pager pager(&dev, 8);
+  Wal wal(&dev, MakeMemWalStorage());
+  pager.AttachWal(&wal);
+  const uint64_t live = dev.live_pages();
+
+  PageId a, b;
+  {
+    TxnScope ws(&pager);
+    a = pager.Allocate();
+    ASSERT_TRUE(pager.Write(a, FilledPage(0x11)).ok());
+    b = pager.Allocate();
+    // The op fails here; the scope unwinds without Commit.
+  }
+  EXPECT_FALSE(dev.is_live(a));
+  EXPECT_FALSE(dev.is_live(b));
+  EXPECT_EQ(dev.live_pages(), live);
+  std::vector<WalRecord> recs;
+  ASSERT_TRUE(wal.ReadRecords(&recs, nullptr).ok());
+  ASSERT_FALSE(recs.empty());
+  EXPECT_EQ(recs.back().type, WalRecordType::kAbort);
+  EXPECT_EQ(std::count_if(recs.begin(), recs.end(),
+                          [](const WalRecord& r) {
+                            return r.type == WalRecordType::kFree;
+                          }),
+            2);
+
+  dev.SetCrashed(true);
+  auto info = wal.Recover(&pager);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_FALSE(dev.is_live(a));
+  EXPECT_FALSE(dev.is_live(b));
+  EXPECT_EQ(dev.live_pages(), live);
+}
+
+TEST(WalTest, FailedWalCommitKeepsTheAllocations) {
+  // Commit() keeps the allocations before it runs the WAL protocol: the
+  // caller may already have published the pages, so a failed force or
+  // commit record must never free them in process.
+  BlockDevice dev(kPageSize);
+  Pager pager(&dev, 8);
+  Wal wal(&dev, MakeMemWalStorage());
+  pager.AttachWal(&wal);
+
+  // The force step fails while the log stays healthy — a rollback here
+  // would succeed, so only the keep rule holds the page.
+  PageId forced;
+  {
+    TxnScope ws(&pager);
+    forced = pager.Allocate();
+    ASSERT_TRUE(pager.Write(forced, FilledPage(0x11)).ok());
+    dev.SetFailAfter(0);
+    EXPECT_FALSE(ws.Commit().ok());
+    dev.SetFailAfter(-1);
+  }
+  EXPECT_TRUE(dev.is_live(forced));
+  std::vector<uint8_t> out;
+  ASSERT_TRUE(ReadPage(&pager, forced, &out).ok());
+  EXPECT_EQ(out, FilledPage(0x11));
+
+  // The machine dies at the commit record: the page stays allocated in
+  // process, and recovery undoes the unresolved allocation.
+  PageId crashed;
+  {
+    TxnScope ws(&pager);
+    crashed = pager.Allocate();
+    ASSERT_TRUE(pager.Write(crashed, FilledPage(0x22)).ok());
+    wal.SetCrashAfterRecords(0, Wal::CrashMode::kClean);
+    EXPECT_FALSE(ws.Commit().ok());
+  }
+  EXPECT_TRUE(dev.is_live(crashed));
+  auto info = wal.Recover(&pager);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_FALSE(dev.is_live(crashed));
+  EXPECT_TRUE(dev.is_live(forced)) << "the abort-resolved txn is kept";
 }
 
 // ---------------------------------------------------------------------------
@@ -366,7 +447,7 @@ TEST(WalTest, MetaRegistryRecoversLastCommittedBlobs) {
   a = 2;
   b = 200;
   {
-    WalScope ws(&pager);
+    TxnScope ws(&pager);
     id = pager.Allocate();
     ASSERT_TRUE(pager.Write(id, FilledPage(0x11)).ok());
     ASSERT_TRUE(ws.Commit().ok());  // commit carries a=2, b=200
@@ -374,7 +455,7 @@ TEST(WalTest, MetaRegistryRecoversLastCommittedBlobs) {
   a = 3;
   b = 300;
   {
-    WalScope ws(&pager);
+    TxnScope ws(&pager);
     ASSERT_TRUE(pager.Write(id, FilledPage(0x22)).ok());
     wal.SetCrashAfterRecords(0, Wal::CrashMode::kClean);
     EXPECT_FALSE(ws.Commit().ok());  // a=3/b=300 die with the crash
@@ -403,7 +484,7 @@ TEST(WalTest, CheckpointTruncatesLogAndRecoveryRestartsFromIt) {
 
   std::vector<PageId> ids;
   for (int i = 0; i < 8; ++i) {
-    WalScope ws(&pager);
+    TxnScope ws(&pager);
     PageId id = pager.Allocate();
     ASSERT_TRUE(pager.Write(id, FilledPage(static_cast<uint8_t>(i))).ok());
     ASSERT_TRUE(ws.Commit().ok());
@@ -419,12 +500,12 @@ TEST(WalTest, CheckpointTruncatesLogAndRecoveryRestartsFromIt) {
 
   // Post-checkpoint txns recover against the checkpoint base state.
   {
-    WalScope ws(&pager);
+    TxnScope ws(&pager);
     ASSERT_TRUE(pager.Write(ids[0], FilledPage(0xEE)).ok());
     ASSERT_TRUE(ws.Commit().ok());
   }
   {
-    WalScope ws(&pager);
+    TxnScope ws(&pager);
     ASSERT_TRUE(pager.Write(ids[1], FilledPage(0xFF)).ok());
     wal.SetCrashAfterRecords(0, Wal::CrashMode::kClean);
     EXPECT_FALSE(ws.Commit().ok());
@@ -460,7 +541,7 @@ TEST(WalTest, GroupCommitSharesSyncsAcrossConcurrentCommitters) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kTxnsPerThread; ++i) {
-        WalScope ws(&pager);
+        TxnScope ws(&pager);
         PageId id = pager.Allocate();  // distinct pages: no write overlap
         ASSERT_TRUE(pager.Write(id, FilledPage(0x77)).ok());
         ASSERT_TRUE(ws.Commit().ok());
