@@ -1,6 +1,6 @@
 // Bulk-construction benchmark (DESIGN.md §6): cold-cache build I/Os and
-// wall time vs n for the metablock tree, external PST, B+-tree, and
-// interval index, driven entirely through RecordStream — the dataset is
+// wall time vs n for the metablock tree, 3-sided tree, external PST,
+// B+-tree, and interval index, driven entirely through RecordStream — the dataset is
 // never resident as one vector. Each run reports measured device I/Os
 // next to the external-sort bound (n/B) * max(1, log_{M/B}(n/B)) so the
 // JSON series tracks how far construction sits from the sorting cost the
@@ -10,6 +10,7 @@
 
 #include "ccidx/bptree/bptree.h"
 #include "ccidx/build/external_sorter.h"
+#include "ccidx/core/three_sided_tree.h"
 #include "ccidx/interval/interval_index.h"
 #include "ccidx/pst/external_pst.h"
 #include "ccidx/testutil/generators.h"
@@ -47,6 +48,26 @@ void BM_BuildMetablock(benchmark::State& state) {
     PointStream stream(PointStream::Shape::kAboveDiagonal,
                        static_cast<size_t>(n), kDomain, 42);
     auto tree = MetablockTree::Build(&disk.pager, &stream);
+    CCIDX_CHECK(tree.ok());
+    ios += (disk.device.stats() - before).TotalIos();
+    builds++;
+    state.PauseTiming();
+    CCIDX_CHECK(tree->Destroy().ok());
+    state.ResumeTiming();
+  }
+  ReportBuild(state, disk.device, static_cast<double>(n), b, ios, builds);
+}
+
+void BM_BuildThreeSided(benchmark::State& state) {
+  int64_t n = state.range(0);
+  uint32_t b = static_cast<uint32_t>(state.range(1));
+  Disk disk(b);
+  uint64_t ios = 0, builds = 0;
+  for (auto _ : state) {
+    IoStats before = disk.device.stats();
+    PointStream stream(PointStream::Shape::kUniform,
+                       static_cast<size_t>(n), kDomain, 46);
+    auto tree = ThreeSidedTree::Build(&disk.pager, &stream);
     CCIDX_CHECK(tree.ok());
     ios += (disk.device.stats() - before).TotalIos();
     builds++;
@@ -135,6 +156,9 @@ void BM_BuildIntervalIndex(benchmark::State& state) {
 // Cold-cache build cost vs n at B = 64 (every build is device-bound: the
 // pager runs uncached, so these I/O counts are exactly the model's).
 BENCHMARK(ccidx::bench::BM_BuildMetablock)
+    ->ArgsProduct({{1 << 14, 1 << 16, 1 << 18}, {64}})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(ccidx::bench::BM_BuildThreeSided)
     ->ArgsProduct({{1 << 14, 1 << 16, 1 << 18}, {64}})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(ccidx::bench::BM_BuildExternalPst)

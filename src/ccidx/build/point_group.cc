@@ -11,12 +11,10 @@ namespace ccidx {
 
 namespace {
 
-bool DescY(const Point& a, const Point& b) { return PointYOrder()(b, a); }
-
 // Min-heap on PointYOrder: top() is the smallest of the kept set, i.e.
 // the selection cutoff once the heap holds `keep` points.
 using MinYHeap =
-    std::priority_queue<Point, std::vector<Point>, decltype(&DescY)>;
+    std::priority_queue<Point, std::vector<Point>, PointDescYOrder>;
 
 }  // namespace
 
@@ -110,10 +108,14 @@ Result<PointGroup::Partition> PointGroup::PartitionTopY(uint32_t keep,
   Partition part;
 
   if (resident_) {
-    // In-core path: identical to the historical vector builds.
+    // In-core path: linear-time selection of the top `keep`, then a sort
+    // of those alone. PointYOrder is total, so the selected set and its
+    // order equal a full sort's prefix.
     std::vector<Point> by_y = mem_;
-    std::sort(by_y.begin(), by_y.end(), DescY);
+    std::nth_element(by_y.begin(), by_y.begin() + (keep - 1), by_y.end(),
+                     PointDescYOrder());
     const Point cutoff = by_y[keep - 1];
+    std::sort(by_y.begin(), by_y.begin() + (keep - 1), PointDescYOrder());
     part.top.assign(by_y.begin(), by_y.begin() + keep);
     std::vector<Point> rest;
     rest.reserve(mem_.size() - keep);
@@ -144,7 +146,7 @@ Result<PointGroup::Partition> PointGroup::PartitionTopY(uint32_t keep,
   }
 
   // External path. Scan 1: bounded top-k selection by PointYOrder.
-  MinYHeap heap(&DescY);
+  MinYHeap heap;
   {
     RunReader<Point> reader(pager_, run_, /*free_consumed=*/false);
     while (true) {

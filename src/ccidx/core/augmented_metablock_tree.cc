@@ -9,8 +9,6 @@ namespace ccidx {
 
 namespace {
 
-bool DescY(const Point& a, const Point& b) { return PointYOrder()(b, a); }
-
 // Routes a coordinate to a child slot: the last child whose subtree starts
 // at or left of x, or child 0 when x precedes every child.
 template <typename Entries>
@@ -58,18 +56,17 @@ Status AugmentedMetablockTree::ReadUpdatePoints(
   return next.status();
 }
 
-Status AugmentedMetablockTree::RebuildOrganizations(Control* ctrl,
-                                                    std::vector<Point> own,
-                                                    bool free_old) {
-  PageIo io(pager_);
+Status AugmentedMetablockTree::RebuildOrganizations(
+    Pager* pager, Control* ctrl, std::vector<Point> own, bool free_old) {
+  PageIo io(pager);
   if (free_old) {
-    CCIDX_RETURN_IF_ERROR(FreeVerticalBlocking(pager_, ctrl->vindex_head));
+    CCIDX_RETURN_IF_ERROR(FreeVerticalBlocking(pager, ctrl->vindex_head));
     if (ctrl->horiz_head != kInvalidPageId) {
       CCIDX_RETURN_IF_ERROR(io.FreeChain(ctrl->horiz_head));
     }
     if (ctrl->corner_header != kInvalidPageId) {
       CornerStructure corner =
-          CornerStructure::Open(pager_, ctrl->corner_header);
+          CornerStructure::Open(pager, ctrl->corner_header);
       CCIDX_RETURN_IF_ERROR(corner.Free());
       ctrl->corner_header = kInvalidPageId;
     }
@@ -84,14 +81,14 @@ Status AugmentedMetablockTree::RebuildOrganizations(Control* ctrl,
     ctrl->bbox_ymax = std::max(ctrl->bbox_ymax, p.y);
   }
   std::sort(own.begin(), own.end(), PointXOrder());
-  auto vb = WriteVerticalBlocking(pager_, own);
+  auto vb = WriteVerticalBlocking(pager, own);
   CCIDX_RETURN_IF_ERROR(vb.status());
   ctrl->vindex_head = vb->index_head;
-  auto horiz = WriteDescYChain(pager_, own);
+  auto horiz = WriteDescYChain(pager, own);
   CCIDX_RETURN_IF_ERROR(horiz.status());
   ctrl->horiz_head = *horiz;
   if (!own.empty() && ctrl->bbox_ymin <= ctrl->bbox_xmax) {
-    auto corner = CornerStructure::Build(pager_, std::move(own));
+    auto corner = CornerStructure::Build(pager, std::move(own));
     CCIDX_RETURN_IF_ERROR(corner.status());
     ctrl->corner_header = corner->header();
   }
@@ -111,15 +108,6 @@ AugmentedMetablockTree::BuildNode(Pager* pager, PointGroup group,
   node.control_page = pager->Allocate();
   Control& ctrl = node.ctrl;
   ctrl = Control{};
-  ctrl.children_head = kInvalidPageId;
-  ctrl.vindex_head = kInvalidPageId;
-  ctrl.horiz_head = kInvalidPageId;
-  ctrl.ts_head = kInvalidPageId;
-  ctrl.corner_header = kInvalidPageId;
-  ctrl.td_header = kInvalidPageId;
-  ctrl.td_update_page = kInvalidPageId;
-  ctrl.update_ymax = kCoordMin;
-  ctrl.desc_ymax = kCoordMin;
   ctrl.sub_xlo = group.first_x();
   ctrl.sub_xhi = group.last_x();
   ctrl.update_page = pager->Allocate();
@@ -136,15 +124,12 @@ AugmentedMetablockTree::BuildNode(Pager* pager, PointGroup group,
     own = std::move(part->top);
 
     std::vector<ChildEntry> child_entries;
-    std::vector<Point> left_union;
+    std::vector<Point> ts;  // top B^2 of the left siblings' own points
     for (PointGroup& sub : part->children) {
       auto child = BuildNode(pager, std::move(sub), branching);
       CCIDX_RETURN_IF_ERROR(child.status());
-      if (!left_union.empty()) {
-        std::vector<Point> ts = left_union;
-        std::sort(ts.begin(), ts.end(), DescY);
-        if (ts.size() > b2) ts.resize(b2);
-        auto head = WriteDescYChain(pager, std::move(ts));
+      if (!ts.empty()) {
+        auto head = WriteDescYChain(pager, ts);
         CCIDX_RETURN_IF_ERROR(head.status());
         child->ctrl.ts_head = *head;
       }
@@ -153,8 +138,7 @@ AugmentedMetablockTree::BuildNode(Pager* pager, PointGroup group,
       child_entries.push_back({child->ctrl.sub_xlo, child->ctrl.node_ymax,
                                child->control_page});
       ctrl.desc_ymax = std::max(ctrl.desc_ymax, child->ctrl.node_ymax);
-      left_union.insert(left_union.end(), child->own_points.begin(),
-                        child->own_points.end());
+      FoldTopK(&ts, child->own_points, b2);
     }
     auto ids = io.WriteChain<ChildEntry>(child_entries);
     CCIDX_RETURN_IF_ERROR(ids.status());
@@ -166,33 +150,9 @@ AugmentedMetablockTree::BuildNode(Pager* pager, PointGroup group,
   }
 
   // Organize own points. This is a fresh build: nothing to free.
-  ctrl.num_points = static_cast<uint32_t>(own.size());
-  ctrl.bbox_xmin = ctrl.bbox_ymin = kCoordMax;
-  ctrl.bbox_xmax = ctrl.bbox_ymax = kCoordMin;
-  for (const Point& p : own) {
-    ctrl.bbox_xmin = std::min(ctrl.bbox_xmin, p.x);
-    ctrl.bbox_xmax = std::max(ctrl.bbox_xmax, p.x);
-    ctrl.bbox_ymin = std::min(ctrl.bbox_ymin, p.y);
-    ctrl.bbox_ymax = std::max(ctrl.bbox_ymax, p.y);
-  }
-  std::sort(own.begin(), own.end(), PointXOrder());
-  auto vb = WriteVerticalBlocking(pager, own);
-  CCIDX_RETURN_IF_ERROR(vb.status());
-  ctrl.vindex_head = vb->index_head;
-  {
-    std::vector<Point> desc = own;
-    std::sort(desc.begin(), desc.end(), DescY);
-    auto ids = io.WriteChain<Point>(desc);
-    CCIDX_RETURN_IF_ERROR(ids.status());
-    ctrl.horiz_head = ids->empty() ? kInvalidPageId : ids->front();
-  }
-  if (!own.empty() && ctrl.bbox_ymin <= ctrl.bbox_xmax) {
-    auto corner = CornerStructure::Build(pager, own);
-    CCIDX_RETURN_IF_ERROR(corner.status());
-    ctrl.corner_header = corner->header();
-  }
-  ctrl.node_ymax = std::max(ctrl.bbox_ymax, ctrl.desc_ymax);
-  node.own_points = std::move(own);
+  node.own_points = own;
+  CCIDX_RETURN_IF_ERROR(
+      RebuildOrganizations(pager, &ctrl, std::move(own), false));
   return node;
 }
 
@@ -251,7 +211,7 @@ Status AugmentedMetablockTree::LevelOne(PageId id, Control* ctrl) {
   ctrl->update_count = 0;
   ctrl->update_ymax = kCoordMin;
   CCIDX_RETURN_IF_ERROR(io.WriteRecords<Point>(ctrl->update_page, {}));
-  return RebuildOrganizations(ctrl, std::move(own), /*free_old=*/true);
+  return RebuildOrganizations(pager_, ctrl, std::move(own), true);
 }
 
 Status AugmentedMetablockTree::AddToTd(Control* ctrl,
@@ -305,7 +265,7 @@ Status AugmentedMetablockTree::TsReorganizeChildren(Control* ctrl) {
   std::vector<ChildEntry> children;
   CCIDX_RETURN_IF_ERROR(
       io.ReadChain<ChildEntry>(ctrl->children_head, &children));
-  std::vector<Point> left_union;
+  std::vector<Point> ts;  // top B^2 of the left siblings' stored points
   for (size_t i = 0; i < children.size(); ++i) {
     Control child;
     CCIDX_RETURN_IF_ERROR(LoadControl(children[i].control, &child));
@@ -313,18 +273,17 @@ Status AugmentedMetablockTree::TsReorganizeChildren(Control* ctrl) {
       CCIDX_RETURN_IF_ERROR(io.FreeChain(child.ts_head));
       child.ts_head = kInvalidPageId;
     }
-    if (i > 0 && !left_union.empty()) {
-      std::vector<Point> ts = left_union;
-      std::sort(ts.begin(), ts.end(), DescY);
-      if (ts.size() > b2) ts.resize(b2);
-      auto head = WriteDescYChain(pager_, std::move(ts));
+    if (!ts.empty()) {
+      auto head = WriteDescYChain(pager_, ts);
       CCIDX_RETURN_IF_ERROR(head.status());
       child.ts_head = *head;
     }
     CCIDX_RETURN_IF_ERROR(WriteControl(pager_, children[i].control, child));
     // TS covers points *stored in* the sibling: organized + buffered.
-    CCIDX_RETURN_IF_ERROR(io.ReadChain<Point>(child.horiz_head, &left_union));
-    CCIDX_RETURN_IF_ERROR(ReadUpdatePoints(child, &left_union));
+    std::vector<Point> stored;
+    CCIDX_RETURN_IF_ERROR(io.ReadChain<Point>(child.horiz_head, &stored));
+    CCIDX_RETURN_IF_ERROR(ReadUpdatePoints(child, &stored));
+    FoldTopK(&ts, stored, b2);
   }
   return ClearTd(ctrl);
 }
@@ -338,10 +297,11 @@ Status AugmentedMetablockTree::LevelTwoInternal(PageId id, Control* ctrl,
   std::vector<Point> own;
   CCIDX_RETURN_IF_ERROR(io.ReadChain<Point>(ctrl->horiz_head, &own));
   CCIDX_CHECK(own.size() >= 2 * b2);
-  CCIDX_CHECK(std::is_sorted(own.begin(), own.end(), DescY));
+  CCIDX_CHECK(std::is_sorted(own.begin(), own.end(), PointDescYOrder()));
   std::vector<Point> push(own.begin() + b2, own.end());
   own.resize(b2);
-  CCIDX_RETURN_IF_ERROR(RebuildOrganizations(ctrl, std::move(own), true));
+  CCIDX_RETURN_IF_ERROR(
+      RebuildOrganizations(pager_, ctrl, std::move(own), true));
   ctrl->desc_ymax = std::max(ctrl->desc_ymax, push.front().y);
   ctrl->node_ymax = std::max({ctrl->bbox_ymax, ctrl->update_ymax,
                               ctrl->desc_ymax});
@@ -490,15 +450,6 @@ Result<AugmentedMetablockTree::AddResult> AugmentedMetablockTree::AddPoints(
         Part rp;
         rp.id = pager_->Allocate();
         rp.ctrl = Control{};
-        rp.ctrl.children_head = kInvalidPageId;
-        rp.ctrl.vindex_head = kInvalidPageId;
-        rp.ctrl.horiz_head = kInvalidPageId;
-        rp.ctrl.ts_head = kInvalidPageId;
-        rp.ctrl.corner_header = kInvalidPageId;
-        rp.ctrl.td_header = kInvalidPageId;
-        rp.ctrl.td_update_page = kInvalidPageId;
-        rp.ctrl.update_ymax = kCoordMin;
-        rp.ctrl.desc_ymax = kCoordMin;
         rp.ctrl.update_page = pager_->Allocate();
         CCIDX_RETURN_IF_ERROR(
             io.WriteRecords<Point>(rp.ctrl.update_page, {}));
@@ -506,9 +457,9 @@ Result<AugmentedMetablockTree::AddResult> AugmentedMetablockTree::AddPoints(
         rp.ctrl.sub_xhi = part->ctrl.sub_xhi;
         part->ctrl.sub_xhi = own.back().x;
         CCIDX_RETURN_IF_ERROR(
-            RebuildOrganizations(&part->ctrl, std::move(own), true));
+            RebuildOrganizations(pager_, &part->ctrl, std::move(own), true));
         CCIDX_RETURN_IF_ERROR(
-            RebuildOrganizations(&rp.ctrl, std::move(right), false));
+            RebuildOrganizations(pager_, &rp.ctrl, std::move(right), false));
         parts.insert(parts.begin() + target + 1, std::move(rp));
       }
     }
@@ -943,7 +894,7 @@ Status AugmentedMetablockTree::CheckSubtree(PageId id, bool is_root,
   if (own.size() != ctrl.num_points) {
     return Status::Corruption("own point count mismatch");
   }
-  if (!std::is_sorted(own.begin(), own.end(), DescY)) {
+  if (!std::is_sorted(own.begin(), own.end(), PointDescYOrder())) {
     return Status::Corruption("horizontal chain not descending by y");
   }
   if (ctrl.num_points >= 2 * b2) {
@@ -1016,9 +967,33 @@ Status AugmentedMetablockTree::CheckSubtree(PageId id, bool is_root,
     if (children.size() != ctrl.num_children) {
       return Status::Corruption("children count mismatch");
     }
+    // TS(child i) is the top B^2 of what its left siblings stored at the
+    // last TS reorganization: their organized and buffered points, less
+    // the pushes recorded in TD(this) since then.
+    std::vector<Point> td;
+    if (ctrl.td_header != kInvalidPageId) {
+      CornerStructure tds = CornerStructure::Open(pager_, ctrl.td_header);
+      CCIDX_RETURN_IF_ERROR(tds.CollectPoints(&td));
+    }
+    if (ctrl.td_update_count > 0) {
+      CCIDX_RETURN_IF_ERROR(
+          io.ReadRecords<Point>(ctrl.td_update_page, &td).status());
+    }
+    std::vector<std::vector<Point>> pushed(children.size());
+    for (const Point& p : td) pushed[RouteChild(children, p.x)].push_back(p);
+    std::vector<PageId> ts_heads;
+    std::vector<std::vector<Point>> stored(children.size());
     for (size_t i = 0; i < children.size(); ++i) {
       if (i > 0 && children[i].sub_xlo < children[i - 1].sub_xlo) {
         return Status::Corruption("children not ordered by x");
+      }
+      Control cc;
+      CCIDX_RETURN_IF_ERROR(LoadControl(children[i].control, &cc));
+      ts_heads.push_back(cc.ts_head);
+      CCIDX_RETURN_IF_ERROR(io.ReadChain<Point>(cc.horiz_head, &stored[i]));
+      CCIDX_RETURN_IF_ERROR(ReadUpdatePoints(cc, &stored[i]));
+      if (!ErasePoints(&stored[i], std::move(pushed[i]))) {
+        return Status::Corruption("TD point not stored in its child");
       }
       Coord child_ymax = kCoordMin;
       uint64_t child_count = 0;
@@ -1033,6 +1008,7 @@ Status AugmentedMetablockTree::CheckSubtree(PageId id, bool is_root,
     if (ctrl.desc_ymax < desc_actual) {
       return Status::Corruption("desc_ymax watermark below actual");
     }
+    CCIDX_RETURN_IF_ERROR(CheckTsChains(pager_, ts_heads, stored, b2));
   }
   Coord actual_node_ymax =
       std::max({own.empty() ? kCoordMin : ctrl.bbox_ymax, actual_upd_ymax,

@@ -155,21 +155,21 @@ class AugmentedMetablockTree {
     uint32_t num_children;
     Coord bbox_xmin, bbox_xmax, bbox_ymin, bbox_ymax;  // organized points
     Coord sub_xlo, sub_xhi;  // subtree x-interval
-    uint64_t children_head;
-    uint64_t vindex_head;
-    uint64_t horiz_head;
-    uint64_t ts_head;        // TS(this), maintained by the parent
-    uint64_t corner_header;
+    uint64_t children_head = kInvalidPageId;
+    uint64_t vindex_head = kInvalidPageId;
+    uint64_t horiz_head = kInvalidPageId;
+    uint64_t ts_head = kInvalidPageId;  // TS(this), maintained by the parent
+    uint64_t corner_header = kInvalidPageId;
     // --- dynamic state ---
     uint64_t update_page;    // one page of buffered inserts (always valid)
     uint32_t update_count;
     uint32_t td_update_count;
-    uint64_t td_update_page;  // one page buffering TD additions (non-leaf)
-    uint64_t td_header;       // TD corner structure (kInvalid when empty)
+    uint64_t td_update_page = kInvalidPageId;  // TD additions (non-leaf)
+    uint64_t td_header = kInvalidPageId;  // TD corner structure, if non-empty
     uint32_t td_count;        // points inside td_header
     uint32_t pad;
-    Coord update_ymax;       // max y among buffered inserts (kCoordMin none)
-    Coord desc_ymax;         // max y among strict descendants
+    Coord update_ymax = kCoordMin;  // max y among buffered inserts
+    Coord desc_ymax = kCoordMin;    // max y among strict descendants
     Coord node_ymax;         // max(bbox_ymax, update_ymax, desc_ymax)
   };
 
@@ -214,8 +214,8 @@ class AugmentedMetablockTree {
 
   // Rebuilds own-point organizations from `own` (frees the old ones first
   // when free_old). Updates bbox / num_points / node_ymax in *ctrl.
-  Status RebuildOrganizations(Control* ctrl, std::vector<Point> own,
-                              bool free_old);
+  static Status RebuildOrganizations(Pager* pager, Control* ctrl,
+                                     std::vector<Point> own, bool free_old);
 
   // Adds points into this node's update block, cascading level I / II.
   Result<AddResult> AddPoints(PageId id, std::vector<Point> pts);

@@ -9,8 +9,6 @@ namespace ccidx {
 
 namespace {
 
-bool DescYCmp(const Point& a, const Point& b) { return PointYOrder()(b, a); }
-
 // Push/query routing: the last child whose subtree starts at or left of x.
 // Child x-intervals are kept strictly disjoint (tie-free split boundaries),
 // so for stored points routing equals membership.
@@ -73,17 +71,16 @@ Status AugmentedThreeSidedTree::ReadUpdatePoints(
   return next.status();
 }
 
-Status AugmentedThreeSidedTree::RebuildOrganizations(Control* ctrl,
-                                                     std::vector<Point> own,
-                                                     bool free_old) {
-  PageIo io(pager_);
+Status AugmentedThreeSidedTree::RebuildOrganizations(
+    Pager* pager, Control* ctrl, std::vector<Point> own, bool free_old) {
+  PageIo io(pager);
   if (free_old) {
-    CCIDX_RETURN_IF_ERROR(FreeVerticalBlocking(pager_, ctrl->vindex_head));
+    CCIDX_RETURN_IF_ERROR(FreeVerticalBlocking(pager, ctrl->vindex_head));
     if (ctrl->horiz_head != kInvalidPageId) {
       CCIDX_RETURN_IF_ERROR(io.FreeChain(ctrl->horiz_head));
     }
     if (ctrl->own_pst_root != kInvalidPageId) {
-      ExternalPst pst = ExternalPst::Open(pager_, ctrl->own_pst_root);
+      ExternalPst pst = ExternalPst::Open(pager, ctrl->own_pst_root);
       CCIDX_RETURN_IF_ERROR(pst.Free());
       ctrl->own_pst_root = kInvalidPageId;
     }
@@ -98,13 +95,13 @@ Status AugmentedThreeSidedTree::RebuildOrganizations(Control* ctrl,
     ctrl->bbox_ymax = std::max(ctrl->bbox_ymax, p.y);
   }
   std::sort(own.begin(), own.end(), PointXOrder());
-  auto vb = WriteVerticalBlocking(pager_, own);
+  auto vb = WriteVerticalBlocking(pager, own);
   CCIDX_RETURN_IF_ERROR(vb.status());
   ctrl->vindex_head = vb->index_head;
-  auto horiz = WriteDescYChain(pager_, own);
+  auto horiz = WriteDescYChain(pager, own);
   CCIDX_RETURN_IF_ERROR(horiz.status());
   ctrl->horiz_head = *horiz;
-  auto pst = ExternalPst::Build(pager_, std::move(own));
+  auto pst = ExternalPst::Build(pager, std::move(own));
   CCIDX_RETURN_IF_ERROR(pst.status());
   ctrl->own_pst_root = pst->root();
   ctrl->node_ymax = std::max({ctrl->bbox_ymax, ctrl->update_ymax,
@@ -123,17 +120,6 @@ AugmentedThreeSidedTree::BuildNode(Pager* pager, PointGroup group,
   node.control_page = pager->Allocate();
   Control& ctrl = node.ctrl;
   ctrl = Control{};
-  ctrl.children_head = kInvalidPageId;
-  ctrl.vindex_head = kInvalidPageId;
-  ctrl.horiz_head = kInvalidPageId;
-  ctrl.ts_left_head = kInvalidPageId;
-  ctrl.ts_right_head = kInvalidPageId;
-  ctrl.own_pst_root = kInvalidPageId;
-  ctrl.children_pst_root = kInvalidPageId;
-  ctrl.td_pst_root = kInvalidPageId;
-  ctrl.td_update_page = kInvalidPageId;
-  ctrl.update_ymax = kCoordMin;
-  ctrl.desc_ymax = kCoordMin;
   ctrl.sub_xlo = group.first_x();
   ctrl.sub_xhi = group.last_x();
   ctrl.update_page = pager->Allocate();
@@ -159,37 +145,33 @@ AugmentedThreeSidedTree::BuildNode(Pager* pager, PointGroup group,
       children.push_back(std::move(*child));
     }
 
-    // TS chains in both directions; children-union PST.
+    // TS chains in both directions (running top-B^2 folds); children-union
+    // PST.
+    std::vector<Point> ts;
     std::vector<Point> acc;
     for (size_t i = 0; i < children.size(); ++i) {
-      if (!acc.empty()) {
-        std::vector<Point> ts = acc;
-        std::sort(ts.begin(), ts.end(), DescYCmp);
-        if (ts.size() > b2) ts.resize(b2);
-        auto head = WriteDescYChain(pager, std::move(ts));
+      if (!ts.empty()) {
+        auto head = WriteDescYChain(pager, ts);
         CCIDX_RETURN_IF_ERROR(head.status());
         children[i].ctrl.ts_left_head = *head;
       }
+      FoldTopK(&ts, children[i].own_points, b2);
       acc.insert(acc.end(), children[i].own_points.begin(),
                  children[i].own_points.end());
     }
     {
-      auto pst = ExternalPst::Build(pager, acc);
+      auto pst = ExternalPst::Build(pager, std::move(acc));
       CCIDX_RETURN_IF_ERROR(pst.status());
       ctrl.children_pst_root = pst->root();
     }
-    std::vector<Point> suffix;
+    ts.clear();
     for (size_t i = children.size(); i-- > 0;) {
-      if (!suffix.empty()) {
-        std::vector<Point> ts = suffix;
-        std::sort(ts.begin(), ts.end(), DescYCmp);
-        if (ts.size() > b2) ts.resize(b2);
-        auto head = WriteDescYChain(pager, std::move(ts));
+      if (!ts.empty()) {
+        auto head = WriteDescYChain(pager, ts);
         CCIDX_RETURN_IF_ERROR(head.status());
         children[i].ctrl.ts_right_head = *head;
       }
-      suffix.insert(suffix.end(), children[i].own_points.begin(),
-                    children[i].own_points.end());
+      FoldTopK(&ts, children[i].own_points, b2);
     }
 
     std::vector<ChildEntry> entries;
@@ -210,33 +192,9 @@ AugmentedThreeSidedTree::BuildNode(Pager* pager, PointGroup group,
   }
 
   // Own organizations (fresh; nothing to free).
-  ctrl.num_points = static_cast<uint32_t>(own.size());
-  ctrl.bbox_xmin = ctrl.bbox_ymin = kCoordMax;
-  ctrl.bbox_xmax = ctrl.bbox_ymax = kCoordMin;
-  for (const Point& p : own) {
-    ctrl.bbox_xmin = std::min(ctrl.bbox_xmin, p.x);
-    ctrl.bbox_xmax = std::max(ctrl.bbox_xmax, p.x);
-    ctrl.bbox_ymin = std::min(ctrl.bbox_ymin, p.y);
-    ctrl.bbox_ymax = std::max(ctrl.bbox_ymax, p.y);
-  }
-  std::sort(own.begin(), own.end(), PointXOrder());
-  auto vb = WriteVerticalBlocking(pager, own);
-  CCIDX_RETURN_IF_ERROR(vb.status());
-  ctrl.vindex_head = vb->index_head;
-  {
-    std::vector<Point> desc = own;
-    std::sort(desc.begin(), desc.end(), DescYCmp);
-    auto ids = io.WriteChain<Point>(desc);
-    CCIDX_RETURN_IF_ERROR(ids.status());
-    ctrl.horiz_head = ids->empty() ? kInvalidPageId : ids->front();
-  }
-  {
-    auto pst = ExternalPst::Build(pager, own);
-    CCIDX_RETURN_IF_ERROR(pst.status());
-    ctrl.own_pst_root = pst->root();
-  }
-  ctrl.node_ymax = std::max(ctrl.bbox_ymax, ctrl.desc_ymax);
-  node.own_points = std::move(own);
+  node.own_points = own;
+  CCIDX_RETURN_IF_ERROR(
+      RebuildOrganizations(pager, &ctrl, std::move(own), false));
   return node;
 }
 
@@ -294,7 +252,7 @@ Status AugmentedThreeSidedTree::LevelOne(Control* ctrl) {
   ctrl->update_count = 0;
   ctrl->update_ymax = kCoordMin;
   CCIDX_RETURN_IF_ERROR(io.WriteRecords<Point>(ctrl->update_page, {}));
-  return RebuildOrganizations(ctrl, std::move(own), /*free_old=*/true);
+  return RebuildOrganizations(pager_, ctrl, std::move(own), true);
 }
 
 Status AugmentedThreeSidedTree::AddToTd(Control* ctrl,
@@ -356,22 +314,19 @@ Status AugmentedThreeSidedTree::TsReorganizeChildren(Control* ctrl) {
     CCIDX_RETURN_IF_ERROR(io.ReadChain<Point>(ctrls[i].horiz_head, &sets[i]));
     CCIDX_RETURN_IF_ERROR(ReadUpdatePoints(ctrls[i], &sets[i]));
   }
-  auto write_topk = [&](std::vector<Point> pts) -> Result<PageId> {
-    std::sort(pts.begin(), pts.end(), DescYCmp);
-    if (pts.size() > b2) pts.resize(b2);
-    return WriteDescYChain(pager_, std::move(pts));
-  };
+  std::vector<Point> ts;
   std::vector<Point> acc;
   for (size_t i = 0; i < children.size(); ++i) {
     if (ctrls[i].ts_left_head != kInvalidPageId) {
       CCIDX_RETURN_IF_ERROR(io.FreeChain(ctrls[i].ts_left_head));
       ctrls[i].ts_left_head = kInvalidPageId;
     }
-    if (!acc.empty()) {
-      auto head = write_topk(acc);
+    if (!ts.empty()) {
+      auto head = WriteDescYChain(pager_, ts);
       CCIDX_RETURN_IF_ERROR(head.status());
       ctrls[i].ts_left_head = *head;
     }
+    FoldTopK(&ts, sets[i], b2);
     acc.insert(acc.end(), sets[i].begin(), sets[i].end());
   }
   // Children-union PST from the same snapshot.
@@ -380,22 +335,22 @@ Status AugmentedThreeSidedTree::TsReorganizeChildren(Control* ctrl) {
     CCIDX_RETURN_IF_ERROR(old.Free());
   }
   {
-    auto pst = ExternalPst::Build(pager_, acc);
+    auto pst = ExternalPst::Build(pager_, std::move(acc));
     CCIDX_RETURN_IF_ERROR(pst.status());
     ctrl->children_pst_root = pst->root();
   }
-  std::vector<Point> suffix;
+  ts.clear();
   for (size_t i = children.size(); i-- > 0;) {
     if (ctrls[i].ts_right_head != kInvalidPageId) {
       CCIDX_RETURN_IF_ERROR(io.FreeChain(ctrls[i].ts_right_head));
       ctrls[i].ts_right_head = kInvalidPageId;
     }
-    if (!suffix.empty()) {
-      auto head = write_topk(suffix);
+    if (!ts.empty()) {
+      auto head = WriteDescYChain(pager_, ts);
       CCIDX_RETURN_IF_ERROR(head.status());
       ctrls[i].ts_right_head = *head;
     }
-    suffix.insert(suffix.end(), sets[i].begin(), sets[i].end());
+    FoldTopK(&ts, sets[i], b2);
   }
   for (size_t i = 0; i < children.size(); ++i) {
     CCIDX_RETURN_IF_ERROR(WriteControl(pager_, children[i].control,
@@ -414,7 +369,8 @@ Status AugmentedThreeSidedTree::LevelTwoInternal(PageId id, Control* ctrl,
   CCIDX_CHECK(own.size() >= 2 * b2);
   std::vector<Point> push(own.begin() + b2, own.end());
   own.resize(b2);
-  CCIDX_RETURN_IF_ERROR(RebuildOrganizations(ctrl, std::move(own), true));
+  CCIDX_RETURN_IF_ERROR(
+      RebuildOrganizations(pager_, ctrl, std::move(own), true));
   ctrl->desc_ymax = std::max(ctrl->desc_ymax, push.front().y);
   ctrl->node_ymax = std::max({ctrl->bbox_ymax, ctrl->update_ymax,
                               ctrl->desc_ymax});
@@ -558,17 +514,6 @@ AugmentedThreeSidedTree::AddPoints(PageId id, std::vector<Point> pts) {
         Part rp;
         rp.id = pager_->Allocate();
         rp.ctrl = Control{};
-        rp.ctrl.children_head = kInvalidPageId;
-        rp.ctrl.vindex_head = kInvalidPageId;
-        rp.ctrl.horiz_head = kInvalidPageId;
-        rp.ctrl.ts_left_head = kInvalidPageId;
-        rp.ctrl.ts_right_head = kInvalidPageId;
-        rp.ctrl.own_pst_root = kInvalidPageId;
-        rp.ctrl.children_pst_root = kInvalidPageId;
-        rp.ctrl.td_pst_root = kInvalidPageId;
-        rp.ctrl.td_update_page = kInvalidPageId;
-        rp.ctrl.update_ymax = kCoordMin;
-        rp.ctrl.desc_ymax = kCoordMin;
         rp.ctrl.update_page = pager_->Allocate();
         CCIDX_RETURN_IF_ERROR(
             io.WriteRecords<Point>(rp.ctrl.update_page, {}));
@@ -576,9 +521,9 @@ AugmentedThreeSidedTree::AddPoints(PageId id, std::vector<Point> pts) {
         rp.ctrl.sub_xhi = part->ctrl.sub_xhi;
         part->ctrl.sub_xhi = own.back().x;
         CCIDX_RETURN_IF_ERROR(
-            RebuildOrganizations(&part->ctrl, std::move(own), true));
+            RebuildOrganizations(pager_, &part->ctrl, std::move(own), true));
         CCIDX_RETURN_IF_ERROR(
-            RebuildOrganizations(&rp.ctrl, std::move(right), false));
+            RebuildOrganizations(pager_, &rp.ctrl, std::move(right), false));
         parts.insert(parts.begin() + target + 1, std::move(rp));
       }
     }
@@ -1147,7 +1092,7 @@ Status AugmentedThreeSidedTree::CheckSubtree(PageId id, Coord* node_ymax_out,
   if (own.size() != ctrl.num_points) {
     return Status::Corruption("own point count mismatch");
   }
-  if (!std::is_sorted(own.begin(), own.end(), DescYCmp)) {
+  if (!std::is_sorted(own.begin(), own.end(), PointDescYOrder())) {
     return Status::Corruption("horizontal chain not descending");
   }
   if (ctrl.num_children > 0 && ctrl.num_points < b2) {
@@ -1180,10 +1125,35 @@ Status AugmentedThreeSidedTree::CheckSubtree(PageId id, Coord* node_ymax_out,
     if (children.size() != ctrl.num_children) {
       return Status::Corruption("children count mismatch");
     }
+    // The TS chains of child i cover what its left (right) siblings
+    // stored at the last TS reorganization: their organized and buffered
+    // points, less the pushes recorded in TD(this) since then.
+    std::vector<Point> td;
+    if (ctrl.td_pst_root != kInvalidPageId) {
+      ExternalPst tds = ExternalPst::Open(pager_, ctrl.td_pst_root);
+      CCIDX_RETURN_IF_ERROR(tds.CollectPoints(&td));
+    }
+    if (ctrl.td_update_count > 0) {
+      CCIDX_RETURN_IF_ERROR(
+          io.ReadRecords<Point>(ctrl.td_update_page, &td).status());
+    }
+    std::vector<std::vector<Point>> pushed(children.size());
+    for (const Point& p : td) pushed[RouteChild(children, p.x)].push_back(p);
+    std::vector<PageId> left_heads, right_heads;
+    std::vector<std::vector<Point>> stored(children.size());
     Coord desc_actual = kCoordMin;
     for (size_t i = 0; i < children.size(); ++i) {
       if (i > 0 && children[i].sub_xlo <= children[i - 1].sub_xhi) {
         return Status::Corruption("child x-intervals overlap");
+      }
+      Control child;
+      CCIDX_RETURN_IF_ERROR(LoadControl(children[i].control, &child));
+      left_heads.push_back(child.ts_left_head);
+      right_heads.push_back(child.ts_right_head);
+      CCIDX_RETURN_IF_ERROR(io.ReadChain<Point>(child.horiz_head, &stored[i]));
+      CCIDX_RETURN_IF_ERROR(ReadUpdatePoints(child, &stored[i]));
+      if (!ErasePoints(&stored[i], std::move(pushed[i]))) {
+        return Status::Corruption("TD point not stored in its child");
       }
       Coord cy = kCoordMin;
       uint64_t cc = 0;
@@ -1197,6 +1167,10 @@ Status AugmentedThreeSidedTree::CheckSubtree(PageId id, Coord* node_ymax_out,
     if (ctrl.desc_ymax < desc_actual) {
       return Status::Corruption("desc_ymax watermark below actual");
     }
+    CCIDX_RETURN_IF_ERROR(CheckTsChains(pager_, left_heads, stored, b2));
+    std::reverse(right_heads.begin(), right_heads.end());
+    std::reverse(stored.begin(), stored.end());
+    CCIDX_RETURN_IF_ERROR(CheckTsChains(pager_, right_heads, stored, b2));
     actual = std::max(actual, desc_actual);
   }
   if (ctrl.node_ymax < actual) {

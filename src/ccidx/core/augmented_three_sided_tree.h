@@ -128,23 +128,23 @@ class AugmentedThreeSidedTree {
     uint32_t num_children;
     Coord bbox_xmin, bbox_xmax, bbox_ymin, bbox_ymax;
     Coord sub_xlo, sub_xhi;
-    uint64_t children_head;
-    uint64_t vindex_head;
-    uint64_t horiz_head;
-    uint64_t ts_left_head;
-    uint64_t ts_right_head;
-    uint64_t own_pst_root;       // rebuilt at level I
-    uint64_t children_pst_root;  // rebuilt at TS reorganizations
+    uint64_t children_head = kInvalidPageId;
+    uint64_t vindex_head = kInvalidPageId;
+    uint64_t horiz_head = kInvalidPageId;
+    uint64_t ts_left_head = kInvalidPageId;
+    uint64_t ts_right_head = kInvalidPageId;
+    uint64_t own_pst_root = kInvalidPageId;       // rebuilt at level I
+    uint64_t children_pst_root = kInvalidPageId;  // rebuilt at TS reorgs
     // --- dynamic state (Section 3.2 / Lemma 4.4) ---
     uint64_t update_page;
     uint32_t update_count;
     uint32_t td_update_count;
-    uint64_t td_update_page;
-    uint64_t td_pst_root;  // the TD structure, now 3-sided (ExternalPst)
+    uint64_t td_update_page = kInvalidPageId;
+    uint64_t td_pst_root = kInvalidPageId;  // TD, 3-sided (ExternalPst)
     uint32_t td_count;
     uint32_t pad;
-    Coord update_ymax;
-    Coord desc_ymax;
+    Coord update_ymax = kCoordMin;
+    Coord desc_ymax = kCoordMin;
     Coord node_ymax;
   };
 
@@ -187,8 +187,8 @@ class AugmentedThreeSidedTree {
   static Status WriteControl(Pager* pager, PageId id, const Control& c);
   Status LoadControl(PageId id, Control* c) const;
 
-  Status RebuildOrganizations(Control* ctrl, std::vector<Point> own,
-                              bool free_old);
+  static Status RebuildOrganizations(Pager* pager, Control* ctrl,
+                                     std::vector<Point> own, bool free_old);
 
   Result<AddResult> AddPoints(PageId id, std::vector<Point> pts);
   Status LevelOne(Control* ctrl);

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <vector>
 
 #include "ccidx/core/geometry.h"
@@ -103,16 +104,72 @@ inline Status VisitVerticalBlocking(Pager* pager, PageId index_head,
   return Status::OK();
 }
 
-/// Sorts `points` by descending y and writes them as a page chain.
-/// Returns the chain head (kInvalidPageId for empty input).
+/// Writes `points` as a descending-y page chain, sorting them first unless
+/// they already are. Returns the chain head (kInvalidPageId for empty
+/// input).
 inline Result<PageId> WriteDescYChain(Pager* pager,
                                       std::vector<Point> points) {
-  std::sort(points.begin(), points.end(),
-            [](const Point& a, const Point& b) { return PointYOrder()(b, a); });
+  if (!std::is_sorted(points.begin(), points.end(), PointDescYOrder())) {
+    std::sort(points.begin(), points.end(), PointDescYOrder());
+  }
   PageIo io(pager);
   auto ids = io.WriteChain<Point>(points);
   CCIDX_RETURN_IF_ERROR(ids.status());
   return ids->empty() ? kInvalidPageId : ids->front();
+}
+
+/// Running top-k for TS chains: sorts `add` by descending y, merges it
+/// into `top` (descending y, at most `k` points) and keeps the `k`
+/// highest. PointYOrder is a total order, so folding sibling sets one at
+/// a time yields exactly the top `k` of their union, in
+/// O(|top| + |add| log |add|) per fold instead of a sort of the union.
+inline void FoldTopK(std::vector<Point>* top, std::span<const Point> add,
+                     size_t k) {
+  std::vector<Point> run(add.begin(), add.end());
+  std::sort(run.begin(), run.end(), PointDescYOrder());
+  std::vector<Point> merged(top->size() + run.size());
+  std::merge(top->begin(), top->end(), run.begin(), run.end(),
+             merged.begin(), PointDescYOrder());
+  if (merged.size() > k) merged.resize(k);
+  top->swap(merged);
+}
+
+/// Multiset difference for invariant checks: removes one occurrence of
+/// each point of `drop` from `from`. Returns false if some point of
+/// `drop` is missing from `from`.
+inline bool ErasePoints(std::vector<Point>* from, std::vector<Point> drop) {
+  std::sort(from->begin(), from->end(), PointXOrder());
+  std::sort(drop.begin(), drop.end(), PointXOrder());
+  std::vector<Point> rest;
+  std::set_difference(from->begin(), from->end(), drop.begin(), drop.end(),
+                      std::back_inserter(rest), PointXOrder());
+  const bool all_found = rest.size() + drop.size() == from->size();
+  from->swap(rest);
+  return all_found;
+}
+
+/// Invariant check for the TS chains of one node's children: `heads[i]`
+/// must hold exactly the top `k` by descending y of the points stored in
+/// children [0, i) (`stored[j]` for child j), recomputed by a full sort of
+/// each prefix union rather than through FoldTopK. Pass the children in
+/// reverse to check right-sibling chains.
+inline Status CheckTsChains(Pager* pager, std::span<const PageId> heads,
+                            std::span<const std::vector<Point>> stored,
+                            size_t k) {
+  PageIo io(pager);
+  std::vector<Point> prefix;
+  for (size_t i = 0; i < heads.size(); ++i) {
+    std::vector<Point> want = prefix;
+    std::sort(want.begin(), want.end(), PointDescYOrder());
+    if (want.size() > k) want.resize(k);
+    std::vector<Point> chain;
+    CCIDX_RETURN_IF_ERROR(io.ReadChain<Point>(heads[i], &chain));
+    if (chain != want) {
+      return Status::Corruption("TS chain is not the top B^2 of its siblings");
+    }
+    prefix.insert(prefix.end(), stored[i].begin(), stored[i].end());
+  }
+  return Status::OK();
 }
 
 /// Scans a descending-y chain from the top, emitting — one page at a time

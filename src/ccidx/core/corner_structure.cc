@@ -26,8 +26,7 @@ std::vector<Point> AnswerSet(const std::vector<Point>& pts, Coord c) {
   for (const Point& p : pts) {
     if (p.x <= c && p.y >= c) out.push_back(p);
   }
-  std::sort(out.begin(), out.end(),
-            [](const Point& a, const Point& b) { return PointYOrder()(b, a); });
+  std::sort(out.begin(), out.end(), PointDescYOrder());
   return out;
 }
 

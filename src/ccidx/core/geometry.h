@@ -50,6 +50,14 @@ struct PointYOrder {
   }
 };
 
+/// PointYOrder reversed: the order of every horizontal (descending-y)
+/// chain. A functor, so sorts and selections inline it.
+struct PointDescYOrder {
+  bool operator()(const Point& a, const Point& b) const {
+    return PointYOrder()(b, a);
+  }
+};
+
 /// Diagonal corner query: corner (a, a) on the line x = y; region is the
 /// quarter plane above and to the left, { (x, y) : x <= a, y >= a }.
 /// An interval stabbing query at a maps to exactly this (Prop. 2.2).

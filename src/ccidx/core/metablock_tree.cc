@@ -9,9 +9,6 @@ namespace ccidx {
 
 namespace {
 
-// Descending-y comparator (PointYOrder reversed).
-bool DescY(const Point& a, const Point& b) { return PointYOrder()(b, a); }
-
 // Upper bound on one fan-out batch staged through WarmMany: keeps a
 // single subtree visit's speculative footprint (and thus the pages an
 // early-stopping sink can leave unused) small and independent of the
@@ -47,11 +44,6 @@ Result<MetablockTree::BuiltNode> MetablockTree::BuildNode(
   node.control_page = pager->Allocate();
   Control& ctrl = node.ctrl;
   ctrl = Control{};
-  ctrl.children_head = kInvalidPageId;
-  ctrl.vindex_head = kInvalidPageId;
-  ctrl.horiz_head = kInvalidPageId;
-  ctrl.ts_head = kInvalidPageId;
-  ctrl.corner_header = kInvalidPageId;
   ctrl.sub_xlo = group.first_x();
   ctrl.sub_xhi = group.last_x();
 
@@ -68,17 +60,14 @@ Result<MetablockTree::BuiltNode> MetablockTree::BuildNode(
     own = std::move(part->top);
 
     std::vector<ChildEntry> child_entries;
-    std::vector<Point> left_union;  // own points of left siblings so far
+    std::vector<Point> ts;  // top B^2 of the left siblings' own points
     for (PointGroup& sub : part->children) {
       auto child = BuildNode(pager, std::move(sub), branching, options);
       CCIDX_RETURN_IF_ERROR(child.status());
 
       // TS(child) = the B^2 highest-y points stored in its left siblings.
-      if (options.use_ts_structures && !left_union.empty()) {
-        std::vector<Point> ts = left_union;
-        std::sort(ts.begin(), ts.end(), DescY);
-        if (ts.size() > b2) ts.resize(b2);
-        auto head = WriteDescYChain(pager, std::move(ts));
+      if (options.use_ts_structures && !ts.empty()) {
+        auto head = WriteDescYChain(pager, ts);
         CCIDX_RETURN_IF_ERROR(head.status());
         child->ctrl.ts_head = *head;
       }
@@ -86,8 +75,7 @@ Result<MetablockTree::BuiltNode> MetablockTree::BuildNode(
           WriteControl(pager, child->control_page, child->ctrl));
       child_entries.push_back({child->ctrl.sub_xlo, child->ctrl.bbox_ymax,
                                child->control_page});
-      left_union.insert(left_union.end(), child->own_points.begin(),
-                        child->own_points.end());
+      if (options.use_ts_structures) FoldTopK(&ts, child->own_points, b2);
     }
     PageIo io(pager);
     auto ids = io.WriteChain<ChildEntry>(child_entries);
@@ -439,7 +427,7 @@ Status MetablockTree::CheckSubtree(PageId control_id, Coord parent_min_y,
     }
   }
   // Horizontal chain must be in descending-y order.
-  if (!std::is_sorted(own.begin(), own.end(), DescY)) {
+  if (!std::is_sorted(own.begin(), own.end(), PointDescYOrder())) {
     return Status::Corruption("horizontal chain not descending by y");
   }
   // Vertical blocking must hold the same multiset, ascending by x.
@@ -481,13 +469,22 @@ Status MetablockTree::CheckSubtree(PageId control_id, Coord parent_min_y,
     if (children.size() != ctrl.num_children) {
       return Status::Corruption("children count mismatch");
     }
+    std::vector<PageId> ts_heads;
+    std::vector<std::vector<Point>> stored(children.size());
     for (size_t i = 0; i < children.size(); ++i) {
       if (i > 0 && children[i].sub_xlo < children[i - 1].sub_xlo) {
         return Status::Corruption("children not ordered by x");
       }
       CCIDX_RETURN_IF_ERROR(
           CheckSubtree(children[i].control, ctrl.bbox_ymin, false));
+      Control cc;
+      CCIDX_RETURN_IF_ERROR(LoadControl(children[i].control, &cc));
+      ts_heads.push_back(cc.ts_head);
+      if (options_.use_ts_structures) {  // else every TS chain is absent
+        CCIDX_RETURN_IF_ERROR(io.ReadChain<Point>(cc.horiz_head, &stored[i]));
+      }
     }
+    CCIDX_RETURN_IF_ERROR(CheckTsChains(pager_, ts_heads, stored, b2));
   }
   return Status::OK();
 }

@@ -156,12 +156,12 @@ class MetablockTree {
     uint32_t num_children;
     Coord bbox_xmin, bbox_xmax, bbox_ymin, bbox_ymax;  // of own points
     Coord sub_xlo, sub_xhi;                            // subtree x-interval
-    uint64_t children_head;   // chain of ChildEntry
-    uint64_t vindex_head;     // vertical blocking index chain
-    uint64_t horiz_head;      // descending-y chain of own points
-    uint64_t ts_head;         // TS(this): desc-y chain (kInvalid at root /
-                              // leftmost children)
-    uint64_t corner_header;   // CornerStructure (kInvalid if not built)
+    uint64_t children_head = kInvalidPageId;  // chain of ChildEntry
+    uint64_t vindex_head = kInvalidPageId;    // vertical blocking index chain
+    uint64_t horiz_head = kInvalidPageId;     // desc-y chain of own points
+    uint64_t ts_head = kInvalidPageId;  // TS(this): desc-y chain (kInvalid at
+                                        // root / leftmost children)
+    uint64_t corner_header = kInvalidPageId;  // CornerStructure, if built
   };
 
   struct ChildEntry {

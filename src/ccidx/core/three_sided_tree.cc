@@ -4,19 +4,6 @@
 
 namespace ccidx {
 
-namespace {
-
-bool DescY(const Point& a, const Point& b) { return PointYOrder()(b, a); }
-
-// Top-k of `pts` by descending y, written as a chain. Empty -> kInvalid.
-Result<PageId> WriteTopK(Pager* pager, std::vector<Point> pts, size_t k) {
-  std::sort(pts.begin(), pts.end(), DescY);
-  if (pts.size() > k) pts.resize(k);
-  return WriteDescYChain(pager, std::move(pts));
-}
-
-}  // namespace
-
 Status ThreeSidedTree::WriteControl(Pager* pager, PageId id,
                                     const Control& c) {
   auto ref = pager->PinMut(id, Pager::MutMode::kOverwrite);
@@ -44,13 +31,6 @@ Result<ThreeSidedTree::BuiltNode> ThreeSidedTree::BuildNode(
   node.control_page = pager->Allocate();
   Control& ctrl = node.ctrl;
   ctrl = Control{};
-  ctrl.children_head = kInvalidPageId;
-  ctrl.vindex_head = kInvalidPageId;
-  ctrl.horiz_head = kInvalidPageId;
-  ctrl.ts_left_head = kInvalidPageId;
-  ctrl.ts_right_head = kInvalidPageId;
-  ctrl.own_pst_root = kInvalidPageId;
-  ctrl.children_pst_root = kInvalidPageId;
   ctrl.sub_xlo = group.first_x();
   ctrl.sub_xhi = group.last_x();
 
@@ -72,33 +52,36 @@ Result<ThreeSidedTree::BuiltNode> ThreeSidedTree::BuildNode(
       children.push_back(std::move(*child));
     }
 
-    // TS-left from prefix unions, TS-right from suffix unions.
+    // TS-left from running prefix top-B^2 folds, TS-right from suffix
+    // folds.
+    std::vector<Point> ts;
     std::vector<Point> acc;
     for (size_t i = 0; i < children.size(); ++i) {
-      if (!acc.empty()) {
-        auto head = WriteTopK(pager, acc, b2);
+      if (!ts.empty()) {
+        auto head = WriteDescYChain(pager, ts);
         CCIDX_RETURN_IF_ERROR(head.status());
         children[i].ctrl.ts_left_head = *head;
       }
+      FoldTopK(&ts, children[i].own_points, b2);
       acc.insert(acc.end(), children[i].own_points.begin(),
                  children[i].own_points.end());
     }
-    // `acc` now holds the union of all children's points: the case-(4)
-    // structure for the children of this metablock (<= B^3 points).
+    // `acc` now holds the union of all children's points in x order: the
+    // case-(4) structure for the children of this metablock (<= B^3
+    // points).
     {
-      auto pst = ExternalPst::Build(pager, acc);
+      auto pst = ExternalPst::Build(pager, std::move(acc));
       CCIDX_RETURN_IF_ERROR(pst.status());
       ctrl.children_pst_root = pst->root();
     }
-    std::vector<Point> suffix;
+    ts.clear();
     for (size_t i = children.size(); i-- > 0;) {
-      if (!suffix.empty()) {
-        auto head = WriteTopK(pager, suffix, b2);
+      if (!ts.empty()) {
+        auto head = WriteDescYChain(pager, ts);
         CCIDX_RETURN_IF_ERROR(head.status());
         children[i].ctrl.ts_right_head = *head;
       }
-      suffix.insert(suffix.end(), children[i].own_points.begin(),
-                    children[i].own_points.end());
+      FoldTopK(&ts, children[i].own_points, b2);
     }
 
     std::vector<ChildEntry> entries;
@@ -486,7 +469,7 @@ Status ThreeSidedTree::CheckSubtree(PageId id, Coord parent_min_y,
   if (ctrl.num_children > 0 && ctrl.num_points != b2) {
     return Status::Corruption("internal metablock must hold exactly B^2");
   }
-  if (!std::is_sorted(own.begin(), own.end(), DescY)) {
+  if (!std::is_sorted(own.begin(), own.end(), PointDescYOrder())) {
     return Status::Corruption("horizontal chain not descending by y");
   }
   for (const Point& p : own) {
@@ -514,23 +497,26 @@ Status ThreeSidedTree::CheckSubtree(PageId id, Coord parent_min_y,
     if (children.size() != ctrl.num_children) {
       return Status::Corruption("children count mismatch");
     }
+    std::vector<PageId> left_heads, right_heads;
+    std::vector<std::vector<Point>> stored(children.size());
     for (size_t i = 0; i < children.size(); ++i) {
       if (i > 0 && children[i].sub_xlo < children[i - 1].sub_xhi) {
         return Status::Corruption("children x-intervals out of order");
       }
-      // TS presence: all but the first need ts_left; all but the last
-      // need ts_right.
       Control cc;
       CCIDX_RETURN_IF_ERROR(LoadControl(children[i].control, &cc));
-      if (i > 0 && cc.ts_left_head == kInvalidPageId) {
-        return Status::Corruption("missing TS-left");
-      }
-      if (i + 1 < children.size() && cc.ts_right_head == kInvalidPageId) {
-        return Status::Corruption("missing TS-right");
-      }
+      left_heads.push_back(cc.ts_left_head);
+      right_heads.push_back(cc.ts_right_head);
+      CCIDX_RETURN_IF_ERROR(io.ReadChain<Point>(cc.horiz_head, &stored[i]));
       CCIDX_RETURN_IF_ERROR(
           CheckSubtree(children[i].control, ctrl.bbox_ymin, false, count));
     }
+    // TS-left of child i: top B^2 of children [0, i); TS-right: of
+    // children (i, end).
+    CCIDX_RETURN_IF_ERROR(CheckTsChains(pager_, left_heads, stored, b2));
+    std::reverse(right_heads.begin(), right_heads.end());
+    std::reverse(stored.begin(), stored.end());
+    CCIDX_RETURN_IF_ERROR(CheckTsChains(pager_, right_heads, stored, b2));
   }
   return Status::OK();
 }

@@ -96,13 +96,16 @@ class ThreeSidedTree {
     uint32_t num_children;
     Coord bbox_xmin, bbox_xmax, bbox_ymin, bbox_ymax;
     Coord sub_xlo, sub_xhi;
-    uint64_t children_head;
-    uint64_t vindex_head;
-    uint64_t horiz_head;
-    uint64_t ts_left_head;   // top B^2 of LEFT siblings (right path fence)
-    uint64_t ts_right_head;  // top B^2 of RIGHT siblings (left path fence)
-    uint64_t own_pst_root;   // Lemma 4.1 structure over own points
-    uint64_t children_pst_root;  // over union of children's own points
+    uint64_t children_head = kInvalidPageId;
+    uint64_t vindex_head = kInvalidPageId;
+    uint64_t horiz_head = kInvalidPageId;
+    // Top B^2 of LEFT siblings (right path fence), and of RIGHT siblings
+    // (left path fence).
+    uint64_t ts_left_head = kInvalidPageId;
+    uint64_t ts_right_head = kInvalidPageId;
+    uint64_t own_pst_root = kInvalidPageId;  // Lemma 4.1 over own points
+    // Over the union of the children's own points.
+    uint64_t children_pst_root = kInvalidPageId;
   };
 
   struct ChildEntry {

@@ -8,10 +8,6 @@
 
 namespace ccidx {
 
-namespace {
-bool DescY(const Point& a, const Point& b) { return PointYOrder()(b, a); }
-}  // namespace
-
 DynamicPst::DynamicPst(Pager* pager)
     : pager_(pager), root_(kInvalidPageId), size_(0) {
   CCIDX_CHECK(NodeCapacity() >= 2);
@@ -60,10 +56,11 @@ Result<PageId> DynamicPst::BuildNode(Pager* pager, PointGroup group,
     auto all = std::move(group).TakeAll();
     CCIDX_RETURN_IF_ERROR(all.status());
     own = std::move(*all);
+    std::sort(own.begin(), own.end(), PointDescYOrder());
   } else {
     auto part = std::move(group).PartitionTopY(cap, 2);
     CCIDX_RETURN_IF_ERROR(part.status());
-    own = std::move(part->top);
+    own = std::move(part->top);  // already descending by y
     PointGroup* left_group =
         part->children.size() > 1 ? &part->children[0] : nullptr;
     PointGroup* right_group =
@@ -77,7 +74,6 @@ Result<PageId> DynamicPst::BuildNode(Pager* pager, PointGroup group,
     CCIDX_RETURN_IF_ERROR(right.status());
     h.right = *right;
   }
-  std::sort(own.begin(), own.end(), DescY);
   h.count = static_cast<uint32_t>(own.size());
   h.min_y = own.empty() ? kCoordMax : own.back().y;
   auto ref = pager->PinNew();
@@ -124,7 +120,9 @@ Result<DynamicPst> DynamicPst::Build(Pager* pager,
 
 Result<DynamicPst> DynamicPst::Build(Pager* pager,
                                      std::vector<Point>&& points) {
-  std::sort(points.begin(), points.end(), PointXOrder());
+  if (!std::is_sorted(points.begin(), points.end(), PointXOrder())) {
+    std::sort(points.begin(), points.end(), PointXOrder());
+  }
   return Build(pager, PointGroup::FromVector(std::move(points)));
 }
 
@@ -178,14 +176,14 @@ Status DynamicPst::Insert(const Point& p) {
     // point stay here would break the heap prune).
     bool absorb = pts.size() < cap && (is_leaf || carried.y >= old_min);
     if (absorb) {
-      auto pos = std::lower_bound(pts.begin(), pts.end(), carried, DescY);
+      auto pos = std::ranges::lower_bound(pts, carried, PointDescYOrder());
       pts.insert(pos, carried);
       CCIDX_RETURN_IF_ERROR(StoreNode(id, h, &pts));
       break;
     }
     if (carried.y > old_min ||
         (pts.size() < cap && is_leaf)) {  // displace the minimum
-      auto pos = std::lower_bound(pts.begin(), pts.end(), carried, DescY);
+      auto pos = std::ranges::lower_bound(pts, carried, PointDescYOrder());
       pts.insert(pos, carried);
       carried = pts.back();
       pts.pop_back();
@@ -418,7 +416,7 @@ Status DynamicPst::CheckNode(PageId id, Coord parent_min_y, bool is_root,
   NodeHeader h;
   std::vector<Point> pts;
   CCIDX_RETURN_IF_ERROR(LoadNode(id, &h, &pts));
-  if (!std::is_sorted(pts.begin(), pts.end(), DescY)) {
+  if (!std::is_sorted(pts.begin(), pts.end(), PointDescYOrder())) {
     return Status::Corruption("node not descending by y");
   }
   for (const Point& p : pts) {

@@ -9,7 +9,6 @@
 namespace ccidx {
 
 namespace {
-bool DescY(const Point& a, const Point& b) { return PointYOrder()(b, a); }
 constexpr auto kRlx = std::memory_order_relaxed;
 }  // namespace
 
@@ -35,10 +34,11 @@ Result<PageId> ExternalPst::BuildNode(Pager* pager, PointGroup group,
     auto all = std::move(group).TakeAll();
     CCIDX_RETURN_IF_ERROR(all.status());
     own = std::move(*all);
+    std::sort(own.begin(), own.end(), PointDescYOrder());
   } else {
     auto part = std::move(group).PartitionTopY(cap, 2);
     CCIDX_RETURN_IF_ERROR(part.status());
-    own = std::move(part->top);
+    own = std::move(part->top);  // already descending by y
     // A one-element rest yields a single child: the right half (the even
     // split gives the left child floor(rest/2) = 0 points).
     PointGroup* left_group =
@@ -54,7 +54,6 @@ Result<PageId> ExternalPst::BuildNode(Pager* pager, PointGroup group,
     CCIDX_RETURN_IF_ERROR(right.status());
     h.right = *right;
   }
-  std::sort(own.begin(), own.end(), DescY);
   h.count = static_cast<uint32_t>(own.size());
   h.min_y = own.empty() ? kCoordMax : own.back().y;
 
@@ -103,7 +102,9 @@ Result<ExternalPst> ExternalPst::Build(Pager* pager,
 
 Result<ExternalPst> ExternalPst::Build(Pager* pager,
                                        std::vector<Point>&& points) {
-  std::sort(points.begin(), points.end(), PointXOrder());
+  if (!std::is_sorted(points.begin(), points.end(), PointXOrder())) {
+    std::sort(points.begin(), points.end(), PointXOrder());
+  }
   return Build(pager, PointGroup::FromVector(std::move(points)));
 }
 
@@ -183,7 +184,7 @@ bool ExternalPst::TryAbsorbRootLocked(const Point& p, uint32_t cap,
   const Coord oxhi = sy_->root_h.sub_xhi;
   sy_->root_h.sub_xlo = std::min(oxlo, p.x);
   sy_->root_h.sub_xhi = std::max(oxhi, p.x);
-  auto pos = std::lower_bound(pts.begin(), pts.end(), p, DescY);
+  auto pos = std::ranges::lower_bound(pts, p, PointDescYOrder());
   pos = pts.insert(pos, p);
   *st = StoreRootLocked();
   if (!st->ok()) {
@@ -238,7 +239,7 @@ void ExternalPst::UndoRootDisplaceLocked(const Point& p, const Point& carried,
       break;
     }
   }
-  auto pos = std::lower_bound(pts.begin(), pts.end(), carried, DescY);
+  auto pos = std::ranges::lower_bound(pts, carried, PointDescYOrder());
   pts.insert(pos, carried);
   // Best-effort disk repair: sequentially the root was never rewritten
   // since the displacement (nothing to repair, and under fault injection
@@ -295,15 +296,13 @@ Status ExternalPst::BuildShadowSubtree(PageId start, Point carried,
       // minimum (descendants sit at or below it; a lower point staying
       // here would break the heap prune).
       if (e.pts.size() < cap && (is_leaf || carried.y >= old_min)) {
-        auto pos =
-            std::lower_bound(e.pts.begin(), e.pts.end(), carried, DescY);
+        auto pos = std::ranges::lower_bound(e.pts, carried, PointDescYOrder());
         e.pts.insert(pos, carried);
         plan.push_back(std::move(e));
         break;
       }
       if (carried.y > old_min) {  // displace the minimum downward
-        auto pos =
-            std::lower_bound(e.pts.begin(), e.pts.end(), carried, DescY);
+        auto pos = std::ranges::lower_bound(e.pts, carried, PointDescYOrder());
         e.pts.insert(pos, carried);
         carried = e.pts.back();
         e.pts.pop_back();
@@ -454,7 +453,7 @@ Status ExternalPst::Insert(const Point& p) {
               sy_->root_pts.empty() ? kCoordMax : sy_->root_pts.back().y;
           if (p.y > old_min) {  // displace the root minimum downward
             std::vector<Point>& pts = sy_->root_pts;
-            auto pos = std::lower_bound(pts.begin(), pts.end(), p, DescY);
+            auto pos = std::ranges::lower_bound(pts, p, PointDescYOrder());
             pts.insert(pos, p);
             carried = pts.back();
             pts.pop_back();
@@ -585,7 +584,7 @@ Status ExternalPst::Delete(const Point& p, bool* found) {
           Status st = StoreRootLocked();
           if (st.ok()) st = txn.Commit();
           if (!st.ok()) {
-            auto pos = std::lower_bound(pts.begin(), pts.end(), p, DescY);
+            auto pos = std::ranges::lower_bound(pts, p, PointDescYOrder());
             pts.insert(pos, p);
             RefreshRootMetaLocked();
             return st;
@@ -855,7 +854,7 @@ Status ExternalPst::CheckNode(PageId id, Coord parent_min_y, bool is_root,
   NodeHeader h;
   std::vector<Point> pts;
   CCIDX_RETURN_IF_ERROR(LoadNode(id, &h, &pts));
-  if (!std::is_sorted(pts.begin(), pts.end(), DescY)) {
+  if (!std::is_sorted(pts.begin(), pts.end(), PointDescYOrder())) {
     return Status::Corruption("PST node not descending by y");
   }
   for (const Point& p : pts) {

@@ -141,20 +141,16 @@ void TcpServerTransport::Accept() {
     raw->fd = fd;
     // The writer queues bytes and arms EPOLLOUT; epoll_ctl is
     // thread-safe, so the dispatcher thread can arm directly without
-    // bouncing through the event loop.
+    // bouncing through the event loop. It arms under `mu`, after the
+    // `closed` check: CloseConnection closes the fd under the same lock,
+    // so a reused fd number is never armed for this dead connection.
     raw->session = server_->OpenSession([this, raw](
                                             std::span<const uint8_t> bytes) {
-      bool arm = false;
-      {
-        std::lock_guard lock(raw->mu);
-        if (raw->closed) return;  // peer gone: drop the response bytes
-        raw->outbox.insert(raw->outbox.end(), bytes.begin(), bytes.end());
-        if (!raw->epollout_armed) {
-          raw->epollout_armed = true;
-          arm = true;
-        }
-      }
-      if (arm) {
+      std::lock_guard lock(raw->mu);
+      if (raw->closed) return;  // peer gone: drop the response bytes
+      raw->outbox.insert(raw->outbox.end(), bytes.begin(), bytes.end());
+      if (!raw->epollout_armed) {
+        raw->epollout_armed = true;
         epoll_event ev{};
         ev.events = EPOLLIN | EPOLLOUT;
         ev.data.ptr = raw;

@@ -1,6 +1,7 @@
 // Tests for the external bulk-build pipeline (DESIGN.md §6): the
 // ExternalSorter's ordering / memory-budget / I/O-bound guarantees, the
-// PointGroup run-vs-resident partition equivalence, stream-build ==
+// PointGroup run-vs-resident partition equivalence, FoldTopK and the
+// resident partition against full-sort references, stream-build ==
 // vector-build structural and query equivalence for every migrated index
 // family, streaming-generator determinism, and fault-atomicity of sort +
 // build (clean Status, no leaked pages) at every device transfer.
@@ -9,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <random>
 #include <thread>
 
 #include "ccidx/build/external_sorter.h"
@@ -18,6 +20,7 @@
 #include "ccidx/classes/simple_class_index.h"
 #include "ccidx/core/augmented_metablock_tree.h"
 #include "ccidx/core/augmented_three_sided_tree.h"
+#include "ccidx/core/blocking.h"
 #include "ccidx/core/metablock_tree.h"
 #include "ccidx/core/three_sided_tree.h"
 #include "ccidx/interval/dynamic_interval_index.h"
@@ -262,6 +265,97 @@ TEST_F(BuildTest, PointGroupRunPartitionMatchesResident) {
     }
     ASSERT_TRUE(scope.Commit().ok());
     EXPECT_EQ(dev_.live_pages(), 0u);
+  }
+}
+
+// Tie-heavy points: few distinct x and y values, and repeated (x, y)
+// pairs that differ only in id, so every comparison level of PointYOrder
+// decides some selection.
+std::vector<Point> TiedPoints(size_t n, uint32_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<Point> pts;
+  for (size_t i = 0; i < n; ++i) {
+    Point p{static_cast<Coord>(rng() % 17), static_cast<Coord>(rng() % 5),
+            i};
+    pts.push_back(p);
+    if (rng() % 4 == 0) pts.push_back({p.x, p.y, p.id + n});
+  }
+  return pts;
+}
+
+TEST(FoldTopKTest, MatchesSortAndTruncateOfTheUnion) {
+  for (uint32_t seed = 1; seed <= 20; ++seed) {
+    std::vector<Point> pts = TiedPoints(300, seed);
+    for (size_t k : {size_t{1}, size_t{kB * kB}, pts.size() + 7}) {
+      // Fold uneven chunks (some empty) in input order.
+      std::vector<Point> top;
+      std::mt19937_64 rng(seed * 31 + k);
+      for (size_t i = 0; i < pts.size();) {
+        size_t len = std::min<size_t>(rng() % 40, pts.size() - i);
+        FoldTopK(&top, std::span<const Point>(pts).subspan(i, len), k);
+        ASSERT_LE(top.size(), k);
+        ASSERT_TRUE(std::is_sorted(top.begin(), top.end(), PointDescYOrder()));
+        i += len;
+      }
+      std::vector<Point> want = pts;
+      std::sort(want.begin(), want.end(), PointDescYOrder());
+      if (want.size() > k) want.resize(k);
+      EXPECT_EQ(top, want) << "seed " << seed << " k " << k;
+    }
+  }
+}
+
+TEST_F(BuildTest, ResidentPartitionMatchesFullSortAndRunPath) {
+  for (auto mode : {PointGroup::SplitMode::kEven,
+                    PointGroup::SplitMode::kTieFreeX}) {
+    for (uint32_t seed = 1; seed <= 4; ++seed) {
+      std::vector<Point> pts = TiedPoints(900, seed);
+      std::sort(pts.begin(), pts.end(), PointXOrder());
+      for (uint32_t keep :
+           {1u, kB * kB, static_cast<uint32_t>(pts.size() - 1)}) {
+        auto res = PointGroup::FromVector(pts).PartitionTopY(keep, kB, mode);
+        ASSERT_TRUE(res.ok());
+
+        // Full-sort reference: `top` is the sorted prefix, and the
+        // children hold the rest in x order.
+        std::vector<Point> by_y = pts;
+        std::sort(by_y.begin(), by_y.end(), PointDescYOrder());
+        EXPECT_EQ(res->top, std::vector<Point>(by_y.begin(),
+                                               by_y.begin() + keep));
+        std::vector<Point> rest;
+        for (const Point& p : pts) {
+          if (PointYOrder()(p, by_y[keep - 1])) rest.push_back(p);
+        }
+
+        TxnScope scope(&pager_);
+        SpanStream<Point> stream(pts);
+        auto run_group = PointGroup::FromStream(&pager_, &stream, 64, false);
+        ASSERT_TRUE(run_group.ok());
+        ASSERT_FALSE(run_group->resident());
+        auto run = std::move(*run_group).PartitionTopY(keep, kB, mode);
+        ASSERT_TRUE(run.ok());
+        EXPECT_EQ(run->top, res->top);
+        ASSERT_EQ(run->children.size(), res->children.size());
+
+        std::vector<Point> children;
+        for (size_t i = 0; i < res->children.size(); ++i) {
+          auto a = std::move(res->children[i]).TakeAll();
+          auto b = std::move(run->children[i]).TakeAll();
+          ASSERT_TRUE(a.ok());
+          ASSERT_TRUE(b.ok());
+          EXPECT_EQ(*a, *b);
+          ASSERT_FALSE(a->empty());
+          if (mode == PointGroup::SplitMode::kTieFreeX && !children.empty()) {
+            EXPECT_NE(children.back().x, a->front().x)
+                << "tie-free split separated an equal-x run";
+          }
+          children.insert(children.end(), a->begin(), a->end());
+        }
+        EXPECT_EQ(children, rest);
+        ASSERT_TRUE(scope.Commit().ok());
+        EXPECT_EQ(dev_.live_pages(), 0u);
+      }
+    }
   }
 }
 
