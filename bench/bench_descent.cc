@@ -12,7 +12,7 @@
 // Two configurations per shape, selected by the benchmark argument:
 //   /0  speculation off (CCIDX_PREFETCH=0): the historical serial walk —
 //       one device round per level, one per leaf.
-//   /1  speculation on (budget CCIDX_SPEC_BUDGET, default 4): per-level
+//   /1  speculation on (budget Pager::kSpeculationBudget = 4): per-level
 //       batched warm-ups of the routed child + right siblings, and
 //       leaf windows pinned through Pager::PinMany.
 // The acceptance bar for this layer is >= 1.5x on the cold range scan

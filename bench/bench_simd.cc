@@ -2,8 +2,7 @@
 // dispatched kernel at every level the host supports, against the scalar
 // reference — the acceptance bar is the 3-sided filter at >= 2x over
 // scalar on AVX2 hosts — plus the end-to-end effect on the warm
-// metablock diagonal query (the suite's canonical in-core hot path) and
-// a prefetch on/off comparison of a cold chain scan.
+// metablock diagonal query (the suite's canonical in-core hot path).
 
 #include "bench_util.h"
 

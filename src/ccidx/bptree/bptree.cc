@@ -498,11 +498,6 @@ Status BPlusTree::RangeScan(int64_t lo, int64_t hi,
     size_t tail_size = 0;
     std::span<const BtEntry> run =
         QualifyingRun(view->entries, lo, hi, &tail_size);
-    if (run.size() == tail_size && view->next != kInvalidPageId) {
-      // Scan continues into the next leaf (unless the sink stops): stage
-      // its read so it overlaps the emit.
-      pager_->Prefetch({&view->next, 1});
-    }
     em.Emit(run);
     if (run.size() < tail_size) return Status::OK();  // crossed above hi
     id = view->next;

@@ -51,7 +51,8 @@ inline size_t DefaultSortBudget(Pager* pager, size_t record_size) {
 
 /// Lazily merges sorted runs into one sorted stream. Each way buffers one
 /// page block (pinned zero-copy); consumed run pages are freed behind the
-/// cursor.
+/// cursor. When overlap pays, each way's next page is warmed resident
+/// ahead of its pin, so up to two pages per way occupy the pool.
 template <typename T, typename Less>
 class MergeStream final : public RecordStream<T> {
  public:
@@ -60,10 +61,8 @@ class MergeStream final : public RecordStream<T> {
       : pager_(pager), less_(less),
         out_block_(out_block == 0 ? 1 : out_block) {
     ways_.reserve(runs.size());
-    heads_.reserve(runs.size());
     for (const SortedRun& run : runs) {
       ways_.push_back(std::make_unique<Way>(pager, run));
-      if (run.head != kInvalidPageId) heads_.push_back(run.head);
     }
   }
 
@@ -79,10 +78,11 @@ class MergeStream final : public RecordStream<T> {
     }
     out_.clear();
     while (out_.size() < out_block_) {
-      size_t w = tree_->winner();
-      if (ways_[w]->done) break;  // every way exhausted
-      out_.push_back(ways_[w]->current());
-      CCIDX_RETURN_IF_ERROR(ways_[w]->Advance());
+      Way& way = *ways_[tree_->winner()];
+      if (way.done) break;  // every way exhausted
+      out_.push_back(way.current());
+      way.pos++;
+      CCIDX_RETURN_IF_ERROR(Refill(way));
       tree_->Replay();
     }
     return std::span<const T>(out_);
@@ -107,21 +107,6 @@ class MergeStream final : public RecordStream<T> {
 
     const T& current() const { return block[pos]; }
 
-    Status Advance() {
-      pos++;
-      while (pos >= block.size()) {
-        auto next = reader.Next();
-        CCIDX_RETURN_IF_ERROR(next.status());
-        block = *next;
-        pos = 0;
-        if (block.empty()) {
-          done = true;
-          break;
-        }
-      }
-      return Status::OK();
-    }
-
     RunReader<T> reader;
     std::span<const T> block;
     size_t pos = 0;
@@ -145,20 +130,8 @@ class MergeStream final : public RecordStream<T> {
 
   Status Prime() {
     primed_ = true;
-    // Merge fan-in (DESIGN.md §10): every way's head page is known up
-    // front and independent of the others — stage them all as one batched
-    // device round before the serial priming loop, instead of paying one
-    // dependent device round-trip per way. Gated on the speculation
-    // budget, so cost-model runs keep the historical access pattern.
-    if (pager_->speculation_budget() > 0 && heads_.size() >= 2) {
-      pager_->WarmMany(heads_);
-    }
     for (auto& way : ways_) {
-      auto first = way->reader.Next();
-      CCIDX_RETURN_IF_ERROR(first.status());
-      way->block = *first;
-      way->pos = 0;
-      way->done = way->block.empty();
+      CCIDX_RETURN_IF_ERROR(Refill(*way));
     }
     tree_.emplace(ways_.size(), WayExhausted{&ways_},
                   WayLess{&ways_, less_});
@@ -166,11 +139,46 @@ class MergeStream final : public RecordStream<T> {
     return Status::OK();
   }
 
+  // Once `way`'s block is consumed, pins its run's next page (or marks
+  // the way done at the run's end).
+  Status Refill(Way& way) {
+    while (way.pos >= way.block.size() && !way.done) {
+      WarmIfCold(way.reader.next_page());
+      auto next = way.reader.Next();
+      CCIDX_RETURN_IF_ERROR(next.status());
+      way.block = *next;
+      way.pos = 0;
+      way.done = way.block.empty();
+    }
+    return Status::OK();
+  }
+
+  // Merge fan-in (DESIGN.md §10): the next page of every way is known
+  // and independent of the others. When the page about to be pinned is
+  // not resident, warm every way's non-resident next page in one batched
+  // device round instead of paying one dependent round-trip per page
+  // crossing; at priming this warms every run's head. Gated on the
+  // speculation budget, so cost-model runs keep the historical access
+  // pattern.
+  void WarmIfCold(PageId next) {
+    if (pager_->speculation_budget() == 0 || ways_.size() < 2 ||
+        next == kInvalidPageId || pager_->TouchIfResident(next)) {
+      return;
+    }
+    warm_.clear();
+    for (const auto& way : ways_) {
+      PageId id = way->reader.next_page();
+      if (id == kInvalidPageId) continue;
+      if (id == next || !pager_->TouchIfResident(id)) warm_.push_back(id);
+    }
+    pager_->WarmMany(warm_);
+  }
+
   Pager* pager_;
   Less less_;
   size_t out_block_;
   std::vector<std::unique_ptr<Way>> ways_;
-  std::vector<PageId> heads_;  // run head pages, for the batched prime
+  std::vector<PageId> warm_;  // WarmIfCold's batch, reused
   std::optional<LoserTree<WayExhausted, WayLess>> tree_;
   std::vector<T> out_;
   bool primed_ = false;

@@ -140,13 +140,12 @@ class RunReader final : public RecordStream<T> {
     next_ = view->next;
     view_ = std::move(*view);
     view_held_ = true;
-    if (next_ != kInvalidPageId) {
-      // Runs are always drained to the end: stage the successor so merge
-      // fan-ins overlap each input's device read with the consumer's work.
-      pager_->Prefetch({&next_, 1});
-    }
     return view_.records;
   }
+
+  /// The page the next Next() pins (kInvalidPageId at the run's end):
+  /// what a merge warms so every way's successor loads in one round.
+  PageId next_page() const { return next_; }
 
   /// Frees every unconsumed page (error-path cleanup).
   Status Discard() {

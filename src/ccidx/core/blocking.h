@@ -192,12 +192,6 @@ inline Result<bool> ScanDescYChain(Pager* pager, PageId head, Coord ylo,
     // Descending y: the qualifying points are exactly a prefix, found by
     // the dispatched partition-point scan.
     size_t n = simd::PrefixYAtLeast(k, view->records, ylo);
-    if (n == view->records.size() && view->next != kInvalidPageId) {
-      // The whole page qualifies, so the scan continues into the next
-      // page (unless the sink stops it): stage that read now so the
-      // device latency overlaps the emit below.
-      pager->Prefetch({&view->next, 1});
-    }
     em.Emit(view->records.first(n));
     if (n < view->records.size()) return true;
     id = view->next;
@@ -226,17 +220,9 @@ inline Status ScanVerticalBlocks(Pager* pager,
                                  SinkEmitter<Point>& em) {
   PageIo io(pager);
   const simd::KernelTable& k = simd::Kernels();
-  for (size_t bi = 0; bi < index.size(); ++bi) {
-    const VerticalBlock& blk = index[bi];
+  for (const VerticalBlock& blk : index) {
     if (blk.xhi < xlo) continue;
     if (blk.xlo > xhi || em.stopped()) break;
-    if (bi + 1 < index.size() && index[bi + 1].xlo <= xhi &&
-        index[bi + 1].xhi >= xlo) {
-      // The next block also intersects the slab: overlap its read with
-      // this block's filter + emit.
-      PageId next = index[bi + 1].page;
-      pager->Prefetch({&next, 1});
-    }
     auto view = io.ViewRecords<Point>(blk.page);
     CCIDX_RETURN_IF_ERROR(view.status());
     // Points ascend by x within the page: the qualifying run is the
@@ -257,12 +243,6 @@ inline Status EmitChain(Pager* pager, PageId head, SinkEmitter<Record>& em) {
   while (id != kInvalidPageId && !em.stopped()) {
     auto view = io.template ViewRecords<Record>(id);
     CCIDX_RETURN_IF_ERROR(view.status());
-    if (view->next != kInvalidPageId) {
-      // Stage the next link while the sink consumes this page. Wasted
-      // only if the sink stops on this very emit — at most one page of
-      // readahead overshoot per chain, and only in cached mode.
-      pager->Prefetch({&view->next, 1});
-    }
     em.Emit(view->records);
     id = view->next;
   }

@@ -185,17 +185,13 @@ class PageIo {
     return ids;
   }
 
-  /// Reads an entire chain starting at `head` into `out`. The next link
-  /// is prefetched before this page's records are copied out, so the
-  /// walk's device reads pipeline with its memcpy work (chains are always
-  /// read to the end — readahead here can never fetch an unused page).
+  /// Reads an entire chain starting at `head` into `out`.
   template <typename Record>
   Status ReadChain(PageId head, std::vector<Record>* out) {
     PageId id = head;
     while (id != kInvalidPageId) {
       auto view = ViewRecords<Record>(id);
       CCIDX_RETURN_IF_ERROR(view.status());
-      if (view->next != kInvalidPageId) pager_->Prefetch({&view->next, 1});
       out->insert(out->end(), view->records.begin(), view->records.end());
       id = view->next;
     }
@@ -217,8 +213,6 @@ class PageIo {
       r.Get<uint32_t>();
       r.Get<uint32_t>();
       id = r.Get<uint64_t>();
-      // Enumeration always walks to the end of the chain.
-      if (id != kInvalidPageId) pager_->Prefetch({&id, 1});
     }
     return Status::OK();
   }

@@ -45,13 +45,8 @@ void PageRef::Release() {
     // Lock-free unpin: a read pin releases with a single atomic decrement,
     // no shard lock. The release order pairs with the eviction sweep's
     // acquire load, so a frame observed unpinned is safe to reuse.
-    Pager* pager = pager_;
     uint32_t prev = frame_->pins.fetch_sub(1, std::memory_order_release);
     CCIDX_CHECK(prev > 0);
-    // A frame just went evictable: re-stage any warm hints that were
-    // parked while the pool was pin-saturated (one relaxed load when
-    // nothing is parked — the hot path stays lock-free).
-    if (prev == 1) pager->ReviveDeferredPrefetches();
   } else {
     // Transient read pin: recycle the arena slot (or drop the heap
     // fallback). No I/O.
@@ -100,7 +95,6 @@ Status MutPageRef::Release() {
     uint32_t prev = frame_->pins.fetch_sub(1, std::memory_order_release);
     CCIDX_CHECK(prev > 0);
     frame_ = nullptr;
-    if (prev == 1) pager->ReviveDeferredPrefetches();
     return Status::OK();
   }
   // Uncached: the page lives only in this handle; write it back now so the
@@ -148,27 +142,19 @@ Pager::Pager(BlockDevice* device, uint32_t capacity_pages)
   CCIDX_CHECK(device_ != nullptr);
   num_shards_ = PickShardCount(capacity_);
   shard_mask_ = num_shards_ - 1;
-  // Readahead is only meaningful with a pool to land frames in; uncached
-  // pagers must keep the exact historical cost model (every test that
-  // counts I/Os relies on it). CCIDX_PREFETCH=0 disables the hint
-  // globally for differential prefetch-on/off replays.
-  const char* prefetch_env = std::getenv("CCIDX_PREFETCH");
-  prefetch_enabled_ =
-      capacity_ > 0 &&
-      !(prefetch_env != nullptr && std::strcmp(prefetch_env, "0") == 0);
   // Speculation (WarmMany, speculative descent fetches) turns on only when
   // overlapping device requests actually buys latency: injected per-read
   // delay or real kernel I/O. A zero-latency in-memory device stays in
   // cost-model mode, where a speculative read would *add* counted I/Os —
-  // so there it is structurally impossible, not just disabled.
-  overlap_enabled_ = prefetch_enabled_ &&
-                     (device_->read_latency_us() > 0 || device_->real_io());
-  if (overlap_enabled_) {
-    base_spec_budget_ = 4;
-    if (const char* env = std::getenv("CCIDX_SPEC_BUDGET")) {
-      long v = std::strtol(env, nullptr, 10);
-      if (v >= 0) base_spec_budget_ = static_cast<uint32_t>(v);
-    }
+  // so there it is structurally impossible, not just disabled. Uncached
+  // pagers have no pool to warm and keep the exact historical cost model.
+  // CCIDX_PREFETCH=0 disables it globally for differential on/off replays.
+  const char* prefetch_env = std::getenv("CCIDX_PREFETCH");
+  const bool prefetch_off =
+      prefetch_env != nullptr && std::strcmp(prefetch_env, "0") == 0;
+  if (capacity_ > 0 && !prefetch_off &&
+      (device_->read_latency_us() > 0 || device_->real_io())) {
+    base_spec_budget_ = kSpeculationBudget;
     spec_budget_.store(base_spec_budget_, std::memory_order_relaxed);
   }
 
@@ -211,14 +197,6 @@ Pager::Pager(BlockDevice* device, uint32_t capacity_pages)
 }
 
 Pager::~Pager() {
-  // Stop the readahead pool first: workers touch shard state and the
-  // arena, so they must be joined before anything is torn down.
-  {
-    std::lock_guard lock(prefetch_mu_);
-    prefetch_stop_ = true;
-  }
-  prefetch_cv_.notify_all();
-  for (std::thread& t : prefetch_threads_) t.join();
   // All pins must be released before the pool is torn down: a live handle
   // would point into freed frames.
   CCIDX_CHECK(outstanding_pins() == 0);
@@ -417,11 +395,7 @@ TxnScope::~TxnScope() {
     pager_->txns_.erase(std::this_thread::get_id());
   }
   for (PageId id : frees) {
-    Status s = pager_->device_->Free(id);
-    if (s.ok()) {
-      pager_->ForgetAllocation(id);
-      if (pager_->capacity_ > 0) pager_->RequestReviveAsync();
-    }
+    if (pager_->device_->Free(id).ok()) pager_->ForgetAllocation(id);
   }
 }
 
@@ -617,12 +591,6 @@ Status Pager::Free(PageId id) {
   }
   Status s = device_->Free(id);
   if (s.ok()) ForgetAllocation(id);
-  // A freed slot is new capacity: ask a prefetch worker to re-stage the
-  // parked warm hints. Signal-only — Free's callers hold structure
-  // latches (ExternalPst commits free under root_mu, Dynamized installs
-  // free under levels_mu + buffer_mu), so the staging pass (dedupe,
-  // residency probes, shard locks) must not run inline here.
-  if (s.ok() && capacity_ > 0) RequestReviveAsync();
   return s;
 }
 
@@ -646,13 +614,6 @@ Result<PageRef> Pager::Pin(PageId id) {
     ref.pager_ = this;
     transient_outstanding_.fetch_add(1, std::memory_order_relaxed);
     return ref;
-  }
-  // If a prefetch of this very page is queued or in flight, wait for it to
-  // land instead of issuing a second device read: the prefetch workers
-  // read outside the shard lock, so without this the pin would race the
-  // in-flight load and double-count the transfer.
-  if (prefetch_pending_count_.load(std::memory_order_relaxed) > 0) {
-    WaitPrefetchDone(id);
   }
   uint64_t hash = MixPageId(id);
   uint32_t shard_idx = static_cast<uint32_t>(hash) & shard_mask_;
@@ -794,6 +755,9 @@ Status Pager::BatchLoadResident(std::span<const PageId> ids,
     if (pin) out->clear();  // unwinds every phase-A pin
     return read_status;
   }
+  if (!pin) {
+    prefetches_issued_.fetch_add(misses.size(), std::memory_order_relaxed);
+  }
 
   // Pin mode: how many output slots each miss fills (duplicate ids).
   std::vector<uint32_t> uses;
@@ -859,13 +823,7 @@ Status Pager::BatchLoadResident(std::span<const PageId> ids,
         installed[m] = frame;
       }
     }
-    if (installed[m] == nullptr && !pin) {
-      // Warm hint with a pin-saturated home shard: park it for the
-      // clock-hand feed — the next pin release or Free re-stages it —
-      // instead of dropping the already-paid read's locality hint.
-      DeferPrefetch(e.id);
-      continue;
-    }
+    // A warm whose home shard is pin-saturated just drops the hint.
     if (installed[m] != nullptr || !pin) continue;
     // Home shard pin-saturated: degrade to transient handles over the
     // already-read scratch bytes (Pin's contract, at the same device
@@ -935,172 +893,26 @@ Result<std::vector<PageRef>> Pager::PinMany(std::span<const PageId> ids) {
     }
     return out;
   }
-  if (prefetch_pending_count_.load(std::memory_order_relaxed) > 0) {
-    for (PageId id : ids) WaitPrefetchDone(id);
-  }
   CCIDX_RETURN_IF_ERROR(BatchLoadResident(ids, &out));
   return out;
 }
 
 void Pager::WarmMany(std::span<const PageId> ids) {
-  if (!overlap_enabled_ || ids.empty()) return;
+  if (base_spec_budget_ == 0 || ids.empty()) return;
   (void)BatchLoadResident(ids, nullptr);
 }
 
-// ---------------------------------------------------------------------------
-// Readahead (DESIGN.md §9, §10)
-// ---------------------------------------------------------------------------
-
 bool Pager::TouchIfResident(PageId id) {
+  if (capacity_ == 0) return false;
   uint64_t hash = MixPageId(id);
   Shard& shard = shards_[static_cast<uint32_t>(hash) & shard_mask_];
   std::unique_lock lock(shard.mu, std::try_to_lock);
-  if (!lock.owns_lock()) return false;  // contended: let a worker decide
+  if (!lock.owns_lock()) return false;  // contended: let the warm decide
   uint32_t pos = ProbeLocked(shard, id, hash);
   int32_t slot = shard.table[pos];
   if (slot < 0) return false;
   shard.frames[slot].referenced = true;
   return true;
-}
-
-void Pager::WaitPrefetchDone(PageId id) {
-  std::unique_lock lock(prefetch_mu_);
-  prefetch_done_cv_.wait(lock, [&] {
-    return prefetch_stop_ || prefetch_pending_.count(id) == 0;
-  });
-}
-
-void Pager::PrefetchWorker() {
-  std::unique_lock lock(prefetch_mu_);
-  std::vector<PageId> batch;
-  for (;;) {
-    prefetch_cv_.wait(lock, [this] {
-      return prefetch_stop_ || revive_requested_ || !prefetch_queue_.empty();
-    });
-    if (prefetch_stop_) return;
-    if (revive_requested_) {
-      // A Free signalled new capacity from inside a latch-held critical
-      // section; run the staging pass here on the worker instead.
-      revive_requested_ = false;
-      lock.unlock();
-      ReviveDeferredPrefetches();
-      lock.lock();
-      if (prefetch_queue_.empty() && prefetch_inflight_ == 0) {
-        prefetch_idle_cv_.notify_all();
-      }
-      continue;
-    }
-    batch.clear();
-    while (!prefetch_queue_.empty() && batch.size() < kPrefetchBatchMax) {
-      batch.push_back(prefetch_queue_.front());
-      prefetch_queue_.pop_front();
-    }
-    prefetch_inflight_ += batch.size();
-    lock.unlock();
-    // The device reads happen here with neither the queue lock nor any
-    // shard lock held: a staged batch overlaps into one device
-    // round-trip, and a foreground pin of an unrelated page never waits
-    // behind its latency. Errors are dropped — a prefetch is a hint; the
-    // real Pin re-reads and surfaces them.
-    (void)BatchLoadResident(batch, nullptr);
-    lock.lock();
-    prefetch_inflight_ -= batch.size();
-    for (PageId id : batch) prefetch_pending_.erase(id);
-    prefetch_pending_count_.store(prefetch_pending_.size(),
-                                  std::memory_order_relaxed);
-    prefetch_done_cv_.notify_all();
-    if (prefetch_queue_.empty() && prefetch_inflight_ == 0) {
-      prefetch_idle_cv_.notify_all();
-    }
-  }
-}
-
-void Pager::Prefetch(std::span<const PageId> ids) {
-  if (!prefetch_enabled_ || ids.empty()) return;
-  bool enqueued = false;
-  {
-    std::lock_guard lock(prefetch_mu_);
-    if (prefetch_stop_) return;
-    for (PageId id : ids) {
-      if (id == kInvalidPageId) continue;
-      if (prefetch_queue_.size() >= kPrefetchQueueCap) break;  // best-effort
-      // Dedupe before enqueue: an id already staged (or in flight) and an
-      // id already resident would both make the round trip through the
-      // queue and a worker's shard-lock acquisition just to find a warm
-      // frame — the chained single-id hints from leaf-run walks hit this
-      // constantly on warm pools.
-      if (prefetch_pending_.count(id) > 0) continue;
-      if (TouchIfResident(id)) continue;
-      if (prefetch_threads_.empty()) {
-        // Lazy start: pagers that never prefetch never spawn threads.
-        prefetch_threads_.reserve(kPrefetchThreads);
-        for (size_t i = 0; i < kPrefetchThreads; ++i) {
-          prefetch_threads_.emplace_back([this] { PrefetchWorker(); });
-        }
-      }
-      prefetch_queue_.push_back(id);
-      prefetch_pending_.insert(id);
-      prefetch_pending_count_.store(prefetch_pending_.size(),
-                                    std::memory_order_relaxed);
-      prefetches_issued_.fetch_add(1, std::memory_order_relaxed);
-      enqueued = true;
-    }
-  }
-  if (enqueued) prefetch_cv_.notify_all();
-}
-
-void Pager::DrainPrefetch() {
-  std::unique_lock lock(prefetch_mu_);
-  prefetch_idle_cv_.wait(lock, [this] {
-    return !revive_requested_ && prefetch_queue_.empty() &&
-           prefetch_inflight_ == 0;
-  });
-}
-
-void Pager::DeferPrefetch(PageId id) {
-  if (!prefetch_enabled_) return;
-  std::lock_guard lock(deferred_prefetch_mu_);
-  for (PageId parked : deferred_prefetch_) {
-    if (parked == id) return;
-  }
-  if (deferred_prefetch_.size() >= kDeferredPrefetchCap) {
-    // Drop the oldest: later hints track the scan's frontier.
-    deferred_prefetch_.erase(deferred_prefetch_.begin());
-  }
-  deferred_prefetch_.push_back(id);
-  deferred_prefetch_count_.store(deferred_prefetch_.size(),
-                                 std::memory_order_relaxed);
-  prefetches_deferred_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Pager::ReviveDeferredPrefetches() {
-  // Relaxed fast path: pin releases are the lock-free hot path and parked
-  // hints are rare, so the common case must stay one load.
-  if (deferred_prefetch_count_.load(std::memory_order_relaxed) == 0) return;
-  std::vector<PageId> ids;
-  {
-    std::lock_guard lock(deferred_prefetch_mu_);
-    ids.swap(deferred_prefetch_);
-    deferred_prefetch_count_.store(0, std::memory_order_relaxed);
-  }
-  if (ids.empty()) return;
-  prefetches_revived_.fetch_add(ids.size(), std::memory_order_relaxed);
-  Prefetch(ids);
-}
-
-void Pager::RequestReviveAsync() {
-  // Same relaxed fast path as ReviveDeferredPrefetches: nothing parked,
-  // nothing to signal.
-  if (deferred_prefetch_count_.load(std::memory_order_relaxed) == 0) return;
-  {
-    std::lock_guard lock(prefetch_mu_);
-    // No worker running (nothing has been prefetched yet, or we are
-    // shutting down): leave the hints parked — the next pin-release
-    // revive or Prefetch call picks them up.
-    if (prefetch_stop_ || prefetch_threads_.empty()) return;
-    revive_requested_ = true;
-  }
-  prefetch_cv_.notify_all();
 }
 
 bool Pager::AnyOtherShardHasCapacity(uint32_t except) const {
@@ -1164,9 +976,6 @@ Result<MutPageRef> Pager::PinMut(PageId id, MutMode mode) {
   if (capacity_ == 0) {
     transient_pin_requests_.fetch_add(1, std::memory_order_relaxed);
     return TransientMutRef(id, mode);
-  }
-  if (prefetch_pending_count_.load(std::memory_order_relaxed) > 0) {
-    WaitPrefetchDone(id);
   }
   uint64_t hash = MixPageId(id);
   Shard& shard = shards_[static_cast<uint32_t>(hash) & shard_mask_];
@@ -1303,24 +1112,7 @@ Status Pager::Flush() {
   return Status::OK();
 }
 
-Status Pager::DropCache() {
-  // Quiesce readahead first: a straggler landing after the clear would
-  // leave the "cold" cache warm for exactly the page about to be pinned.
-  DrainPrefetch();
-  {
-    // Parked warm hints die with the cache: reviving one after the clear
-    // would silently re-warm a page the caller just made cold.
-    std::lock_guard lock(deferred_prefetch_mu_);
-    deferred_prefetch_.clear();
-    deferred_prefetch_count_.store(0, std::memory_order_relaxed);
-  }
-  CCIDX_RETURN_IF_ERROR(TakeDeferredError());
-  uint64_t pins = outstanding_pins();
-  if (pins > 0) {
-    return Status::FailedPrecondition(
-        "DropCache with " + std::to_string(pins) + " outstanding pin(s)");
-  }
-  CCIDX_RETURN_IF_ERROR(Flush());
+void Pager::ClearShards() {
   for (uint32_t i = 0; i < num_shards_; ++i) {
     Shard& shard = shards_[i];
     std::lock_guard lock(shard.mu);
@@ -1335,6 +1127,17 @@ Status Pager::DropCache() {
     }
     shard.hand = 0;
   }
+}
+
+Status Pager::DropCache() {
+  CCIDX_RETURN_IF_ERROR(TakeDeferredError());
+  uint64_t pins = outstanding_pins();
+  if (pins > 0) {
+    return Status::FailedPrecondition(
+        "DropCache with " + std::to_string(pins) + " outstanding pin(s)");
+  }
+  CCIDX_RETURN_IF_ERROR(Flush());
+  ClearShards();
   return Status::OK();
 }
 
@@ -1418,12 +1221,6 @@ Status Pager::FlushPages(std::span<const PageId> ids) {
 }
 
 Status Pager::DiscardCache() {
-  DrainPrefetch();
-  {
-    std::lock_guard lock(deferred_prefetch_mu_);
-    deferred_prefetch_.clear();
-    deferred_prefetch_count_.store(0, std::memory_order_relaxed);
-  }
   // Pre-crash parked errors are history the recovery replaces.
   (void)TakeDeferredError();
   uint64_t pins = outstanding_pins();
@@ -1431,20 +1228,7 @@ Status Pager::DiscardCache() {
     return Status::FailedPrecondition(
         "DiscardCache with " + std::to_string(pins) + " outstanding pin(s)");
   }
-  for (uint32_t i = 0; i < num_shards_; ++i) {
-    Shard& shard = shards_[i];
-    std::lock_guard lock(shard.mu);
-    std::fill(shard.table.begin(), shard.table.end(), -1);
-    shard.free_slots.clear();
-    for (uint32_t s = 0; s < shard.capacity; ++s) {
-      Frame& frame = shard.frames[s];
-      frame.id = kInvalidPageId;
-      frame.dirty = false;  // dirty state is deliberately dropped
-      frame.referenced = false;
-      shard.free_slots.push_back(shard.capacity - 1 - s);
-    }
-    shard.hand = 0;
-  }
+  ClearShards();  // dirty state is deliberately dropped
   return Status::OK();
 }
 

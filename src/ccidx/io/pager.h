@@ -51,14 +51,18 @@
 // fallback when it runs dry), so steady-state uncached pins do not
 // allocate either. The copy-based Read/Write survive as thin wrappers
 // over pins.
+//
+// Readahead (DESIGN.md §10) is synchronous and batched, with no
+// background threads: PinMany pins a batch and WarmMany loads one
+// resident-unpinned, each issuing its pool misses as one concurrent
+// device round. Callers gate both on speculation_budget(), which is zero
+// on cost-model devices, so counted I/Os never change there.
 
 #ifndef CCIDX_IO_PAGER_H_
 #define CCIDX_IO_PAGER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -390,29 +394,40 @@ class Pager {
   Result<std::vector<PageRef>> PinMany(std::span<const PageId> ids);
 
   /// Speculative batch warm-up: loads `ids` resident-but-unpinned as one
-  /// concurrent device batch, so an imminent Pin hits. Unlike Prefetch
-  /// this is synchronous — when it returns, the pages are resident (or
-  /// were dropped because their shard is pin-saturated; a warm is a hint
-  /// and never fails). Strict no-op unless overlap pays (see
-  /// speculation_budget()), which is what keeps counted I/Os in
-  /// cost-model mode bit-identical: a zero-latency in-memory device never
-  /// sees a speculative read.
+  /// concurrent device batch, so an imminent Pin hits. Synchronous — when
+  /// it returns, the pages are resident (or were dropped because their
+  /// shard is pin-saturated; a warm is a hint and never fails). Frames
+  /// land with the clock reference bit set and no pin, so a warmed page
+  /// never blocks Free/DropCache and an unwanted one is simply evicted.
+  /// Strict no-op unless overlap pays (see speculation_budget()), which is
+  /// what keeps counted I/Os in cost-model mode bit-identical: a
+  /// zero-latency in-memory device never sees a speculative read.
   void WarmMany(std::span<const PageId> ids);
 
-  /// Number of pages a dependent descent may speculatively fetch alongside
-  /// the routed child (CCIDX_SPEC_BUDGET, default 4; the documented
-  /// overshoot bound is <= this many unused pages per descent level).
-  /// Zero whenever speculation is off: cost-model devices (in-memory with
-  /// zero injected latency), uncached pools, or CCIDX_PREFETCH=0. Call
-  /// sites gate their speculative/batched paths on this being nonzero, so
-  /// cost-model I/O counts never change.
+  /// True if `id` is resident; its clock reference bit is then refreshed.
+  /// A cheap residency probe for callers deciding whether a warm round is
+  /// needed. Best-effort: false when the shard lock is contended (a warm
+  /// of a resident page is a hit, never a device read) and always false
+  /// on an uncached pager.
+  bool TouchIfResident(PageId id);
+
+  /// Pages a dependent descent may speculatively fetch alongside the
+  /// routed child when overlap pays; the documented overshoot bound is
+  /// <= this many unused pages per descent level.
+  static constexpr uint32_t kSpeculationBudget = 4;
+
+  /// The current speculation budget: kSpeculationBudget unless throttled,
+  /// and zero whenever speculation is off: cost-model devices (in-memory
+  /// with zero injected latency), uncached pools, or CCIDX_PREFETCH=0.
+  /// Call sites gate their speculative/batched paths on this being
+  /// nonzero, so cost-model I/O counts never change.
   uint32_t speculation_budget() const {
     return spec_budget_.load(std::memory_order_relaxed);
   }
 
-  /// The budget the environment configured (CCIDX_SPEC_BUDGET, default 4;
-  /// 0 when overlap is structurally off). set_speculation_budget restores
-  /// to at most this.
+  /// The budget speculation restores to: kSpeculationBudget, or 0 when
+  /// overlap is structurally off. set_speculation_budget restores to at
+  /// most this.
   uint32_t base_speculation_budget() const { return base_spec_budget_; }
 
   /// Runtime throttle for the speculation budget (DESIGN.md §10/§12): an
@@ -428,40 +443,10 @@ class Pager {
     spec_budget_.store(budget, std::memory_order_relaxed);
   }
 
-  /// Best-effort asynchronous readahead hint (DESIGN.md §9): stages device
-  /// reads of `ids` on a small background pool, so a subsequent Pin finds
-  /// the page resident and the device latency overlaps the caller's
-  /// per-page CPU work. Frames land unpinned-but-resident with the clock
-  /// reference bit set — a hint can never block Free/DropCache and an
-  /// unwanted page is simply evicted. Read errors are dropped (the real
-  /// Pin re-reads and surfaces them). Ids already resident or already
-  /// queued/in flight are skipped at enqueue time, so chained single-id
-  /// hints on a warm pool cost one table probe instead of a queue round
-  /// trip per call. Strict no-op when caching is disabled — the uncached
-  /// cost model stays exact — or when CCIDX_PREFETCH=0. Thread-safe
-  /// alongside Pin.
-  void Prefetch(std::span<const PageId> ids);
-
-  /// Blocks until every staged prefetch has been applied or dropped.
-  /// DropCache and the destructor drain implicitly; tests use this to
-  /// make residency deterministic.
-  void DrainPrefetch();
-
-  /// Pages staged through Prefetch since construction (diagnostics).
+  /// Pages WarmMany has read from the device since construction
+  /// (diagnostics).
   uint64_t prefetches_issued() const {
     return prefetches_issued_.load(std::memory_order_relaxed);
-  }
-
-  /// Clock-hand prefetch feed diagnostics (DESIGN.md §11): warm hints
-  /// that found their home shard pin-saturated and were parked instead
-  /// of dropped, and parked hints re-staged when a pin release / Free /
-  /// DropCache handed frames back — the path that keeps chained leaf
-  /// runs pipelined under memory pressure.
-  uint64_t prefetches_deferred() const {
-    return prefetches_deferred_.load(std::memory_order_relaxed);
-  }
-  uint64_t prefetches_revived() const {
-    return prefetches_revived_.load(std::memory_order_relaxed);
   }
 
   /// Pins a page for writing; the frame is marked dirty immediately.
@@ -628,15 +613,15 @@ class Pager {
     std::unique_ptr<uint8_t[]> buf;
   };
 
-  // Shared engine of PinMany / WarmMany / the prefetch workers. Three
-  // phases: (A) probe + pin hits under shard locks, collecting distinct
-  // misses; (B) one BlockDevice::ReadBatch into scratch buffers with no
-  // locks held, so foreground pins never wait behind device latency;
-  // (C) install under shard locks — re-probing first, because another
-  // thread may have loaded the page meanwhile. `out == nullptr` is warm
-  // mode: nothing is pinned, install failures are dropped (a warm is a
-  // hint); otherwise refs land in input order and any failure unwinds
-  // every pin taken so far.
+  // Shared engine of PinMany / WarmMany. Three phases: (A) probe + pin
+  // hits under shard locks, collecting distinct misses; (B) one
+  // BlockDevice::ReadBatch into scratch buffers with no locks held, so
+  // foreground pins never wait behind device latency; (C) install under
+  // shard locks — re-probing first, because another thread may have
+  // loaded the page meanwhile. `out == nullptr` is warm mode: nothing is
+  // pinned, install failures are dropped (a warm is a hint); otherwise
+  // refs land in input order and any failure unwinds every pin taken so
+  // far.
   Status BatchLoadResident(std::span<const PageId> ids,
                            std::vector<PageRef>* out);
 
@@ -644,74 +629,18 @@ class Pager {
   PageRef PoolRef(PageId id, Frame* frame);
   PageRef TransientRefFromHeap(PageId id, std::unique_ptr<uint8_t[]> buf);
 
-  // Readahead (DESIGN.md §9, §10): a bounded deduplicated FIFO of page ids
-  // served by lazily started worker threads. Workers drain the queue in
-  // batches through BatchLoadResident, performing the device reads with no
-  // shard lock held (a 50 us injected latency must not block foreground
-  // pins) and never taking a pin, so a prefetched frame is immediately
-  // eviction-eligible and the pin accounting (outstanding_pins,
-  // DropCache's precondition) is untouched. `prefetch_pending_` holds
-  // every id queued or in flight: the enqueue side skips duplicates, and
-  // a foreground Pin that misses on a pending id waits for the in-flight
-  // load instead of issuing a second device read.
-  void PrefetchWorker();
-  // True if `id` is resident (then its reference bit is refreshed).
-  // Best-effort: backs off to false when the shard lock is contended.
-  bool TouchIfResident(PageId id);
-  // Blocks until no prefetch of `id` is queued or in flight.
-  void WaitPrefetchDone(PageId id);
+  // Empties every shard: frames unoccupied, tables cleared, hands reset.
+  // Dirty state is dropped; DropCache flushes first, DiscardCache does not.
+  void ClearShards();
 
-  static constexpr size_t kPrefetchThreads = 2;
-  static constexpr size_t kPrefetchQueueCap = 64;
-  static constexpr size_t kPrefetchBatchMax = 16;
-
-  std::mutex prefetch_mu_;
-  std::condition_variable prefetch_cv_;       // workers: work available
-  std::condition_variable prefetch_idle_cv_;  // drainers: queue quiesced
-  std::condition_variable prefetch_done_cv_;  // pinners: a batch applied
-  std::vector<std::thread> prefetch_threads_;
-  std::deque<PageId> prefetch_queue_;
-  std::unordered_set<PageId> prefetch_pending_;  // queued or in flight
-  size_t prefetch_inflight_ = 0;
-  bool prefetch_stop_ = false;
-  bool prefetch_enabled_ = false;
-  // Mirror of prefetch_pending_.size(): lets the Pin hot path skip the
-  // pending check with one relaxed load when nothing is queued.
-  std::atomic<uint64_t> prefetch_pending_count_{0};
+  // Pages WarmMany has read from the device (prefetches_issued()).
   std::atomic<uint64_t> prefetches_issued_{0};
-
-  // Clock-hand prefetch feed (DESIGN.md §11): a warm hint whose home
-  // shard had no claimable frame (every slot pinned) parks here instead
-  // of dropping. The moment capacity reappears the parked ids are
-  // re-staged through Prefetch, so a scan-heavy batch's chained
-  // leaf-run hints survive transient pin saturation. A pin release
-  // dropping a frame to zero pins re-stages inline (lock-free hot path,
-  // the relaxed-count fast path keeps it one load); Free instead
-  // signals a prefetch worker, since its callers hold structure
-  // latches that staging work must not run under.
-  static constexpr size_t kDeferredPrefetchCap = 32;
-  void DeferPrefetch(PageId id);
-  void ReviveDeferredPrefetches();
-  // Asks the readahead workers to run ReviveDeferredPrefetches on their
-  // own thread: one short prefetch_mu_ hold and a notify, no staging
-  // work — safe from inside a caller's latch-held critical section
-  // (Free runs under structure install latches). No-op when no worker
-  // is running; the parked hints then wait for the next pin-release
-  // revive or Prefetch call.
-  void RequestReviveAsync();
-  bool revive_requested_ = false;  // guarded by prefetch_mu_
-  std::mutex deferred_prefetch_mu_;
-  std::vector<PageId> deferred_prefetch_;
-  std::atomic<uint64_t> deferred_prefetch_count_{0};  // size mirror
-  std::atomic<uint64_t> prefetches_deferred_{0};
-  std::atomic<uint64_t> prefetches_revived_{0};
   // Speculation gate (DESIGN.md §10): batched warm-ups and speculative
   // descent fetches are enabled only when overlap pays — injected latency
-  // or real kernel I/O — and the pool + prefetch machinery is on.
-  bool overlap_enabled_ = false;
-  // Current budget (runtime-throttleable) and the env-configured ceiling
-  // it restores to. Atomic: the serve-layer admission controller stores
-  // from its dispatcher thread while descents load on the workers.
+  // or real kernel I/O — on a cached pool with CCIDX_PREFETCH not 0. The
+  // base budget is kSpeculationBudget then, else 0; the current budget
+  // is atomic because the serve-layer admission controller stores it from
+  // its dispatcher thread while descents load on the workers.
   std::atomic<uint32_t> spec_budget_{0};
   uint32_t base_spec_budget_ = 0;
 

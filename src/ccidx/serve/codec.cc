@@ -85,18 +85,14 @@ void PutHeader(std::vector<uint8_t>* out, MessageKind kind,
 // Validates a complete frame and returns its payload span.
 Status SplitFrame(std::span<const uint8_t> frame, MessageKind want_kind,
                   std::span<const uint8_t>* payload) {
-  if (frame.size() < kFrameHeaderBytes) {
-    return Status::InvalidArgument("frame shorter than header");
-  }
   Reader r(frame);
   uint32_t magic, len;
   uint8_t version, kind;
   uint16_t flags;
-  r.Get32(&magic);
-  r.Get8(&version);
-  r.Get8(&kind);
-  r.Get16(&flags);
-  r.Get32(&len);
+  if (!r.Get32(&magic) || !r.Get8(&version) || !r.Get8(&kind) ||
+      !r.Get16(&flags) || !r.Get32(&len)) {
+    return Status::InvalidArgument("frame shorter than header");
+  }
   if (magic != kFrameMagic) return Status::Corruption("bad frame magic");
   if (version != kWireVersion) {
     return Status::NotSupported("unknown wire version");
@@ -192,10 +188,10 @@ Status DecodeRequest(std::span<const uint8_t> frame, Request* req) {
   for (uint32_t i = 0; i < n_updates; ++i) {
     uint8_t kind;
     UpdateOp op;
-    r.Get8(&kind);
-    r.GetI64(&op.key);
-    r.Get64(&op.value);
-    r.GetI64(&op.aux);
+    if (!r.Get8(&kind) || !r.GetI64(&op.key) || !r.Get64(&op.value) ||
+        !r.GetI64(&op.aux)) {
+      return Status::InvalidArgument("truncated update op");
+    }
     if (kind > static_cast<uint8_t>(UpdateOp::Kind::kDelete)) {
       return Status::InvalidArgument("unknown update op kind");
     }
@@ -228,9 +224,9 @@ Status DecodeResponse(std::span<const uint8_t> frame, Response* resp) {
   out.records.reserve(n_records);
   for (uint32_t i = 0; i < n_records; ++i) {
     std::array<uint64_t, 3> rec;
-    r.Get64(&rec[0]);
-    r.Get64(&rec[1]);
-    r.Get64(&rec[2]);
+    if (!r.Get64(&rec[0]) || !r.Get64(&rec[1]) || !r.Get64(&rec[2])) {
+      return Status::InvalidArgument("truncated record");
+    }
     out.records.push_back(rec);
   }
   uint32_t n_status;
@@ -240,7 +236,9 @@ Status DecodeResponse(std::span<const uint8_t> frame, Response* resp) {
   out.update_status.reserve(n_status);
   for (uint32_t i = 0; i < n_status; ++i) {
     uint8_t b;
-    r.Get8(&b);
+    if (!r.Get8(&b)) {
+      return Status::InvalidArgument("truncated update status");
+    }
     out.update_status.push_back(b);
   }
   *resp = std::move(out);

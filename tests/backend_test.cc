@@ -15,8 +15,8 @@
 //      the documented budget-per-level bound.
 //
 // Plus the batch primitives' serial-equivalent counting: ReadBatch's
-// approved-prefix fault semantics, PinMany's hit/miss/duplicate
-// accounting, and prefetch-queue dedupe.
+// approved-prefix fault semantics and PinMany's hit/miss/duplicate
+// accounting.
 
 #include <gtest/gtest.h>
 
@@ -35,9 +35,9 @@ namespace {
 constexpr uint32_t kPageSize = 256;  // fanout 10 for BtEntry
 
 // Sets an environment variable for the lifetime of one test, restoring
-// the previous value on destruction — Pager reads CCIDX_PREFETCH /
-// CCIDX_SPEC_BUDGET at construction, and tests in this binary must not
-// leak configuration into each other.
+// the previous value on destruction — Pager reads CCIDX_PREFETCH at
+// construction, and tests in this binary must not leak configuration
+// into each other.
 class ScopedEnv {
  public:
   ScopedEnv(const char* name, const char* value) : name_(name) {
@@ -163,13 +163,11 @@ TEST(CostModelTest, SpeculationFlagDoesNotChangeCountedIos) {
     ScopedEnv spec("CCIDX_PREFETCH", "1");
     on = RunWorkload({"mem", "", 0}, 256);
   }
-  // The paper's metric — page transfers — is bit-identical. read_batches
-  // is deliberately not compared: the historical async readahead hint
-  // (Pager::Prefetch, active in cost-model mode since before this layer)
-  // groups its reads into batches, changing how the same reads are
-  // *grouped*, never how many there are.
+  // The paper's metric — page transfers — is bit-identical, and so is
+  // their grouping into device batches: no readahead runs here at all.
   EXPECT_EQ(off.device.device_reads, on.device.device_reads);
   EXPECT_EQ(off.device.device_writes, on.device.device_writes);
+  EXPECT_EQ(off.device.read_batches, on.device.read_batches);
   ASSERT_EQ(off.results.size(), on.results.size());
   for (size_t i = 0; i < off.results.size(); ++i) {
     EXPECT_EQ(off.results[i], on.results[i]);
@@ -226,7 +224,6 @@ TEST(SpeculationTest, LatencyReplayIdenticalResultsBoundedExtraReads) {
   }
   {
     ScopedEnv on("CCIDX_PREFETCH", "1");
-    ScopedEnv budget("CCIDX_SPEC_BUDGET", "4");
     spec = RunWorkload({"mem", "", 10}, 256);
   }
   ASSERT_EQ(serial.results.size(), spec.results.size());
@@ -310,26 +307,6 @@ TEST(PinManyTest, UncachedPoolReadsOneCopyPerRequest) {
   ASSERT_TRUE(refs.ok());
   ASSERT_EQ(refs->size(), 3u);
   EXPECT_EQ(device.stats().device_reads, 3u);  // same as three Pin calls
-}
-
-TEST(PrefetchTest, QueueDedupesRepeatedIds) {
-  ScopedEnv spec("CCIDX_PREFETCH", "1");
-  BlockDevice device(kPageSize, {"mem", "", 0});
-  Pager pager(&device, 64);
-  PageId a = pager.Allocate();
-  ASSERT_TRUE(pager.Flush().ok());
-  ASSERT_TRUE(pager.DropCache().ok());
-  device.ResetStats();
-
-  PageId ids[1] = {a};
-  pager.Prefetch(ids);
-  pager.Prefetch(ids);  // already queued/resident: skipped at enqueue
-  pager.Prefetch(ids);
-  pager.DrainPrefetch();
-  EXPECT_LE(device.stats().device_reads, 1u);
-  auto ref = pager.Pin(a);
-  ASSERT_TRUE(ref.ok());
-  EXPECT_EQ(device.stats().device_reads, 1u);  // resident — Pin is a hit
 }
 
 }  // namespace

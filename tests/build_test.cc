@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <random>
+#include <string>
 #include <thread>
 
 #include "ccidx/build/external_sorter.h"
@@ -164,6 +166,86 @@ TEST_F(BuildTest, SorterIoWithinSortBound) {
   EXPECT_LE(static_cast<double>(dev_.stats().TotalIos()), bound);
   ASSERT_TRUE(scope.Commit().ok());
   EXPECT_EQ(dev_.live_pages(), 0u);
+}
+
+// One cold merge of `kWays` runs through a cached pager over a
+// latency-injecting mem device (so speculation is live unless
+// CCIDX_PREFETCH=0 turns it off for this pager).
+struct ColdMerge {
+  std::vector<Point> out;
+  IoStats io;
+  uint64_t warmed = 0;  // prefetches_issued()
+  uint64_t live_after = 0;
+};
+
+ColdMerge RunColdMerge(const std::vector<std::vector<Point>>& runs,
+                       bool speculate) {
+  const char* old = std::getenv("CCIDX_PREFETCH");
+  std::string saved = old != nullptr ? old : "";
+  setenv("CCIDX_PREFETCH", speculate ? "1" : "0", 1);
+  BlockDevice dev(PageSizeForBranching(kB), {"mem", "", 20});
+  Pager pager(&dev, 128);
+  if (old != nullptr) {
+    setenv("CCIDX_PREFETCH", saved.c_str(), 1);
+  } else {
+    unsetenv("CCIDX_PREFETCH");
+  }
+  EXPECT_EQ(pager.speculation_budget() > 0, speculate);
+
+  std::vector<SortedRun> sorted_runs;
+  for (const std::vector<Point>& run : runs) {
+    RunWriter<Point> writer(&pager);
+    EXPECT_TRUE(writer.AppendSpan(run).ok());
+    auto done = writer.Finish();
+    EXPECT_TRUE(done.ok());
+    sorted_runs.push_back(*done);
+  }
+  // Evict every run page: the merge must read them all from the device.
+  EXPECT_TRUE(pager.DropCache().ok());
+  pager.ResetStats();
+
+  ColdMerge result;
+  {
+    MergeStream<Point, PointXOrder> merge(&pager, std::move(sorted_runs),
+                                          PointXOrder(), 16);
+    result.out = Collect(&merge);
+  }
+  result.io = dev.stats();
+  result.warmed = pager.prefetches_issued();
+  result.live_after = dev.live_pages();
+  return result;
+}
+
+TEST_F(BuildTest, MergeWarmsEveryWaysNextPageInOneRound) {
+  // Fan-in 8, ten pages per run, keys interleaved at random across runs,
+  // so the ways cross pages at about the same rate.
+  constexpr size_t kWays = 8;
+  constexpr size_t kPerRun = 10 * kB;
+  auto pts = RandomPointsAboveDiagonal(kWays * kPerRun, kDomain, 21);
+  std::vector<std::vector<Point>> runs(kWays);
+  for (size_t i = 0; i < pts.size(); ++i) runs[i % kWays].push_back(pts[i]);
+  for (auto& run : runs) std::sort(run.begin(), run.end(), PointXOrder());
+
+  ColdMerge serial = RunColdMerge(runs, /*speculate=*/false);
+  ColdMerge warm = RunColdMerge(runs, /*speculate=*/true);
+
+  std::sort(pts.begin(), pts.end(), PointXOrder());
+  EXPECT_EQ(serial.out, pts);
+  EXPECT_EQ(warm.out, serial.out);
+  // Warming only front-loads reads the merge performs anyway: every run
+  // page is read exactly once either way.
+  EXPECT_EQ(serial.io.device_reads, kWays * kPerRun / kB);
+  EXPECT_EQ(warm.io.device_reads, serial.io.device_reads);
+  EXPECT_EQ(serial.warmed, 0u);
+  EXPECT_EQ(serial.io.read_batches, 0u);  // one dependent Pin per page
+  // Every page arrives through a warm round, and the rounds are shared:
+  // a way's page crossing also loads the other ways' next pages (about
+  // one round per page of a run here, 11-13 for these 80 reads).
+  EXPECT_EQ(warm.warmed, warm.io.device_reads);
+  EXPECT_LE(warm.io.read_batches, warm.io.device_reads / 4);
+  // Free-behind still reclaims every consumed run page.
+  EXPECT_EQ(serial.live_after, 0u);
+  EXPECT_EQ(warm.live_after, 0u);
 }
 
 // ---------------------------------------------------------------------------

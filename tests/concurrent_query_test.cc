@@ -335,67 +335,6 @@ TEST(ConcurrentPagerStressTest, PinReleaseEvictionChurnTinyPool) {
   EXPECT_TRUE(pager.Flush().ok());
 }
 
-TEST(ConcurrentPagerStressTest, PrefetchRacesPinsEvictionAndDropCache) {
-  // Readahead workers load frames unpinned-but-resident while foreground
-  // threads pin, evict, and periodically DropCache the same pages. Run
-  // under TSan this exercises every prefetch-pool synchronization edge:
-  // enqueue vs worker pop, worker shard-lock loads vs foreground pins,
-  // drain vs in-flight loads, and destructor join.
-  constexpr uint32_t kPageSize = 256;
-  constexpr uint32_t kCapacity = 16;
-  constexpr int kPages = 96;
-  constexpr int kItersPerThread = 1500;
-
-  BlockDevice dev(kPageSize);
-  Pager pager(&dev, kCapacity);
-  std::vector<PageId> ids;
-  for (int i = 0; i < kPages; ++i) {
-    PageId id = pager.Allocate();
-    std::vector<uint8_t> fill(kPageSize,
-                              static_cast<uint8_t>((i * 53 + 7) & 0xFF));
-    ASSERT_TRUE(pager.Write(id, fill).ok());
-    ids.push_back(id);
-  }
-  ASSERT_TRUE(pager.DropCache().ok());
-
-  std::atomic<uint64_t> failures{0};
-  std::vector<std::thread> threads;
-  for (unsigned t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      std::mt19937 rng(t * 31337 + 5);
-      for (int it = 0; it < kItersPerThread; ++it) {
-        int i = static_cast<int>(rng() % kPages);
-        // Stage a small random window ahead, then pin and verify one of
-        // the staged pages — the same interleaving the chain walkers
-        // produce, at much higher eviction pressure.
-        PageId ahead[3] = {ids[i], ids[(i + 1) % kPages],
-                           ids[(i + 2) % kPages]};
-        pager.Prefetch(ahead);
-        auto pin = pager.Pin(ids[i]);
-        if (!pin.ok()) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        uint8_t want = static_cast<uint8_t>((i * 53 + 7) & 0xFF);
-        auto data = pin->data();
-        if (data.front() != want || data.back() != want) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (it % 500 == 499 && t == 0) {
-          *pin = PageRef();  // release before DropCache
-          (void)pager.DropCache();  // usually FailedPrecondition (peer pins)
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  pager.DrainPrefetch();
-  EXPECT_EQ(failures.load(), 0u);
-  EXPECT_EQ(pager.outstanding_pins(), 0u);
-  EXPECT_GT(pager.prefetches_issued(), 0u);
-  EXPECT_TRUE(pager.Flush().ok());
-}
-
 TEST(ConcurrentPagerStressTest, MultiShardHotSetStaysResident) {
   constexpr uint32_t kPageSize = 256;
   constexpr uint32_t kCapacity = 128;  // multiple shards

@@ -2,9 +2,7 @@
 // kernel of every dispatch level usable on this host must agree exactly
 // with an independent reference implementation, over randomized spans
 // including empty and partial-vector tails, unaligned subspans, and
-// all-match / none-match extremes. The prefetch tests at the bottom
-// assert the readahead path changes neither results nor device I/O
-// counts on full-scan replays.
+// all-match / none-match extremes.
 
 #include <gtest/gtest.h>
 
@@ -13,11 +11,7 @@
 #include <random>
 #include <vector>
 
-#include "ccidx/core/blocking.h"
 #include "ccidx/core/geometry.h"
-#include "ccidx/io/block_device.h"
-#include "ccidx/io/page_builder.h"
-#include "ccidx/io/pager.h"
 #include "ccidx/query/sink.h"
 #include "ccidx/simd/filter_emit.h"
 #include "ccidx/simd/simd.h"
@@ -281,104 +275,6 @@ TEST(SimdEmitTest, KernelEmissionMatchesEmitFilteredAcrossLevels) {
         << simd::LevelName(l);
   }
   ASSERT_TRUE(simd::SetLevel(original));
-}
-
-// ---------------------------------------------------------------------------
-// Prefetch: readahead must be invisible except in latency — identical
-// results, no extra device reads on full-scan replays, strict no-op on
-// uncached pagers.
-// ---------------------------------------------------------------------------
-
-class PrefetchTest : public ::testing::Test {
- protected:
-  static constexpr uint32_t kPageSize = 512;
-
-  // Builds a multi-page chain of deterministic points on `pager`.
-  static PageId WriteChain(Pager* pager, size_t n) {
-    std::mt19937_64 rng(97);
-    std::vector<Point> pts = RandomPoints(rng, n, -1000, 1000);
-    PageIo io(pager);
-    auto ids = io.WriteChain<Point>(pts);
-    CCIDX_CHECK(ids.ok());
-    return ids->front();
-  }
-};
-
-TEST_F(PrefetchTest, ChainReadMatchesUnprefetchedAndAddsNoDeviceReads) {
-  constexpr size_t kPoints = 400;  // ~20 pages at 512B
-
-  // Reference: prefetch disabled via env pin.
-  setenv("CCIDX_PREFETCH", "0", 1);
-  BlockDevice dev_ref(kPageSize);
-  Pager pager_ref(&dev_ref, 64);
-  PageId head_ref = WriteChain(&pager_ref, kPoints);
-  ASSERT_TRUE(pager_ref.DropCache().ok());  // cold: the walk must read
-  dev_ref.ResetStats();
-  std::vector<Point> expect;
-  ASSERT_TRUE(PageIo(&pager_ref).ReadChain<Point>(head_ref, &expect).ok());
-  uint64_t reads_ref = dev_ref.stats().device_reads;
-  EXPECT_EQ(pager_ref.prefetches_issued(), 0u);
-  unsetenv("CCIDX_PREFETCH");
-
-  // Same walk with the readahead pool live.
-  BlockDevice dev(kPageSize);
-  Pager pager(&dev, 64);
-  PageId head = WriteChain(&pager, kPoints);
-  // Cold pool: on a warm pool the enqueue-time dedupe would (correctly)
-  // skip every resident id and stage nothing.
-  ASSERT_TRUE(pager.DropCache().ok());
-  dev.ResetStats();
-  std::vector<Point> got;
-  ASSERT_TRUE(PageIo(&pager).ReadChain<Point>(head, &got).ok());
-  pager.DrainPrefetch();  // quiesce before counting
-  uint64_t reads = dev.stats().device_reads;
-
-  EXPECT_EQ(got.size(), expect.size());
-  EXPECT_TRUE(std::equal(got.begin(), got.end(), expect.begin(),
-                         [](const Point& a, const Point& b) { return a == b; }));
-  // Readahead only front-loads reads the walk performs anyway; a page is
-  // still read from the device at most once.
-  EXPECT_LE(reads, reads_ref);
-  EXPECT_GT(pager.prefetches_issued(), 0u);
-}
-
-TEST_F(PrefetchTest, DescYChainScanIdenticalWithPrefetch) {
-  std::mt19937_64 rng(5);
-  std::vector<Point> pts = RandomPoints(rng, 300, -500, 500);
-
-  auto scan = [&](bool enable) {
-    if (!enable) setenv("CCIDX_PREFETCH", "0", 1);
-    BlockDevice dev(kPageSize);
-    Pager pager(&dev, 64);
-    auto head = WriteDescYChain(&pager, pts);
-    CCIDX_CHECK(head.ok());
-    std::vector<Point> out;
-    auto crossed = CollectDescYChain(&pager, *head, -100, &out);
-    CCIDX_CHECK(crossed.ok());
-    pager.DrainPrefetch();
-    if (!enable) unsetenv("CCIDX_PREFETCH");
-    return out;
-  };
-
-  std::vector<Point> with = scan(true);
-  std::vector<Point> without = scan(false);
-  ASSERT_EQ(with.size(), without.size());
-  EXPECT_TRUE(std::equal(with.begin(), with.end(), without.begin(),
-                         [](const Point& a, const Point& b) { return a == b; }));
-}
-
-TEST_F(PrefetchTest, UncachedPagerIgnoresPrefetch) {
-  // capacity 0 = uncached cost-model mode: every strict I/O-count test in
-  // the suite relies on Prefetch being a no-op there.
-  BlockDevice dev(kPageSize);
-  Pager pager(&dev, 0);
-  PageId head = WriteChain(&pager, 100);
-  dev.ResetStats();
-  PageId ids[2] = {head, head};
-  pager.Prefetch(ids);
-  pager.DrainPrefetch();
-  EXPECT_EQ(pager.prefetches_issued(), 0u);
-  EXPECT_EQ(dev.stats().device_reads, 0u);
 }
 
 }  // namespace
