@@ -48,12 +48,14 @@ void BM_ThreeSidedVsPst(benchmark::State& state) {
     ThreeSidedQuery q{x, x + width, kDomain - kDomain / 6};
     s->tree_disk.device.ResetStats();
     std::vector<Point> out1;
-    CCIDX_CHECK(s->tree->Query(q, &out1).ok());
+    VectorSink<Point> out1_sink(&out1);
+    CCIDX_CHECK(s->tree->Query(q, &out1_sink).ok());
     tree_ios += s->tree_disk.device.stats().TotalIos();
 
     s->pst_disk.device.ResetStats();
     std::vector<Point> out2;
-    CCIDX_CHECK(s->pst->Query(q, &out2).ok());
+    VectorSink<Point> out2_sink(&out2);
+    CCIDX_CHECK(s->pst->Query(q, &out2_sink).ok());
     pst_ios += s->pst_disk.device.stats().TotalIos();
 
     CCIDX_CHECK(out1.size() == out2.size());
@@ -124,7 +126,8 @@ void BM_AugmentedThreeSidedQuery(benchmark::State& state) {
     ThreeSidedQuery q{x, x + (1 << 15), kDomain - kDomain / 6};
     s->disk.device.ResetStats();
     std::vector<Point> out;
-    CCIDX_CHECK(s->tree.Query(q, &out).ok());
+    VectorSink<Point> sink(&out);
+    CCIDX_CHECK(s->tree.Query(q, &sink).ok());
     ios += s->disk.device.stats().TotalIos();
     total_t += out.size();
     queries++;

@@ -62,7 +62,8 @@ void BM_AblationSmallOutput(benchmark::State& state) {
     auto run = [&](Disk& d, MetablockTree* t) {
       d.device.ResetStats();
       std::vector<Point> out;
-      CCIDX_CHECK(t->Query({a}, &out).ok());
+      VectorSink<Point> sink(&out);
+      CCIDX_CHECK(t->Query({a}, &sink).ok());
       return std::make_pair(d.device.stats().TotalIos(), out.size());
     };
     auto [i1, t1] = run(s->full_disk, s->full.get());
@@ -98,7 +99,8 @@ void BM_AblationMidOutput(benchmark::State& state) {
     auto run = [&](Disk& d, MetablockTree* t) {
       d.device.ResetStats();
       std::vector<Point> out;
-      CCIDX_CHECK(t->Query({a}, &out).ok());
+      VectorSink<Point> sink(&out);
+      CCIDX_CHECK(t->Query({a}, &sink).ok());
       return std::make_pair(d.device.stats().TotalIos(), out.size());
     };
     auto [i1, t1] = run(s->full_disk, s->full.get());

@@ -43,7 +43,8 @@ void BM_BptreeRangeQuery(benchmark::State& state) {
   for (auto _ : state) {
     s->disk.device.ResetStats();
     std::vector<BtEntry> out;
-    CCIDX_CHECK(s->tree->RangeSearch(lo, lo + t - 1, &out).ok());
+    VectorSink<BtEntry> sink(&out);
+    CCIDX_CHECK(s->tree->RangeScan(lo, lo + t - 1, &sink).ok());
     CCIDX_CHECK(out.size() == static_cast<size_t>(t));
     ios += s->disk.device.stats().TotalIos();
     queries++;

@@ -90,12 +90,14 @@ void BM_RakeVsSimple(benchmark::State& state) {
 
     s->simple_disk.device.ResetStats();
     std::vector<uint64_t> out1;
-    CCIDX_CHECK(s->simple.Query(cls, a1, a2, &out1).ok());
+    VectorSink<uint64_t> out1_sink(&out1);
+    CCIDX_CHECK(s->simple.Query(cls, a1, a2, &out1_sink).ok());
     io_simple += s->simple_disk.device.stats().TotalIos();
 
     s->rake_disk.device.ResetStats();
     std::vector<uint64_t> out2;
-    CCIDX_CHECK(s->rake->Query(cls, a1, a2, &out2).ok());
+    VectorSink<uint64_t> out2_sink(&out2);
+    CCIDX_CHECK(s->rake->Query(cls, a1, a2, &out2_sink).ok());
     io_rake += s->rake_disk.device.stats().TotalIos();
 
     CCIDX_CHECK(out1.size() == out2.size());

@@ -82,20 +82,21 @@ void BM_ClassQuery(benchmark::State& state) {
     auto measure = [&](Disk& d, auto&& q) {
       d.device.ResetStats();
       std::vector<uint64_t> out;
-      CCIDX_CHECK(q(&out).ok());
+      VectorSink<uint64_t> sink(&out);
+      CCIDX_CHECK(q(&sink).ok());
       return std::make_pair(d.device.stats().TotalIos(), out.size());
     };
-    auto [i1, t1] = measure(s->simple_disk, [&](std::vector<uint64_t>* o) {
-      return s->simple.Query(cls, a1, a2, o);
+    auto [i1, t1] = measure(s->simple_disk, [&](ResultSink<uint64_t>* sink) {
+      return s->simple.Query(cls, a1, a2, sink);
     });
-    auto [i2, t2] = measure(s->single_disk, [&](std::vector<uint64_t>* o) {
-      return s->single.Query(cls, a1, a2, o);
+    auto [i2, t2] = measure(s->single_disk, [&](ResultSink<uint64_t>* sink) {
+      return s->single.Query(cls, a1, a2, sink);
     });
-    auto [i3, t3] = measure(s->full_disk, [&](std::vector<uint64_t>* o) {
-      return s->full.Query(cls, a1, a2, o);
+    auto [i3, t3] = measure(s->full_disk, [&](ResultSink<uint64_t>* sink) {
+      return s->full.Query(cls, a1, a2, sink);
     });
-    auto [i4, t4] = measure(s->extent_disk, [&](std::vector<uint64_t>* o) {
-      return s->extent.Query(cls, a1, a2, o);
+    auto [i4, t4] = measure(s->extent_disk, [&](ResultSink<uint64_t>* sink) {
+      return s->extent.Query(cls, a1, a2, sink);
     });
     CCIDX_CHECK(t1 == t2 && t2 == t3 && t3 == t4);
     io_simple += i1;

@@ -108,7 +108,8 @@ void BM_ColdRangeScan(benchmark::State& state) {
     CCIDX_CHECK(s->pager.DropCache().ok());
     out.clear();
     auto t0 = std::chrono::steady_clock::now();
-    CCIDX_CHECK(s->tree.RangeSearch(lo, lo + kSpan - 1, &out).ok());
+    VectorSink<BtEntry> sink(&out);
+    CCIDX_CHECK(s->tree.RangeScan(lo, lo + kSpan - 1, &sink).ok());
     std::chrono::duration<double> dt =
         std::chrono::steady_clock::now() - t0;
     state.SetIterationTime(dt.count());
@@ -138,7 +139,8 @@ void BM_ColdPointLookup(benchmark::State& state) {
     CCIDX_CHECK(s->pager.DropCache().ok());
     out.clear();
     auto t0 = std::chrono::steady_clock::now();
-    CCIDX_CHECK(s->tree.RangeSearch(key, key, &out).ok());
+    VectorSink<BtEntry> sink(&out);
+    CCIDX_CHECK(s->tree.RangeScan(key, key, &sink).ok());
     std::chrono::duration<double> dt =
         std::chrono::steady_clock::now() - t0;
     state.SetIterationTime(dt.count());

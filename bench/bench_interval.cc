@@ -54,14 +54,16 @@ void BM_IntervalStab(benchmark::State& state) {
   for (auto _ : state) {
     s->disk.device.ResetStats();
     std::vector<Interval> out;
-    CCIDX_CHECK(s->index->Stab(q, &out).ok());
+    VectorSink<Interval> sink(&out);
+    CCIDX_CHECK(s->index->Stab(q, &sink).ok());
     ios += s->disk.device.stats().TotalIos();
     total_t += out.size();
 
     // PST baseline: stabbing = 2-sided query (x <= q, y >= q).
     s->pst_disk.device.ResetStats();
     std::vector<Point> pst_out;
-    CCIDX_CHECK(s->pst->Query({kCoordMin, q, q}, &pst_out).ok());
+    VectorSink<Point> pst_sink(&pst_out);
+    CCIDX_CHECK(s->pst->Query({kCoordMin, q, q}, &pst_sink).ok());
     CCIDX_CHECK(pst_out.size() == out.size());
     pst_ios += s->pst_disk.device.stats().TotalIos();
 
@@ -90,7 +92,8 @@ void BM_IntervalIntersect(benchmark::State& state) {
   for (auto _ : state) {
     s->disk.device.ResetStats();
     std::vector<Interval> out;
-    CCIDX_CHECK(s->index->Intersect(q, q + width, &out).ok());
+    VectorSink<Interval> sink(&out);
+    CCIDX_CHECK(s->index->Intersect(q, q + width, &sink).ok());
     ios += s->disk.device.stats().TotalIos();
     total_t += out.size();
     queries++;

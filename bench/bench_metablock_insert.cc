@@ -64,7 +64,8 @@ void BM_AugmentedQueryAfterInserts(benchmark::State& state) {
   for (auto _ : state) {
     s->disk.device.ResetStats();
     std::vector<Point> out;
-    CCIDX_CHECK(s->tree.Query({a}, &out).ok());
+    VectorSink<Point> sink(&out);
+    CCIDX_CHECK(s->tree.Query({a}, &sink).ok());
     ios += s->disk.device.stats().TotalIos();
     total_t += out.size();
     queries++;

@@ -44,7 +44,8 @@ void BM_MetablockDiagonalQuery(benchmark::State& state) {
   for (auto _ : state) {
     s->disk.device.ResetStats();
     std::vector<Point> out;
-    CCIDX_CHECK(s->tree->Query({a}, &out).ok());
+    VectorSink<Point> sink(&out);
+    CCIDX_CHECK(s->tree->Query({a}, &sink).ok());
     ios += s->disk.device.stats().TotalIos();
     total_t += out.size();
     queries++;
@@ -80,7 +81,8 @@ void BM_MetablockLowerBoundStaircase(benchmark::State& state) {
   for (auto _ : state) {
     s->disk.device.ResetStats();
     std::vector<Point> out;
-    CCIDX_CHECK(s->tree->Query({2 * (i % n) + 1}, &out).ok());
+    VectorSink<Point> sink(&out);
+    CCIDX_CHECK(s->tree->Query({2 * (i % n) + 1}, &sink).ok());
     CCIDX_CHECK(out.size() == 1);
     ios += s->disk.device.stats().TotalIos();
     queries++;

@@ -104,7 +104,8 @@ void BM_MetablockQueryPinned(benchmark::State& state) {
   std::vector<Point> out;
   for (auto _ : state) {
     out.clear();
-    Status s = tree->Query({dist(rng)}, &out);
+    VectorSink<Point> sink(&out);
+    Status s = tree->Query({dist(rng)}, &sink);
     if (!s.ok()) state.SkipWithError("query failed");
     benchmark::DoNotOptimize(out.data());
   }

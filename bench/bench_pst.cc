@@ -44,7 +44,8 @@ void BM_PstThreeSided(benchmark::State& state) {
     s->disk.device.ResetStats();
     std::vector<Point> out;
     ThreeSidedQuery q{x, x + width, kDomain - kDomain / 8};
-    CCIDX_CHECK(s->pst->Query(q, &out).ok());
+    VectorSink<Point> sink(&out);
+    CCIDX_CHECK(s->pst->Query(q, &sink).ok());
     ios += s->disk.device.stats().TotalIos();
     total_t += out.size();
     queries++;
@@ -99,8 +100,9 @@ void BM_DynamicPstChurn(benchmark::State& state) {
   // Query cost after the churn.
   disk.device.ResetStats();
   std::vector<Point> out;
+  VectorSink<Point> sink(&out);
   CCIDX_CHECK(
-      pst->Query({kDomain / 4, kDomain / 2, kDomain - kDomain / 8}, &out)
+      pst->Query({kDomain / 4, kDomain / 2, kDomain - kDomain / 8}, &sink)
           .ok());
   state.counters["query_io_after_churn"] =
       static_cast<double>(disk.device.stats().TotalIos());

@@ -157,7 +157,8 @@ void BM_MetablockDiagonalWarm(benchmark::State& state) {
   std::vector<Point> out;
   for (auto _ : state) {
     out.clear();
-    CCIDX_CHECK(s->tree->Query({a}, &out).ok());
+    VectorSink<Point> sink(&out);
+    CCIDX_CHECK(s->tree->Query({a}, &sink).ok());
     total_t += out.size();
     queries++;
     a = (a + kDomain / 13) % kDomain;

@@ -48,7 +48,8 @@ void BM_MetablockDiagonalSinks(benchmark::State& state) {
     switch (kind) {
       case kVector: {
         std::vector<Point> out;
-        CCIDX_CHECK(s->tree->Query({a}, &out).ok());
+        VectorSink<Point> sink(&out);
+        CCIDX_CHECK(s->tree->Query({a}, &sink).ok());
         total_t += out.size();
         break;
       }

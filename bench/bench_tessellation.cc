@@ -69,7 +69,8 @@ void BM_MetablockContrast(benchmark::State& state) {
   for (auto _ : state) {
     s->disk.device.ResetStats();
     std::vector<Point> out;
-    CCIDX_CHECK(s->tree->Query({2 * p - 1}, &out).ok());
+    VectorSink<Point> sink(&out);
+    CCIDX_CHECK(s->tree->Query({2 * p - 1}, &sink).ok());
     ios += s->disk.device.stats().TotalIos();
     total_t += out.size();
     queries++;

@@ -81,20 +81,21 @@ int main() {
     auto run = [&](auto&& fn) -> std::pair<size_t, uint64_t> {
       device.ResetStats();
       std::vector<uint64_t> out;
-      if (!fn(&out).ok()) std::exit(1);
+      VectorSink<uint64_t> sink(&out);
+      if (!fn(&sink).ok()) std::exit(1);
       return {out.size(), device.stats().TotalIos()};
     };
-    auto [t1, io1] = run([&](std::vector<uint64_t>* o) {
-      return simple.Query(q.cls, q.a1, q.a2, o);
+    auto [t1, io1] = run([&](ResultSink<uint64_t>* sink) {
+      return simple.Query(q.cls, q.a1, q.a2, sink);
     });
-    auto [t2, io2] = run([&](std::vector<uint64_t>* o) {
-      return single.Query(q.cls, q.a1, q.a2, o);
+    auto [t2, io2] = run([&](ResultSink<uint64_t>* sink) {
+      return single.Query(q.cls, q.a1, q.a2, sink);
     });
-    auto [t3, io3] = run([&](std::vector<uint64_t>* o) {
-      return full.Query(q.cls, q.a1, q.a2, o);
+    auto [t3, io3] = run([&](ResultSink<uint64_t>* sink) {
+      return full.Query(q.cls, q.a1, q.a2, sink);
     });
-    auto [t4, io4] = run([&](std::vector<uint64_t>* o) {
-      return rc->Query(q.cls, q.a1, q.a2, o);
+    auto [t4, io4] = run([&](ResultSink<uint64_t>* sink) {
+      return rc->Query(q.cls, q.a1, q.a2, sink);
     });
     if (t1 != t2 || t2 != t3 || t3 != t4) {
       std::fprintf(stderr, "result mismatch!\n");

@@ -60,7 +60,8 @@ int main() {
   Coord w_lo = (12 * 24 + 9) * 60, w_hi = (12 * 24 + 11) * 60;
   device.ResetStats();
   std::vector<Interval> clashes;
-  if (!calendar.Intersect(w_lo, w_hi, &clashes).ok()) return 1;
+  VectorSink<Interval> sink(&clashes);
+  if (!calendar.Intersect(w_lo, w_hi, &sink).ok()) return 1;
   std::printf("maintenance window clashes: %zu bookings, %llu I/Os\n",
               clashes.size(),
               static_cast<unsigned long long>(device.stats().TotalIos()));

@@ -34,14 +34,15 @@ int main() {
   // 3. Stabbing query: which intervals contain the point 50000?
   device.ResetStats();
   std::vector<Interval> hits;
-  if (!index.Stab(50000, &hits).ok()) return 1;
+  VectorSink<Interval> sink(&hits);
+  if (!index.Stab(50000, &sink).ok()) return 1;
   std::printf("stab(50000): %zu intervals, %llu I/Os\n", hits.size(),
               static_cast<unsigned long long>(device.stats().TotalIos()));
 
   // 4. Intersection query: which intervals overlap [42000, 42420]?
   device.ResetStats();
   hits.clear();
-  if (!index.Intersect(42000, 42420, &hits).ok()) return 1;
+  if (!index.Intersect(42000, 42420, &sink).ok()) return 1;
   std::printf("intersect([42000,42420]): %zu intervals, %llu I/Os\n",
               hits.size(),
               static_cast<unsigned long long>(device.stats().TotalIos()));

@@ -41,7 +41,8 @@ int main() {
   // Point-in-time audit: who was online at 12:00:00?
   device.ResetStats();
   std::vector<Interval> online;
-  if (!sessions.Stab(43200, &online).ok()) return 1;
+  VectorSink<Interval> online_sink(&online);
+  if (!sessions.Stab(43200, &online_sink).ok()) return 1;
   std::printf("online at 12:00: %zu sessions, %llu I/Os (%.1f sessions/IO)\n",
               online.size(),
               static_cast<unsigned long long>(device.stats().TotalIos()),
@@ -52,7 +53,8 @@ int main() {
   // Incident window: sessions overlapping 13:00-13:05.
   device.ResetStats();
   std::vector<Interval> affected;
-  if (!sessions.Intersect(46800, 47100, &affected).ok()) return 1;
+  VectorSink<Interval> affected_sink(&affected);
+  if (!sessions.Intersect(46800, 47100, &affected_sink).ok()) return 1;
   std::printf("overlapping incident window: %zu sessions, %llu I/Os\n",
               affected.size(),
               static_cast<unsigned long long>(device.stats().TotalIos()));

@@ -505,12 +505,6 @@ Status BPlusTree::RangeScan(int64_t lo, int64_t hi,
   return Status::OK();
 }
 
-Status BPlusTree::RangeSearch(int64_t lo, int64_t hi,
-                              std::vector<BtEntry>* out) const {
-  VectorSink<BtEntry> sink(out);
-  return RangeScan(lo, hi, &sink);
-}
-
 Status BPlusTree::RangeScan(
     int64_t lo, int64_t hi,
     const std::function<void(const BtEntry&)>& fn) const {

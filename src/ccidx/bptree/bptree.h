@@ -60,7 +60,7 @@ struct BtEntry {
 /// the reference point for the dynamization layer's amortized families
 /// (DESIGN.md §8).
 ///
-/// Thread safety (DESIGN.md §11): RangeScan/RangeSearch are const and safe
+/// Thread safety (DESIGN.md §11): the RangeScan forms are const and safe
 /// to run from any number of threads concurrently over one shared Pager;
 /// the epoch gate excludes them from writes. Within a write epoch, Insert
 /// and Delete are safe from N threads concurrently: each takes the tree
@@ -101,10 +101,6 @@ class BPlusTree {
   /// stops the leaf-chain walk before another page is pinned.
   /// O(log_B n + t/B) I/Os.
   Status RangeScan(int64_t lo, int64_t hi, ResultSink<BtEntry>* sink) const;
-
-  /// Appends all entries with lo <= key <= hi to `out`, in key order.
-  /// O(log_B n + t/B) I/Os.
-  Status RangeSearch(int64_t lo, int64_t hi, std::vector<BtEntry>* out) const;
 
   /// Streaming variant: invokes `fn` per matching entry.
   Status RangeScan(int64_t lo, int64_t hi,

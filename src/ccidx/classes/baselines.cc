@@ -109,12 +109,6 @@ Status SingleIndexBaseline::Query(uint32_t class_id, Coord a1, Coord a2,
   return tree_.RangeScan(a1, a2, &xform);
 }
 
-Status SingleIndexBaseline::Query(uint32_t class_id, Coord a1, Coord a2,
-                                  std::vector<uint64_t>* out) const {
-  VectorSink<uint64_t> sink(out);
-  return Query(class_id, a1, a2, &sink);
-}
-
 FullExtentIndex::FullExtentIndex(Pager* pager,
                                  const ClassHierarchy* hierarchy)
     : hierarchy_(hierarchy) {
@@ -196,12 +190,6 @@ Status FullExtentIndex::Query(uint32_t class_id, Coord a1, Coord a2,
   return trees_[class_id].RangeScan(a1, a2, &xform);
 }
 
-Status FullExtentIndex::Query(uint32_t class_id, Coord a1, Coord a2,
-                              std::vector<uint64_t>* out) const {
-  VectorSink<uint64_t> sink(out);
-  return Query(class_id, a1, a2, &sink);
-}
-
 ExtentOnlyIndex::ExtentOnlyIndex(Pager* pager,
                                  const ClassHierarchy* hierarchy)
     : hierarchy_(hierarchy) {
@@ -274,12 +262,6 @@ Status ExtentOnlyIndex::Query(uint32_t class_id, Coord a1, Coord a2,
     CCIDX_RETURN_IF_ERROR(trees_[c].RangeScan(a1, a2, &xform));
   }
   return Status::OK();
-}
-
-Status ExtentOnlyIndex::Query(uint32_t class_id, Coord a1, Coord a2,
-                              std::vector<uint64_t>* out) const {
-  VectorSink<uint64_t> sink(out);
-  return Query(class_id, a1, a2, &sink);
 }
 
 }  // namespace ccidx

@@ -55,8 +55,6 @@ class SingleIndexBaseline {
   /// non-matching classes until enough matches surface.
   Status Query(uint32_t class_id, Coord a1, Coord a2,
                ResultSink<uint64_t>* sink) const;
-  Status Query(uint32_t class_id, Coord a1, Coord a2,
-               std::vector<uint64_t>* out) const;
   uint64_t size() const { return tree_.size(); }
 
  private:
@@ -98,8 +96,6 @@ class FullExtentIndex {
   /// Optimal O(log_B n + t/B): one tree holds exactly the answer superset.
   Status Query(uint32_t class_id, Coord a1, Coord a2,
                ResultSink<uint64_t>* sink) const;
-  Status Query(uint32_t class_id, Coord a1, Coord a2,
-               std::vector<uint64_t>* out) const;
   uint64_t size() const { return size_.load(std::memory_order_relaxed); }
 
  private:
@@ -142,8 +138,6 @@ class ExtentOnlyIndex {
   /// kStop skips the remaining descendant classes.
   Status Query(uint32_t class_id, Coord a1, Coord a2,
                ResultSink<uint64_t>* sink) const;
-  Status Query(uint32_t class_id, Coord a1, Coord a2,
-               std::vector<uint64_t>* out) const;
   uint64_t size() const { return size_.load(std::memory_order_relaxed); }
 
  private:

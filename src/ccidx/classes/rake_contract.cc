@@ -184,12 +184,6 @@ Status RakeContractIndex::Query(uint32_t class_id, Coord a1, Coord a2,
   return ps.tstree.Query({a1, a2, pos_in_path_[class_id]}, &xform);
 }
 
-Status RakeContractIndex::Query(uint32_t class_id, Coord a1, Coord a2,
-                                std::vector<uint64_t>* out) const {
-  VectorSink<uint64_t> sink(out);
-  return Query(class_id, a1, a2, &sink);
-}
-
 Status RakeContractIndex::Insert(const Object& o) {
   if (o.class_id >= hierarchy_->size()) {
     return Status::InvalidArgument("unknown class");

@@ -109,11 +109,6 @@ class RakeContractIndex {
   Status Query(uint32_t class_id, Coord a1, Coord a2,
                ResultSink<uint64_t>* sink) const;
 
-  /// Appends ids of all objects in the full extent of `class_id` with
-  /// a1 <= attr <= a2. O(log_B n + t/B + log2 B) I/Os.
-  Status Query(uint32_t class_id, Coord a1, Coord a2,
-               std::vector<uint64_t>* out) const;
-
   /// Inserts an object into every covering structure (<= log2 c + 1 of
   /// them). Amortized O(log2 c * (log_B n + log2 B + ...)) I/Os.
   Status Insert(const Object& o);

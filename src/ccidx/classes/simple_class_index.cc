@@ -177,12 +177,6 @@ Status SimpleClassIndex::Query(uint32_t class_id, Coord a1, Coord a2,
   return Status::OK();
 }
 
-Status SimpleClassIndex::Query(uint32_t class_id, Coord a1, Coord a2,
-                               std::vector<uint64_t>* out) const {
-  VectorSink<uint64_t> sink(out);
-  return Query(class_id, a1, a2, &sink);
-}
-
 Status SimpleClassIndex::QueryObjects(uint32_t class_id, Coord a1, Coord a2,
                                       ResultSink<Object>* sink) const {
   if (class_id >= hierarchy_->size()) {
@@ -202,12 +196,6 @@ Status SimpleClassIndex::QueryObjects(uint32_t class_id, Coord a1, Coord a2,
     CCIDX_RETURN_IF_ERROR(trees_[node].RangeScan(a1, a2, &xform));
   }
   return Status::OK();
-}
-
-Status SimpleClassIndex::QueryObjects(uint32_t class_id, Coord a1, Coord a2,
-                                      std::vector<Object>* out) const {
-  VectorSink<Object> sink(out);
-  return QueryObjects(class_id, a1, a2, &sink);
 }
 
 }  // namespace ccidx

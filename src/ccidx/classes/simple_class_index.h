@@ -94,19 +94,10 @@ class SimpleClassIndex {
   Status Query(uint32_t class_id, Coord a1, Coord a2,
                ResultSink<uint64_t>* sink) const;
 
-  /// Appends the ids of all objects in the full extent of `class_id` with
-  /// a1 <= attr <= a2. O(log2 c * log_B n + t/B) I/Os.
-  Status Query(uint32_t class_id, Coord a1, Coord a2,
-               std::vector<uint64_t>* out) const;
-
   /// As Query, but streams full objects (class decoded from the entry's
   /// aux code).
   Status QueryObjects(uint32_t class_id, Coord a1, Coord a2,
                       ResultSink<Object>* sink) const;
-
-  /// As Query, but materializes full objects.
-  Status QueryObjects(uint32_t class_id, Coord a1, Coord a2,
-                      std::vector<Object>* out) const;
 
   uint64_t size() const { return size_.load(std::memory_order_relaxed); }
 

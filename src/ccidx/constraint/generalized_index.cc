@@ -74,16 +74,11 @@ Status GeneralizedIndex::RangeQueryIds(Coord a1, Coord a2,
   return index_.Intersect(a1, a2, &xform);
 }
 
-Status GeneralizedIndex::RangeQueryIds(Coord a1, Coord a2,
-                                       std::vector<uint64_t>* out) const {
-  VectorSink<uint64_t> sink(out);
-  return RangeQueryIds(a1, a2, &sink);
-}
-
 Result<GeneralizedRelation> GeneralizedIndex::RangeQuery(Coord a1,
                                                          Coord a2) const {
   std::vector<uint64_t> ids;
-  CCIDX_RETURN_IF_ERROR(RangeQueryIds(a1, a2, &ids));
+  VectorSink<uint64_t> sink(&ids);
+  CCIDX_RETURN_IF_ERROR(RangeQueryIds(a1, a2, &sink));
   GeneralizedRelation out(arity_);
   for (uint64_t id : ids) {
     GeneralizedTuple t = catalog_[id_to_slot_[id]];

@@ -59,9 +59,6 @@ class GeneralizedIndex {
   /// count/exists consumers skip the t/B term.
   Status RangeQueryIds(Coord a1, Coord a2, ResultSink<uint64_t>* sink) const;
 
-  /// Ids of matching tuples only (no restriction materialization).
-  Status RangeQueryIds(Coord a1, Coord a2, std::vector<uint64_t>* out) const;
-
   uint32_t arity() const { return arity_; }
   uint32_t indexed_var() const { return indexed_var_; }
   uint64_t size() const { return index_.size(); }

@@ -776,7 +776,8 @@ Status AugmentedMetablockTree::QueryRaw(const DiagonalQuery& q,
           if (ctrl.td_header != kInvalidPageId) {
             CornerStructure td =
                 CornerStructure::Open(pager_, ctrl.td_header);
-            CCIDX_RETURN_IF_ERROR(td.Query(a, &td_hits));
+            VectorSink<Point> td_sink(&td_hits);
+            CCIDX_RETURN_IF_ERROR(td.Query(a, &td_sink));
           }
           if (ctrl.td_update_count > 0) {
             std::vector<Point> buf;
@@ -804,12 +805,6 @@ Status AugmentedMetablockTree::QueryRaw(const DiagonalQuery& q,
     if (children[j].node_ymax < a) return Status::OK();
     ctrl = next_ctrl;
   }
-}
-
-Status AugmentedMetablockTree::Query(const DiagonalQuery& q,
-                                     std::vector<Point>* out) const {
-  VectorSink<Point> sink(out);
-  return Query(q, &sink);
 }
 
 // ---------------------------------------------------------------------------

@@ -119,10 +119,6 @@ class AugmentedMetablockTree {
   /// halts descent (see MetablockTree::Query). O(log_B n + t/B) I/Os.
   Status Query(const DiagonalQuery& q, ResultSink<Point>* sink) const;
 
-  /// Appends all points with x <= q.a and y >= q.a to `out`.
-  /// O(log_B n + t/B) I/Os.
-  Status Query(const DiagonalQuery& q, std::vector<Point>* out) const;
-
   /// Live points (excludes tombstoned-but-not-yet-purged points). Safe
   /// against concurrent updates (reads under the write latch).
   uint64_t size() const {

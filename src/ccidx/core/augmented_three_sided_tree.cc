@@ -798,7 +798,8 @@ Status AugmentedThreeSidedTree::ReportTd(
   std::vector<Point> hits;
   if (ctrl.td_pst_root != kInvalidPageId) {
     ExternalPst td = ExternalPst::Open(pager_, ctrl.td_pst_root);
-    CCIDX_RETURN_IF_ERROR(td.Query(q, &hits));
+    VectorSink<Point> td_sink(&hits);
+    CCIDX_RETURN_IF_ERROR(td.Query(q, &td_sink));
   }
   if (ctrl.td_update_count > 0) {
     PageIo io(pager_);
@@ -998,12 +999,6 @@ Status AugmentedThreeSidedTree::QueryRaw(const ThreeSidedQuery& q,
     }
     return Status::OK();
   }
-}
-
-Status AugmentedThreeSidedTree::Query(const ThreeSidedQuery& q,
-                                      std::vector<Point>* out) const {
-  VectorSink<Point> sink(out);
-  return Query(q, &sink);
 }
 
 // ---------------------------------------------------------------------------

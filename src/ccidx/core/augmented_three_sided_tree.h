@@ -103,9 +103,6 @@ class AugmentedThreeSidedTree {
   /// `sink`; kStop halts descent and every subtree scan.
   Status Query(const ThreeSidedQuery& q, ResultSink<Point>* sink) const;
 
-  /// Appends all points with q.xlo <= x <= q.xhi and y >= q.ylo to `out`.
-  Status Query(const ThreeSidedQuery& q, std::vector<Point>* out) const;
-
   /// Live points (excludes tombstoned-but-not-yet-purged points). Safe
   /// against concurrent updates (reads under the write latch).
   uint64_t size() const {

@@ -289,11 +289,6 @@ Status CornerStructure::VisitPages(std::vector<PageId>* out) const {
   return Status::OK();
 }
 
-Status CornerStructure::Query(Coord a, std::vector<Point>* out) const {
-  VectorSink<Point> sink(out);
-  return Query(a, &sink);
-}
-
 Status CornerStructure::CollectPoints(std::vector<Point>* out) const {
   std::vector<VBlockEntry> vblocks;
   std::vector<CStarEntry> cstar;

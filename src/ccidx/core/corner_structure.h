@@ -95,10 +95,6 @@ class CornerStructure {
   /// metablock-tree query so kStop propagates across structures).
   Status Query(Coord a, SinkEmitter<Point>& em) const;
 
-  /// Appends all points with x <= a and y >= a to `out`.
-  /// Cost: O(1) + 2t/B I/Os.
-  Status Query(Coord a, std::vector<Point>* out) const;
-
   /// Frees every page of the structure.
   Status Free();
 

@@ -320,12 +320,6 @@ Status MetablockTree::Query(const DiagonalQuery& q,
   }
 }
 
-Status MetablockTree::Query(const DiagonalQuery& q, std::vector<Point>* out)
-    const {
-  VectorSink<Point> sink(out);
-  return Query(q, &sink);
-}
-
 Status MetablockTree::ScanSubtree(PageId control_id,
                                   SinkEmitter<Point>& em) const {
   Control ctrl;

@@ -109,10 +109,6 @@ class MetablockTree {
   /// consumers pay only O(log_B n + k/B).
   Status Query(const DiagonalQuery& q, ResultSink<Point>* sink) const;
 
-  /// Appends all points with x <= q.a and y >= q.a to `out`.
-  /// O(log_B n + t/B) I/Os (Theorem 3.2).
-  Status Query(const DiagonalQuery& q, std::vector<Point>* out) const;
-
   /// Number of indexed points.
   uint64_t size() const { return size_; }
 

@@ -383,12 +383,6 @@ Status ThreeSidedTree::Query(const ThreeSidedQuery& q,
   }
 }
 
-Status ThreeSidedTree::Query(const ThreeSidedQuery& q,
-                             std::vector<Point>* out) const {
-  VectorSink<Point> sink(out);
-  return Query(q, &sink);
-}
-
 Status ThreeSidedTree::ScanSubtree(PageId id, SinkEmitter<Point>& em) const {
   Control ctrl;
   CCIDX_RETURN_IF_ERROR(LoadControl(id, &ctrl));

@@ -71,10 +71,6 @@ class ThreeSidedTree {
   /// subtree scan. O(log_B n + log2 B + t/B) I/Os.
   Status Query(const ThreeSidedQuery& q, ResultSink<Point>* sink) const;
 
-  /// Appends all points with q.xlo <= x <= q.xhi and y >= q.ylo to `out`.
-  /// O(log_B n + log2 B + t/B) I/Os.
-  Status Query(const ThreeSidedQuery& q, std::vector<Point>* out) const;
-
   uint64_t size() const { return size_; }
   uint32_t branching() const { return branching_; }
 

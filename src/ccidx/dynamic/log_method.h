@@ -270,11 +270,6 @@ class Dynamized {
     return QueryThrough(q, &filter, [&] { return filter.stopped(); });
   }
 
-  Status Query(const QueryT& q, std::vector<Record>* out) const {
-    VectorSink<Record> sink(out);
-    return Query(q, &sink);
-  }
-
   /// Live records (stored + buffered - tombstoned). Thread-safe; a
   /// momentarily torn read across the three counters only shifts the
   /// purge heuristic by O(1).

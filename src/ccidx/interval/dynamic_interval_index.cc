@@ -87,11 +87,6 @@ Status DynamicIntervalIndex::Stab(Coord q, ResultSink<Interval>* sink) const {
   return stabbing_.Query({kCoordMin, q, q}, &xform);
 }
 
-Status DynamicIntervalIndex::Stab(Coord q, std::vector<Interval>* out) const {
-  VectorSink<Interval> sink(out);
-  return Stab(q, &sink);
-}
-
 Status DynamicIntervalIndex::Intersect(Coord qlo, Coord qhi,
                                        ResultSink<Interval>* sink) const {
   if (qlo > qhi) return Status::OK();
@@ -103,12 +98,6 @@ Status DynamicIntervalIndex::Intersect(Coord qlo, Coord qhi,
     return endpoints_.RangeScan(qlo + 1, qhi, &range_xform);
   }
   return Status::OK();
-}
-
-Status DynamicIntervalIndex::Intersect(Coord qlo, Coord qhi,
-                                       std::vector<Interval>* out) const {
-  VectorSink<Interval> sink(out);
-  return Intersect(qlo, qhi, &sink);
 }
 
 Status DynamicIntervalIndex::Destroy() {

@@ -62,14 +62,9 @@ class DynamicIntervalIndex {
   /// into the PST. O(log2 n + t/B) I/Os.
   Status Stab(Coord q, ResultSink<Interval>* sink) const;
 
-  /// All intervals containing q. O(log2 n + t/B) I/Os.
-  Status Stab(Coord q, std::vector<Interval>* out) const;
-
   /// Streams all intervals intersecting [qlo, qhi] into `sink`.
+  /// O(log2 n + t/B) I/Os.
   Status Intersect(Coord qlo, Coord qhi, ResultSink<Interval>* sink) const;
-
-  /// All intervals intersecting [qlo, qhi]. O(log2 n + t/B) I/Os.
-  Status Intersect(Coord qlo, Coord qhi, std::vector<Interval>* out) const;
 
   uint64_t size() const { return stabbing_.size(); }
 

@@ -107,11 +107,6 @@ Status IntervalIndex::Stab(Coord q, ResultSink<Interval>* sink) const {
   return stabbing_.Query({q}, &xform);
 }
 
-Status IntervalIndex::Stab(Coord q, std::vector<Interval>* out) const {
-  VectorSink<Interval> sink(out);
-  return Stab(q, &sink);
-}
-
 Status IntervalIndex::Intersect(Coord qlo, Coord qhi,
                                 ResultSink<Interval>* sink) const {
   if (qlo > qhi) return Status::OK();
@@ -140,12 +135,6 @@ Status IntervalIndex::Intersect(Coord qlo, Coord qhi,
     return endpoints_.RangeScan(qlo + 1, qhi, &range_xform);
   }
   return Status::OK();
-}
-
-Status IntervalIndex::Intersect(Coord qlo, Coord qhi,
-                                std::vector<Interval>* out) const {
-  VectorSink<Interval> sink(out);
-  return Intersect(qlo, qhi, &sink);
 }
 
 Status IntervalIndex::Destroy() {

@@ -82,16 +82,9 @@ class IntervalIndex {
   /// O(log_B n + k/B) for count/exists/first-k sinks.
   Status Stab(Coord q, ResultSink<Interval>* sink) const;
 
-  /// Appends every interval containing `q` to `out` (stabbing query).
-  /// O(log_B n + t/B) I/Os.
-  Status Stab(Coord q, std::vector<Interval>* out) const;
-
   /// Streams every interval intersecting [qlo, qhi] into `sink`.
-  Status Intersect(Coord qlo, Coord qhi, ResultSink<Interval>* sink) const;
-
-  /// Appends every interval intersecting [qlo, qhi] to `out`.
   /// O(log_B n + t/B) I/Os.
-  Status Intersect(Coord qlo, Coord qhi, std::vector<Interval>* out) const;
+  Status Intersect(Coord qlo, Coord qhi, ResultSink<Interval>* sink) const;
 
   uint64_t size() const { return stabbing_.size(); }
 

@@ -357,12 +357,6 @@ Status DynamicPst::Query(const ThreeSidedQuery& q,
   return QueryNode(root_, q, em);
 }
 
-Status DynamicPst::Query(const ThreeSidedQuery& q,
-                         std::vector<Point>* out) const {
-  VectorSink<Point> sink(out);
-  return Query(q, &sink);
-}
-
 Status DynamicPst::CollectNode(PageId id, std::vector<Point>* out) const {
   if (id == kInvalidPageId) return Status::OK();
   NodeHeader h;

@@ -79,10 +79,6 @@ class DynamicPst {
   /// `sink`; kStop halts the recursion. O(log2 n + t/B) I/Os.
   Status Query(const ThreeSidedQuery& q, ResultSink<Point>* sink) const;
 
-  /// Appends all points with q.xlo <= x <= q.xhi and y >= q.ylo.
-  /// O(log2 n + t/B) I/Os.
-  Status Query(const ThreeSidedQuery& q, std::vector<Point>* out) const;
-
   /// Safe against concurrent Insert/Delete (reads under the write latch).
   uint64_t size() const {
     std::lock_guard<std::mutex> lk(*write_mu_);

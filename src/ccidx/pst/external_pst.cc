@@ -818,12 +818,6 @@ Status ExternalPst::Query(const ThreeSidedQuery& q,
   return Query(q, em);
 }
 
-Status ExternalPst::Query(const ThreeSidedQuery& q,
-                          std::vector<Point>* out) const {
-  VectorSink<Point> sink(out);
-  return Query(q, &sink);
-}
-
 Status ExternalPst::CollectPoints(std::vector<Point>* out) const {
   return Harvest(out, nullptr);
 }

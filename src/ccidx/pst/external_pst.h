@@ -121,10 +121,6 @@ class ExternalPst {
   /// 3-sided-tree query so kStop propagates across structures).
   Status Query(const ThreeSidedQuery& q, SinkEmitter<Point>& em) const;
 
-  /// Appends all points with xlo <= x <= xhi and y >= ylo to `out`.
-  /// O(log2 n + t/B) I/Os.
-  Status Query(const ThreeSidedQuery& q, std::vector<Point>* out) const;
-
   PageId root() const { return root_; }
 
   /// Frees every page. Requires full quiescence.

@@ -47,9 +47,8 @@ class ResultSink {
   virtual SinkState Emit(std::span<const T> batch) = 0;
 };
 
-/// Appends every result to a vector — the historical materializing
-/// behavior. The `std::vector* out` query overloads are one-line wrappers
-/// over this sink.
+/// Appends every result to a vector. This is how a caller materializes
+/// an answer: `VectorSink<T> sink(&out); index.Query(q, &sink);`.
 template <typename T>
 class VectorSink final : public ResultSink<T> {
  public:

@@ -22,46 +22,66 @@ std::array<uint64_t, 3> ToRecord(const Interval& iv) {
   return {static_cast<uint64_t>(iv.lo), static_cast<uint64_t>(iv.hi), iv.id};
 }
 
-// Runs `run(sink)` with the sink the request's result mode asks for and
-// materializes the answer into *resp — the serving dual of the PR 2 sink
-// taxonomy. The sink lives on the executing worker, exactly like
-// QueryExecutor's sink_factory contract.
+// The one sink behind every result mode, filling *resp as the family
+// reports: kRecords and kLimit convert each record straight into
+// resp->records, kCount and kExists keep only resp->count. Its verdicts
+// match VectorSink / LimitSink / CountSink / ExistsSink block for block,
+// so a query pins exactly the pages it would under those. An answer that
+// would outgrow one frame (more than kMaxResponseRecords) stops the query
+// before another page is pinned and latches oversize(). Lives on the
+// executing worker, exactly like QueryExecutor's sink_factory contract.
+template <typename T>
+class ResponseSink final : public ResultSink<T> {
+ public:
+  ResponseSink(const Request& req, Response* resp)
+      : mode_(req.mode),
+        limit_(req.mode == ResultMode::kLimit ? req.limit : SIZE_MAX),
+        resp_(resp) {}
+
+  SinkState Emit(std::span<const T> batch) override {
+    if (mode_ == ResultMode::kCount) {
+      resp_->count += batch.size();
+      return SinkState::kContinue;
+    }
+    if (mode_ == ResultMode::kExists) {
+      resp_->count = 1;
+      return SinkState::kStop;
+    }
+    auto& records = resp_->records;
+    if (records.size() >= limit_) return SinkState::kStop;
+    const size_t take = std::min(batch.size(), limit_ - records.size());
+    if (records.size() + take > kMaxResponseRecords) {
+      oversize_ = true;
+      return SinkState::kStop;
+    }
+    for (const T& r : batch.first(take)) records.push_back(ToRecord(r));
+    resp_->count = records.size();
+    return records.size() >= limit_ ? SinkState::kStop : SinkState::kContinue;
+  }
+
+  bool oversize() const { return oversize_; }
+
+ private:
+  ResultMode mode_;
+  size_t limit_;
+  Response* resp_;
+  bool oversize_ = false;
+};
+
+// Runs `run(sink)` over one ResponseSink. A failed or oversize answer
+// carries no records (RunOne then marks it kError).
 template <typename T, typename RunFn>
 Status RunWithMode(const Request& req, Response* resp, RunFn&& run) {
-  switch (req.mode) {
-    case ResultMode::kRecords: {
-      std::vector<T> results;
-      VectorSink<T> sink(&results);
-      Status s = run(&sink);
-      if (!s.ok()) return s;
-      resp->count = results.size();
-      resp->records.reserve(results.size());
-      for (const T& r : results) resp->records.push_back(ToRecord(r));
-      return s;
-    }
-    case ResultMode::kCount: {
-      CountSink<T> sink;
-      Status s = run(&sink);
-      if (s.ok()) resp->count = sink.count();
-      return s;
-    }
-    case ResultMode::kExists: {
-      ExistsSink<T> sink;
-      Status s = run(&sink);
-      if (s.ok()) resp->count = sink.exists() ? 1 : 0;
-      return s;
-    }
-    case ResultMode::kLimit: {
-      LimitSink<T> sink(req.limit);
-      Status s = run(&sink);
-      if (!s.ok()) return s;
-      resp->count = sink.results().size();
-      resp->records.reserve(sink.results().size());
-      for (const T& r : sink.results()) resp->records.push_back(ToRecord(r));
-      return s;
-    }
+  ResponseSink<T> sink(req, resp);
+  Status s = run(&sink);
+  if (s.ok() && sink.oversize()) {
+    s = Status::ResourceExhausted("answer exceeds one response frame");
   }
-  return Status::InvalidArgument("unknown result mode");
+  if (!s.ok()) {
+    resp->count = 0;
+    resp->records = {};
+  }
+  return s;
 }
 
 }  // namespace

@@ -39,6 +39,11 @@ inline constexpr size_t kFrameHeaderBytes = 12;
 /// Hard ceiling on one frame's payload; a decoder rejects larger lengths
 /// before allocating (a corrupt length field must not OOM the server).
 inline constexpr uint32_t kMaxPayloadBytes = 1u << 26;  // 64 MiB
+/// Most records one response frame can carry: a query response's payload
+/// is 25 fixed bytes plus 24 per record. The dispatcher answers a larger
+/// kRecords/kLimit answer with kError and no records; read such a range
+/// with kCount, or with a kLimit below this cap.
+inline constexpr size_t kMaxResponseRecords = (kMaxPayloadBytes - 25) / 24;
 
 enum class MessageKind : uint8_t {
   kRequest = 1,
@@ -57,8 +62,10 @@ enum class RequestType : uint8_t {
 inline constexpr uint8_t kMaxRequestType =
     static_cast<uint8_t>(RequestType::kUpdateBatch);
 
-/// How a query's result stream is materialized (PR 2 sinks): the serving
-/// dual of VectorSink / CountSink / ExistsSink / LimitSink.
+/// How a query's result stream is materialized. The dispatcher serves all
+/// four modes from one sink whose verdicts match VectorSink / CountSink /
+/// ExistsSink / LimitSink, so each mode pins the pages its library sink
+/// would.
 enum class ResultMode : uint8_t {
   kRecords = 0,  // full reporting
   kCount = 1,    // count only (response.count)

@@ -34,8 +34,10 @@ class LoopbackConnection {
   explicit LoopbackConnection(Server* server) : server_(server) {
     session_ = server->OpenSession([this](std::span<const uint8_t> bytes) {
       Response resp;
-      // The server encoded this frame; decoding cannot fail unless the
-      // codec itself is broken, which the tests pin.
+      // The server encoded this frame, and the dispatcher caps a
+      // response at kMaxResponseRecords so it fits one frame; a decode
+      // failure here means the codec and that cap disagree, which the
+      // tests pin through decode_errors().
       Status st = DecodeResponse(bytes, &resp);
       std::lock_guard lock(mu_);
       if (st.ok()) {

@@ -29,7 +29,8 @@ TEST_F(AugmentedTreeTest, EmptyTree) {
   AugmentedMetablockTree tree(&pager_);
   EXPECT_EQ(tree.size(), 0u);
   std::vector<Point> out;
-  ASSERT_TRUE(tree.Query({3}, &out).ok());
+  VectorSink<Point> sink(&out);
+  ASSERT_TRUE(tree.Query({3}, &sink).ok());
   EXPECT_TRUE(out.empty());
   ASSERT_TRUE(tree.CheckInvariants().ok());
 }
@@ -46,7 +47,8 @@ TEST_F(AugmentedTreeTest, InsertFewAndQuery) {
   ASSERT_TRUE(tree.Insert({7, 8, 2}).ok());
   EXPECT_EQ(tree.size(), 3u);
   std::vector<Point> out;
-  ASSERT_TRUE(tree.Query({5}, &out).ok());
+  VectorSink<Point> sink(&out);
+  ASSERT_TRUE(tree.Query({5}, &sink).ok());
   SortPoints(&out);
   // Qualifying: (1,9) x<=5,y>=5 yes; (4,6) yes; (7,8) x=7>5 no.
   ASSERT_EQ(out.size(), 2u);
@@ -63,7 +65,8 @@ TEST_F(AugmentedTreeTest, BulkBuildMatchesOracle) {
   ASSERT_TRUE(tree->CheckInvariants().ok());
   for (Coord a = 0; a <= 3000; a += 47) {
     std::vector<Point> got;
-    ASSERT_TRUE(tree->Query({a}, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(tree->Query({a}, &sink).ok());
     SortPoints(&got);
     EXPECT_EQ(got, oracle.Diagonal({a})) << "a=" << a;
   }
@@ -81,7 +84,8 @@ TEST_F(AugmentedTreeTest, PureInsertionMatchesOracle) {
   ASSERT_TRUE(tree.CheckInvariants().ok());
   for (Coord a = -10; a <= 2010; a += 37) {
     std::vector<Point> got;
-    ASSERT_TRUE(tree.Query({a}, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(tree.Query({a}, &sink).ok());
     SortPoints(&got);
     EXPECT_EQ(got, oracle.Diagonal({a})) << "a=" << a;
   }
@@ -103,7 +107,8 @@ TEST_F(AugmentedTreeTest, BuildThenInsertMatchesOracle) {
     if (i % 64 == 0) {  // interleaved queries
       Coord a = static_cast<Coord>(rng() % 2000);
       std::vector<Point> got;
-      ASSERT_TRUE(tree->Query({a}, &got).ok());
+      VectorSink<Point> sink(&got);
+      ASSERT_TRUE(tree->Query({a}, &sink).ok());
       SortPoints(&got);
       ASSERT_EQ(got, oracle.Diagonal({a})) << "a=" << a << " i=" << i;
       qcount++;
@@ -126,7 +131,8 @@ TEST_F(AugmentedTreeTest, AdversarialAscendingInserts) {
   ASSERT_TRUE(tree.CheckInvariants().ok());
   for (Coord a = 0; a <= n; a += 61) {
     std::vector<Point> got;
-    ASSERT_TRUE(tree.Query({a}, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(tree.Query({a}, &sink).ok());
     SortPoints(&got);
     EXPECT_EQ(got, oracle.Diagonal({a})) << "a=" << a;
   }
@@ -144,7 +150,8 @@ TEST_F(AugmentedTreeTest, AdversarialDescendingInserts) {
   ASSERT_TRUE(tree.CheckInvariants().ok());
   for (Coord a = 0; a <= n; a += 61) {
     std::vector<Point> got;
-    ASSERT_TRUE(tree.Query({a}, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(tree.Query({a}, &sink).ok());
     SortPoints(&got);
     EXPECT_EQ(got, oracle.Diagonal({a})) << "a=" << a;
   }
@@ -164,7 +171,8 @@ TEST_F(AugmentedTreeTest, HighYInsertsStayAtRoot) {
   ASSERT_TRUE(tree.CheckInvariants().ok());
   for (Coord a = 0; a <= 1000 + n; a += 101) {
     std::vector<Point> got;
-    ASSERT_TRUE(tree.Query({a}, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(tree.Query({a}, &sink).ok());
     SortPoints(&got);
     EXPECT_EQ(got, oracle.Diagonal({a})) << "a=" << a;
   }
@@ -206,7 +214,8 @@ TEST_F(AugmentedTreeTest, QueryIoAfterInsertionsWithinBound) {
   for (Coord a = 0; a <= 100000; a += 3331) {
     dev_.ResetStats();
     std::vector<Point> got;
-    ASSERT_TRUE(tree.Query({a}, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(tree.Query({a}, &sink).ok());
     size_t t = oracle.Diagonal({a}).size();
     ASSERT_EQ(got.size(), t) << "a=" << a;
     double budget = 14 * logb + 8.0 * (static_cast<double>(t) / kB) + 30;
@@ -234,8 +243,10 @@ TEST_F(AugmentedTreeTest, AgreesWithStaticTree) {
   for (const Point& p : points) ASSERT_TRUE(dyn.Insert(p).ok());
   for (Coord a = 0; a <= 5000; a += 83) {
     std::vector<Point> got_s, got_d;
-    ASSERT_TRUE(st->Query({a}, &got_s).ok());
-    ASSERT_TRUE(dyn.Query({a}, &got_d).ok());
+    VectorSink<Point> got_s_sink(&got_s);
+    ASSERT_TRUE(st->Query({a}, &got_s_sink).ok());
+    VectorSink<Point> got_d_sink(&got_d);
+    ASSERT_TRUE(dyn.Query({a}, &got_d_sink).ok());
     SortPoints(&got_s);
     SortPoints(&got_d);
     EXPECT_EQ(got_s, got_d) << "a=" << a;
@@ -265,7 +276,8 @@ TEST_P(AugmentedTreeSweep, OracleEquivalence) {
     if (i % 97 == 0) {
       Coord a = static_cast<Coord>(rng() % 4200) - 100;
       std::vector<Point> got;
-      ASSERT_TRUE(tree.Query({a}, &got).ok());
+      VectorSink<Point> sink(&got);
+      ASSERT_TRUE(tree.Query({a}, &sink).ok());
       SortPoints(&got);
       ASSERT_EQ(got, oracle.Diagonal({a})) << "a=" << a << " after " << i;
     }

@@ -33,7 +33,8 @@ class AugmentedThreeSidedTest : public ::testing::Test {
       if (x1 > x2) std::swap(x1, x2);
       ThreeSidedQuery q{x1, x2, static_cast<Coord>(rng() % domain)};
       std::vector<Point> got;
-      ASSERT_TRUE(tree.Query(q, &got).ok());
+      VectorSink<Point> sink(&got);
+      ASSERT_TRUE(tree.Query(q, &sink).ok());
       SortPoints(&got);
       ASSERT_EQ(got, oracle.ThreeSided(q)) << q.ToString();
     }
@@ -46,7 +47,8 @@ class AugmentedThreeSidedTest : public ::testing::Test {
 TEST_F(AugmentedThreeSidedTest, EmptyTree) {
   AugmentedThreeSidedTree tree(&pager_);
   std::vector<Point> out;
-  ASSERT_TRUE(tree.Query({0, 10, 0}, &out).ok());
+  VectorSink<Point> sink(&out);
+  ASSERT_TRUE(tree.Query({0, 10, 0}, &sink).ok());
   EXPECT_TRUE(out.empty());
   ASSERT_TRUE(tree.CheckInvariants().ok());
 }
@@ -86,7 +88,8 @@ TEST_F(AugmentedThreeSidedTest, InterleavedInsertsAndQueries) {
       Coord x2 = x1 + static_cast<Coord>(rng() % 800);
       ThreeSidedQuery q{x1, x2, static_cast<Coord>(rng() % 2500)};
       std::vector<Point> got;
-      ASSERT_TRUE(tree.Query(q, &got).ok());
+      VectorSink<Point> sink(&got);
+      ASSERT_TRUE(tree.Query(q, &sink).ok());
       SortPoints(&got);
       ASSERT_EQ(got, oracle.ThreeSided(q)) << q.ToString() << " after " << i;
     }
@@ -114,7 +117,8 @@ TEST_F(AugmentedThreeSidedTest, AdversarialOrders) {
       Coord x2 = x1 + static_cast<Coord>(rng() % (n / 4));
       ThreeSidedQuery query{x1, x2, static_cast<Coord>(rng() % n)};
       std::vector<Point> got;
-      ASSERT_TRUE(tree.Query(query, &got).ok());
+      VectorSink<Point> sink(&got);
+      ASSERT_TRUE(tree.Query(query, &sink).ok());
       SortPoints(&got);
       ASSERT_EQ(got, oracle.ThreeSided(query))
           << query.ToString() << " order " << order;
@@ -140,7 +144,8 @@ TEST_F(AugmentedThreeSidedTest, HighYInsertsChurnTheRoot) {
     Coord x2 = x1 + static_cast<Coord>(rng() % 64);
     ThreeSidedQuery query{x1, x2, static_cast<Coord>(rng() % (1000 + n))};
     std::vector<Point> got;
-    ASSERT_TRUE(tree.Query(query, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(tree.Query(query, &sink).ok());
     SortPoints(&got);
     ASSERT_EQ(got, oracle.ThreeSided(query)) << query.ToString();
   }
@@ -161,8 +166,10 @@ TEST_F(AugmentedThreeSidedTest, AgreesWithStaticTree) {
     if (x1 > x2) std::swap(x1, x2);
     ThreeSidedQuery query{x1, x2, static_cast<Coord>(rng() % 4000)};
     std::vector<Point> a, b;
-    ASSERT_TRUE(st->Query(query, &a).ok());
-    ASSERT_TRUE(dyn.Query(query, &b).ok());
+    VectorSink<Point> a_sink(&a);
+    ASSERT_TRUE(st->Query(query, &a_sink).ok());
+    VectorSink<Point> b_sink(&b);
+    ASSERT_TRUE(dyn.Query(query, &b_sink).ok());
     SortPoints(&a);
     SortPoints(&b);
     ASSERT_EQ(a, b) << query.ToString();
@@ -185,7 +192,8 @@ TEST_F(AugmentedThreeSidedTest, QueryIoWithinLemmaBound) {
     size_t t = oracle.ThreeSided(q).size();
     dev_.ResetStats();
     std::vector<Point> got;
-    ASSERT_TRUE(tree.Query(q, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(tree.Query(q, &sink).ok());
     ASSERT_EQ(got.size(), t) << q.ToString();
     double budget =
         14 * logb + 14 * log2b + 8.0 * (static_cast<double>(t) / kB) + 40;
@@ -234,7 +242,8 @@ TEST_F(AugmentedThreeSidedTest, DuplicateXRunsSurviveSplits) {
     for (Coord y = 0; y < 5000; y += 977) {
       ThreeSidedQuery q{x1, x1 + 3, y};
       std::vector<Point> got;
-      ASSERT_TRUE(tree.Query(q, &got).ok());
+      VectorSink<Point> sink(&got);
+      ASSERT_TRUE(tree.Query(q, &sink).ok());
       SortPoints(&got);
       ASSERT_EQ(got, oracle.ThreeSided(q)) << q.ToString();
     }
@@ -267,7 +276,8 @@ TEST_P(AugmentedThreeSidedSweep, OracleEquivalence) {
       if (x1 > x2) std::swap(x1, x2);
       ThreeSidedQuery q{x1, x2, static_cast<Coord>(rng() % 3000)};
       std::vector<Point> got;
-      ASSERT_TRUE(tree.Query(q, &got).ok());
+      VectorSink<Point> sink(&got);
+      ASSERT_TRUE(tree.Query(q, &sink).ok());
       SortPoints(&got);
       ASSERT_EQ(got, oracle.ThreeSided(q)) << q.ToString() << " i=" << i;
     }

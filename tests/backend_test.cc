@@ -87,7 +87,8 @@ Replay RunWorkload(const BlockDeviceOptions& opts, uint32_t pool_pages) {
   for (int64_t lo = 0; lo + 64 <= n; lo += 911) {
     EXPECT_TRUE(pager.DropCache().ok());
     std::vector<BtEntry> out;
-    EXPECT_TRUE(tree->RangeSearch(lo, lo + 63, &out).ok());
+    VectorSink<BtEntry> sink(&out);
+    EXPECT_TRUE(tree->RangeScan(lo, lo + 63, &sink).ok());
     r.results.push_back(std::move(out));
   }
   r.device = device.stats();

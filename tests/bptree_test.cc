@@ -28,7 +28,8 @@ TEST_F(BPlusTreeTest, EmptyTree) {
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_EQ(tree.height(), 0u);
   std::vector<BtEntry> out;
-  ASSERT_TRUE(tree.RangeSearch(0, 100, &out).ok());
+  VectorSink<BtEntry> sink(&out);
+  ASSERT_TRUE(tree.RangeScan(0, 100, &sink).ok());
   EXPECT_TRUE(out.empty());
   ASSERT_TRUE(tree.CheckInvariants().ok());
 }
@@ -39,7 +40,8 @@ TEST_F(BPlusTreeTest, SingleInsertAndSearch) {
   EXPECT_EQ(tree.size(), 1u);
   EXPECT_EQ(tree.height(), 1u);
   std::vector<BtEntry> out;
-  ASSERT_TRUE(tree.RangeSearch(5, 5, &out).ok());
+  VectorSink<BtEntry> sink(&out);
+  ASSERT_TRUE(tree.RangeScan(5, 5, &sink).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].key, 5);
   EXPECT_EQ(out[0].value, 50u);
@@ -55,7 +57,8 @@ TEST_F(BPlusTreeTest, SequentialInsertsSplitCorrectly) {
   EXPECT_GT(tree.height(), 1u);
   ASSERT_TRUE(tree.CheckInvariants().ok());
   std::vector<BtEntry> out;
-  ASSERT_TRUE(tree.RangeSearch(0, n, &out).ok());
+  VectorSink<BtEntry> sink(&out);
+  ASSERT_TRUE(tree.RangeScan(0, n, &sink).ok());
   ASSERT_EQ(out.size(), static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     EXPECT_EQ(out[i].key, i);
@@ -71,7 +74,8 @@ TEST_F(BPlusTreeTest, ReverseInsertsSplitCorrectly) {
   }
   ASSERT_TRUE(tree.CheckInvariants().ok());
   std::vector<BtEntry> out;
-  ASSERT_TRUE(tree.RangeSearch(0, n, &out).ok());
+  VectorSink<BtEntry> sink(&out);
+  ASSERT_TRUE(tree.RangeScan(0, n, &sink).ok());
   ASSERT_EQ(out.size(), static_cast<size_t>(n));
   EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
 }
@@ -88,7 +92,8 @@ TEST_F(BPlusTreeTest, DuplicateKeysAllStored) {
   }
   ASSERT_TRUE(tree.CheckInvariants().ok());
   std::vector<BtEntry> out;
-  ASSERT_TRUE(tree.RangeSearch(7, 7, &out).ok());
+  VectorSink<BtEntry> sink(&out);
+  ASSERT_TRUE(tree.RangeScan(7, 7, &sink).ok());
   EXPECT_EQ(out.size(), static_cast<size_t>(dupes));
 }
 
@@ -98,15 +103,16 @@ TEST_F(BPlusTreeTest, RangeSearchBoundariesInclusive) {
     ASSERT_TRUE(tree.Insert(i, static_cast<uint64_t>(i)).ok());
   }
   std::vector<BtEntry> out;
-  ASSERT_TRUE(tree.RangeSearch(10, 20, &out).ok());
+  VectorSink<BtEntry> sink(&out);
+  ASSERT_TRUE(tree.RangeScan(10, 20, &sink).ok());
   ASSERT_EQ(out.size(), 6u);  // 10,12,14,16,18,20
   EXPECT_EQ(out.front().key, 10);
   EXPECT_EQ(out.back().key, 20);
   out.clear();
-  ASSERT_TRUE(tree.RangeSearch(11, 11, &out).ok());
+  ASSERT_TRUE(tree.RangeScan(11, 11, &sink).ok());
   EXPECT_TRUE(out.empty());
   out.clear();
-  ASSERT_TRUE(tree.RangeSearch(50, 10, &out).ok());  // inverted range
+  ASSERT_TRUE(tree.RangeScan(50, 10, &sink).ok());  // inverted range
   EXPECT_TRUE(out.empty());
 }
 
@@ -117,7 +123,8 @@ TEST_F(BPlusTreeTest, NegativeKeys) {
   }
   ASSERT_TRUE(tree.CheckInvariants().ok());
   std::vector<BtEntry> out;
-  ASSERT_TRUE(tree.RangeSearch(-100, -90, &out).ok());
+  VectorSink<BtEntry> sink(&out);
+  ASSERT_TRUE(tree.RangeScan(-100, -90, &sink).ok());
   EXPECT_EQ(out.size(), 11u);
 }
 
@@ -135,7 +142,8 @@ TEST_F(BPlusTreeTest, DeleteExistingAndMissing) {
   ASSERT_TRUE(tree.Delete(50, 999, &found).ok());  // wrong value
   EXPECT_FALSE(found);
   std::vector<BtEntry> out;
-  ASSERT_TRUE(tree.RangeSearch(49, 51, &out).ok());
+  VectorSink<BtEntry> sink(&out);
+  ASSERT_TRUE(tree.RangeScan(49, 51, &sink).ok());
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].key, 49);
   EXPECT_EQ(out[1].key, 51);
@@ -148,7 +156,8 @@ TEST_F(BPlusTreeTest, DeleteDistinguishesDuplicateValues) {
   ASSERT_TRUE(tree.Delete(9, 25, &found).ok());
   EXPECT_TRUE(found);
   std::vector<BtEntry> out;
-  ASSERT_TRUE(tree.RangeSearch(9, 9, &out).ok());
+  VectorSink<BtEntry> sink(&out);
+  ASSERT_TRUE(tree.RangeScan(9, 9, &sink).ok());
   EXPECT_EQ(out.size(), 49u);
   EXPECT_TRUE(std::none_of(out.begin(), out.end(),
                            [](const BtEntry& e) { return e.value == 25; }));
@@ -164,7 +173,8 @@ TEST_F(BPlusTreeTest, BulkLoadMatchesIncremental) {
   ASSERT_TRUE(loaded->CheckInvariants().ok());
   EXPECT_EQ(loaded->size(), entries.size());
   std::vector<BtEntry> out;
-  ASSERT_TRUE(loaded->RangeSearch(kCoordMin, kCoordMax, &out).ok());
+  VectorSink<BtEntry> sink(&out);
+  ASSERT_TRUE(loaded->RangeScan(kCoordMin, kCoordMax, &sink).ok());
   EXPECT_EQ(out, entries);
 }
 
@@ -188,7 +198,8 @@ TEST_F(BPlusTreeTest, BulkLoadThenInsertAndDelete) {
   ASSERT_TRUE(tree->CheckInvariants().ok());
   EXPECT_EQ(tree->size(), 1000u);
   std::vector<BtEntry> out;
-  ASSERT_TRUE(tree->RangeSearch(0, 999, &out).ok());
+  VectorSink<BtEntry> sink(&out);
+  ASSERT_TRUE(tree->RangeScan(0, 999, &sink).ok());
   EXPECT_EQ(out.size(), 1000u);
   EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
 }
@@ -230,7 +241,8 @@ TEST_F(BPlusTreeTest, QueryIoIsLogarithmicPlusOutput) {
   for (int64_t t : {1, 10, 100, 1000, 5000}) {
     dev_.ResetStats();
     std::vector<BtEntry> out;
-    ASSERT_TRUE(tree->RangeSearch(1000, 1000 + t - 1, &out).ok());
+    VectorSink<BtEntry> sink(&out);
+    ASSERT_TRUE(tree->RangeScan(1000, 1000 + t - 1, &sink).ok());
     ASSERT_EQ(out.size(), static_cast<size_t>(t));
     double logB = std::log(static_cast<double>(n)) / std::log(tree->fanout());
     double expected = logB + static_cast<double>(t) / tree->fanout();
@@ -271,7 +283,8 @@ TEST_P(BPlusTreeRandomTest, MatchesOracle) {
       int64_t a = key_dist(rng), b = key_dist(rng);
       if (a > b) std::swap(a, b);
       std::vector<BtEntry> got;
-      ASSERT_TRUE(tree.RangeSearch(a, b, &got).ok());
+      VectorSink<BtEntry> sink(&got);
+      ASSERT_TRUE(tree.RangeScan(a, b, &sink).ok());
       std::vector<BtEntry> want;
       for (auto it = oracle.lower_bound(a);
            it != oracle.end() && it->first <= b; ++it) {
@@ -332,7 +345,8 @@ TEST(BPlusTreeFaultTest, FailedRootSplitNeverLinksAFreePage) {
       EXPECT_TRUE(dev.is_live(tree.root()))
           << "height " << height << " fault at " << k;
       std::vector<BtEntry> out;
-      Status scan = tree.RangeSearch(INT64_MIN, INT64_MAX, &out);
+      VectorSink<BtEntry> sink(&out);
+      Status scan = tree.RangeScan(INT64_MIN, INT64_MAX, &sink);
       EXPECT_TRUE(scan.ok()) << "height " << height << " fault at " << k
                              << ": " << scan.ToString();
     }
@@ -357,7 +371,8 @@ TEST_P(BPlusTreePageSizeTest, WorksAcrossFanouts) {
   }
   ASSERT_TRUE(tree.CheckInvariants().ok());
   std::vector<BtEntry> out;
-  ASSERT_TRUE(tree.RangeSearch(0, n, &out).ok());
+  VectorSink<BtEntry> sink(&out);
+  ASSERT_TRUE(tree.RangeScan(0, n, &sink).ok());
   ASSERT_EQ(out.size(), static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) EXPECT_EQ(out[i].key, i);
 }

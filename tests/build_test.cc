@@ -472,8 +472,10 @@ TEST_F(BuildTest, MetablockStreamBuildEqualsVectorBuild) {
   EXPECT_EQ(dev_.live_pages(), dev2.live_pages());
   for (Coord a = 0; a < kDomain; a += kDomain / 23) {
     std::vector<Point> want, got;
-    ASSERT_TRUE(by_vector->Query({a}, &want).ok());
-    ASSERT_TRUE(by_stream->Query({a}, &got).ok());
+    VectorSink<Point> want_sink(&want);
+    ASSERT_TRUE(by_vector->Query({a}, &want_sink).ok());
+    VectorSink<Point> got_sink(&got);
+    ASSERT_TRUE(by_stream->Query({a}, &got_sink).ok());
     SortPoints(&want);
     SortPoints(&got);
     EXPECT_EQ(got, want) << "a=" << a;
@@ -496,8 +498,10 @@ TEST_F(BuildTest, AugmentedMetablockStreamBuildEqualsVectorBuild) {
   ASSERT_TRUE(by_stream->Insert({1, kDomain, n}).ok());
   for (Coord a = 0; a < kDomain; a += kDomain / 19) {
     std::vector<Point> want, got;
-    ASSERT_TRUE(by_vector->Query({a}, &want).ok());
-    ASSERT_TRUE(by_stream->Query({a}, &got).ok());
+    VectorSink<Point> want_sink(&want);
+    ASSERT_TRUE(by_vector->Query({a}, &want_sink).ok());
+    VectorSink<Point> got_sink(&got);
+    ASSERT_TRUE(by_stream->Query({a}, &got_sink).ok());
     SortPoints(&want);
     SortPoints(&got);
     EXPECT_EQ(got, want) << "a=" << a;
@@ -518,8 +522,10 @@ TEST_F(BuildTest, ThreeSidedStreamBuildEqualsVectorBuild) {
   for (Coord lo = 0; lo < kDomain; lo += kDomain / 11) {
     ThreeSidedQuery q{lo, lo + kDomain / 7, kDomain / 3};
     std::vector<Point> want, got;
-    ASSERT_TRUE(by_vector->Query(q, &want).ok());
-    ASSERT_TRUE(by_stream->Query(q, &got).ok());
+    VectorSink<Point> want_sink(&want);
+    ASSERT_TRUE(by_vector->Query(q, &want_sink).ok());
+    VectorSink<Point> got_sink(&got);
+    ASSERT_TRUE(by_stream->Query(q, &got_sink).ok());
     SortPoints(&want);
     SortPoints(&got);
     EXPECT_EQ(got, want) << q.ToString();
@@ -540,8 +546,10 @@ TEST_F(BuildTest, AugmentedThreeSidedStreamBuildEqualsVectorBuild) {
   for (Coord lo = 0; lo < 300; lo += 17) {
     ThreeSidedQuery q{lo, lo + 60, 40};
     std::vector<Point> want, got;
-    ASSERT_TRUE(by_vector->Query(q, &want).ok());
-    ASSERT_TRUE(by_stream->Query(q, &got).ok());
+    VectorSink<Point> want_sink(&want);
+    ASSERT_TRUE(by_vector->Query(q, &want_sink).ok());
+    VectorSink<Point> got_sink(&got);
+    ASSERT_TRUE(by_stream->Query(q, &got_sink).ok());
     SortPoints(&want);
     SortPoints(&got);
     EXPECT_EQ(got, want) << q.ToString();
@@ -563,8 +571,10 @@ TEST_F(BuildTest, PstStreamBuildEqualsVectorBuild) {
   for (Coord lo = 0; lo < kDomain; lo += kDomain / 13) {
     ThreeSidedQuery q{lo, lo + kDomain / 5, kDomain / 4};
     std::vector<Point> want, got;
-    ASSERT_TRUE(by_vector->Query(q, &want).ok());
-    ASSERT_TRUE(by_stream->Query(q, &got).ok());
+    VectorSink<Point> want_sink(&want);
+    ASSERT_TRUE(by_vector->Query(q, &want_sink).ok());
+    VectorSink<Point> got_sink(&got);
+    ASSERT_TRUE(by_stream->Query(q, &got_sink).ok());
     SortPoints(&want);
     SortPoints(&got);
     EXPECT_EQ(got, want) << q.ToString();
@@ -587,8 +597,10 @@ TEST_F(BuildTest, DynamicPstStreamBuildEqualsVectorBuild) {
   for (Coord lo = 0; lo < kDomain; lo += kDomain / 13) {
     ThreeSidedQuery q{lo, lo + kDomain / 5, kDomain / 4};
     std::vector<Point> want, got;
-    ASSERT_TRUE(by_vector->Query(q, &want).ok());
-    ASSERT_TRUE(by_stream->Query(q, &got).ok());
+    VectorSink<Point> want_sink(&want);
+    ASSERT_TRUE(by_vector->Query(q, &want_sink).ok());
+    VectorSink<Point> got_sink(&got);
+    ASSERT_TRUE(by_stream->Query(q, &got_sink).ok());
     SortPoints(&want);
     SortPoints(&got);
     EXPECT_EQ(got, want) << q.ToString();
@@ -610,7 +622,8 @@ TEST_F(BuildTest, BptreeStreamBulkLoadPacksLeaves) {
                 (static_cast<double>(dev_.live_pages()) * loaded->fanout());
   EXPECT_GE(fill, 0.5);  // every node at least half full
   std::vector<BtEntry> got;
-  ASSERT_TRUE(loaded->RangeSearch(100, 200, &got).ok());
+  VectorSink<BtEntry> got_sink(&got);
+  ASSERT_TRUE(loaded->RangeScan(100, 200, &got_sink).ok());
   std::vector<BtEntry> want(entries.begin() + 300, entries.begin() + 603);
   EXPECT_EQ(got, want);
 }
@@ -636,15 +649,17 @@ TEST_F(BuildTest, IntervalIndexStreamBuildEqualsVectorBuild) {
   for (const Interval& iv : ivs) oracle.Insert(iv);
   for (Coord q = 0; q < kDomain; q += kDomain / 17) {
     std::vector<Interval> want, got;
-    ASSERT_TRUE(by_vector->Stab(q, &want).ok());
-    ASSERT_TRUE(by_stream->Stab(q, &got).ok());
+    VectorSink<Interval> want_sink(&want);
+    ASSERT_TRUE(by_vector->Stab(q, &want_sink).ok());
+    VectorSink<Interval> got_sink(&got);
+    ASSERT_TRUE(by_stream->Stab(q, &got_sink).ok());
     SortIntervals(&want);
     SortIntervals(&got);
     EXPECT_EQ(got, want) << "stab q=" << q;
     want.clear();
     got.clear();
-    ASSERT_TRUE(by_vector->Intersect(q, q + kDomain / 9, &want).ok());
-    ASSERT_TRUE(by_stream->Intersect(q, q + kDomain / 9, &got).ok());
+    ASSERT_TRUE(by_vector->Intersect(q, q + kDomain / 9, &want_sink).ok());
+    ASSERT_TRUE(by_stream->Intersect(q, q + kDomain / 9, &got_sink).ok());
     SortIntervals(&want);
     SortIntervals(&got);
     EXPECT_EQ(got, want) << "intersect q=" << q;
@@ -663,8 +678,10 @@ TEST_F(BuildTest, DynamicIntervalIndexStreamBuildEqualsVectorBuild) {
   ASSERT_TRUE(by_stream.ok());
   for (Coord q = 0; q < kDomain; q += kDomain / 13) {
     std::vector<Interval> want, got;
-    ASSERT_TRUE(by_vector->Stab(q, &want).ok());
-    ASSERT_TRUE(by_stream->Stab(q, &got).ok());
+    VectorSink<Interval> want_sink(&want);
+    ASSERT_TRUE(by_vector->Stab(q, &want_sink).ok());
+    VectorSink<Interval> got_sink(&got);
+    ASSERT_TRUE(by_stream->Stab(q, &got_sink).ok());
     SortIntervals(&want);
     SortIntervals(&got);
     EXPECT_EQ(got, want) << "stab q=" << q;
@@ -703,8 +720,10 @@ void ExpectSameClassQueries(const ClassHierarchy& h, const Index& built,
   for (uint32_t c = 0; c < h.size(); ++c) {
     for (Coord a1 = 0; a1 < 1000; a1 += 211) {
       std::vector<uint64_t> want, got;
-      ASSERT_TRUE(inserted.Query(c, a1, a1 + 300, &want).ok());
-      ASSERT_TRUE(built.Query(c, a1, a1 + 300, &got).ok());
+      VectorSink<uint64_t> want_sink(&want);
+      ASSERT_TRUE(inserted.Query(c, a1, a1 + 300, &want_sink).ok());
+      VectorSink<uint64_t> got_sink(&got);
+      ASSERT_TRUE(built.Query(c, a1, a1 + 300, &got_sink).ok());
       std::sort(want.begin(), want.end());
       std::sort(got.begin(), got.end());
       EXPECT_EQ(got, want) << "class=" << c << " a1=" << a1;

@@ -141,16 +141,17 @@ TEST_F(SimpleClassIndexTest, PeopleExampleQueries) {
   ASSERT_TRUE(idx.Insert({4, ph.asst_prof, 52}).ok());
   std::vector<uint64_t> out;
   // Professors (full extent) earning 50..60: professor + asst prof.
-  ASSERT_TRUE(idx.Query(ph.professor, 50, 60, &out).ok());
+  VectorSink<uint64_t> sink(&out);
+  ASSERT_TRUE(idx.Query(ph.professor, 50, 60, &sink).ok());
   std::sort(out.begin(), out.end());
   EXPECT_EQ(out, (std::vector<uint64_t>{3, 4}));
   out.clear();
   // All persons earning 0..100: everyone.
-  ASSERT_TRUE(idx.Query(ph.person, 0, 100, &out).ok());
+  ASSERT_TRUE(idx.Query(ph.person, 0, 100, &sink).ok());
   EXPECT_EQ(out.size(), 4u);
   out.clear();
   // Students earning 50..60: none.
-  ASSERT_TRUE(idx.Query(ph.student, 50, 60, &out).ok());
+  ASSERT_TRUE(idx.Query(ph.student, 50, 60, &sink).ok());
   EXPECT_TRUE(out.empty());
 }
 
@@ -165,7 +166,8 @@ TEST_F(SimpleClassIndexTest, MatchesOracleOnRandomForest) {
     Coord a1 = static_cast<Coord>(rng() % 1000);
     Coord a2 = a1 + static_cast<Coord>(rng() % 200);
     std::vector<uint64_t> got;
-    ASSERT_TRUE(idx.Query(c, a1, a2, &got).ok());
+    VectorSink<uint64_t> sink(&got);
+    ASSERT_TRUE(idx.Query(c, a1, a2, &sink).ok());
     std::sort(got.begin(), got.end());
     ASSERT_EQ(got, NaiveClassQuery(h, objects, c, a1, a2))
         << "class " << c << " [" << a1 << "," << a2 << "]";
@@ -177,7 +179,8 @@ TEST_F(SimpleClassIndexTest, QueryObjectsMaterializesClasses) {
   SimpleClassIndex idx(&pager_, &ph.h);
   ASSERT_TRUE(idx.Insert({7, ph.asst_prof, 42}).ok());
   std::vector<Object> out;
-  ASSERT_TRUE(idx.QueryObjects(ph.person, 0, 100, &out).ok());
+  VectorSink<Object> sink(&out);
+  ASSERT_TRUE(idx.QueryObjects(ph.person, 0, 100, &sink).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], (Object{7, ph.asst_prof, 42}));
 }
@@ -206,7 +209,8 @@ TEST_F(SimpleClassIndexTest, DeletesAreFullyDynamic) {
   for (int q = 0; q < 40; ++q) {
     uint32_t c = rng() % h.size();
     std::vector<uint64_t> got;
-    ASSERT_TRUE(idx.Query(c, 0, 250, &got).ok());
+    VectorSink<uint64_t> sink(&got);
+    ASSERT_TRUE(idx.Query(c, 0, 250, &sink).ok());
     std::sort(got.begin(), got.end());
     ASSERT_EQ(got, NaiveClassQuery(h, alive, c, 0, 250));
   }
@@ -219,7 +223,8 @@ TEST_F(SimpleClassIndexTest, CollectionsPerQueryWithinLogBound) {
   double log2c = std::log2(static_cast<double>(h.size()));
   for (uint32_t c = 0; c < h.size(); c += 11) {
     std::vector<uint64_t> out;
-    ASSERT_TRUE(idx.Query(c, 0, 100, &out).ok());
+    VectorSink<uint64_t> sink(&out);
+    ASSERT_TRUE(idx.Query(c, 0, 100, &sink).ok());
     EXPECT_LE(idx.last_query_collections(),
               static_cast<size_t>(2 * std::ceil(log2c)) + 1)
         << "class " << c;
@@ -266,11 +271,14 @@ TEST_F(BaselinesTest, AllBaselinesMatchOracle) {
     for (auto* name : {"single", "full", "extent"}) {
       std::vector<uint64_t> got;
       if (name == std::string("single")) {
-        ASSERT_TRUE(single.Query(c, a1, a2, &got).ok());
+        VectorSink<uint64_t> sink(&got);
+        ASSERT_TRUE(single.Query(c, a1, a2, &sink).ok());
       } else if (name == std::string("full")) {
-        ASSERT_TRUE(full.Query(c, a1, a2, &got).ok());
+        VectorSink<uint64_t> sink(&got);
+        ASSERT_TRUE(full.Query(c, a1, a2, &sink).ok());
       } else {
-        ASSERT_TRUE(extent.Query(c, a1, a2, &got).ok());
+        VectorSink<uint64_t> sink(&got);
+        ASSERT_TRUE(extent.Query(c, a1, a2, &sink).ok());
       }
       std::sort(got.begin(), got.end());
       ASSERT_EQ(got, want) << name << " class " << c;
@@ -300,7 +308,8 @@ TEST_F(BaselinesTest, DeletesWork) {
   alive.erase(alive.begin() + 5);
   auto want = NaiveClassQuery(h, alive, 0, 0, 100);
   std::vector<uint64_t> got;
-  ASSERT_TRUE(full.Query(0, 0, 100, &got).ok());
+  VectorSink<uint64_t> sink(&got);
+  ASSERT_TRUE(full.Query(0, 0, 100, &sink).ok());
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, want);
 }
@@ -369,7 +378,8 @@ TEST_F(RakeContractTest, PeopleExample) {
   auto idx = RakeContractIndex::Build(&pager_, &ph.h, objects);
   ASSERT_TRUE(idx.ok());
   std::vector<uint64_t> out;
-  ASSERT_TRUE(idx->Query(ph.professor, 50, 60, &out).ok());
+  VectorSink<uint64_t> sink(&out);
+  ASSERT_TRUE(idx->Query(ph.professor, 50, 60, &sink).ok());
   std::sort(out.begin(), out.end());
   EXPECT_EQ(out, (std::vector<uint64_t>{3, 4}));
 }
@@ -391,7 +401,8 @@ TEST_F(RakeContractTest, MatchesOracleAcrossShapes) {
       Coord a1 = static_cast<Coord>(rng() % 700);
       Coord a2 = a1 + static_cast<Coord>(rng() % 140);
       std::vector<uint64_t> got;
-      ASSERT_TRUE(idx->Query(c, a1, a2, &got).ok());
+      VectorSink<uint64_t> sink(&got);
+      ASSERT_TRUE(idx->Query(c, a1, a2, &sink).ok());
       std::sort(got.begin(), got.end());
       ASSERT_EQ(got, NaiveClassQuery(h, objects, c, a1, a2))
           << "class " << c;
@@ -415,7 +426,8 @@ TEST_F(RakeContractTest, DegenerateHierarchyIsOnePath) {
   EXPECT_EQ(idx->max_replication(), 1u);  // no thin edges: single copy
   for (uint32_t c : chain) {
     std::vector<uint64_t> got;
-    ASSERT_TRUE(idx->Query(c, 50, 250, &got).ok());
+    VectorSink<uint64_t> sink(&got);
+    ASSERT_TRUE(idx->Query(c, 50, 250, &sink).ok());
     std::sort(got.begin(), got.end());
     ASSERT_EQ(got, NaiveClassQuery(h, objects, c, 50, 250));
   }
@@ -446,7 +458,8 @@ TEST_F(RakeContractTest, QueryIoWithinTheorem47Bound) {
     auto want = NaiveClassQuery(h, objects, c, a1, a2);
     dev_.ResetStats();
     std::vector<uint64_t> got;
-    ASSERT_TRUE(idx->Query(c, a1, a2, &got).ok());
+    VectorSink<uint64_t> sink(&got);
+    ASSERT_TRUE(idx->Query(c, a1, a2, &sink).ok());
     ASSERT_EQ(got.size(), want.size());
     double budget = 10 * logb_n + 12 * log2_b +
                     8.0 * (static_cast<double>(want.size()) / kB) + 30;
@@ -473,7 +486,8 @@ TEST_F(RakeContractTest, DynamicInsertsMatchOracle) {
       Coord a1 = static_cast<Coord>(rng() % 900);
       Coord a2 = a1 + static_cast<Coord>(rng() % 300);
       std::vector<uint64_t> got;
-      ASSERT_TRUE(idx->Query(c, a1, a2, &got).ok());
+      VectorSink<uint64_t> sink(&got);
+      ASSERT_TRUE(idx->Query(c, a1, a2, &sink).ok());
       std::sort(got.begin(), got.end());
       ASSERT_EQ(got, NaiveClassQuery(h, present, c, a1, a2))
           << "class " << c << " after " << i;
@@ -490,10 +504,11 @@ TEST_F(RakeContractTest, InsertFromEmptyIndex) {
   ASSERT_TRUE(idx->Insert({1, ph.asst_prof, 42}).ok());
   ASSERT_TRUE(idx->Insert({2, ph.student, 17}).ok());
   std::vector<uint64_t> out;
-  ASSERT_TRUE(idx->Query(ph.person, 0, 100, &out).ok());
+  VectorSink<uint64_t> sink(&out);
+  ASSERT_TRUE(idx->Query(ph.person, 0, 100, &sink).ok());
   EXPECT_EQ(out.size(), 2u);
   out.clear();
-  ASSERT_TRUE(idx->Query(ph.professor, 0, 100, &out).ok());
+  ASSERT_TRUE(idx->Query(ph.professor, 0, 100, &sink).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], 1u);
   EXPECT_FALSE(idx->Insert({3, 999, 5}).ok());  // unknown class

@@ -41,12 +41,13 @@ constexpr unsigned kThreads = 4;
 
 // Replays `queries` on kThreads threads concurrently (each thread runs the
 // full set) and checks every result against the single-threaded answer,
-// bit for bit. `run` is a callable Status(const Q&, std::vector<T>*).
+// bit for bit. `run` is a callable Status(const Q&, ResultSink<T>*).
 template <typename T, typename Q, typename RunFn>
 void ExpectConcurrentReplayAgrees(const std::vector<Q>& queries, RunFn run) {
   std::vector<std::vector<T>> expected(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_TRUE(run(queries[i], &expected[i]).ok()) << "query " << i;
+    VectorSink<T> sink(&expected[i]);
+    ASSERT_TRUE(run(queries[i], &sink).ok()) << "query " << i;
   }
   std::atomic<uint64_t> status_failures{0};
   std::atomic<uint64_t> mismatches{0};
@@ -55,7 +56,8 @@ void ExpectConcurrentReplayAgrees(const std::vector<Q>& queries, RunFn run) {
     threads.emplace_back([&] {
       for (size_t i = 0; i < queries.size(); ++i) {
         std::vector<T> got;
-        if (!run(queries[i], &got).ok()) {
+        VectorSink<T> sink(&got);
+        if (!run(queries[i], &sink).ok()) {
           status_failures.fetch_add(1, std::memory_order_relaxed);
         } else if (got != expected[i]) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
@@ -74,14 +76,7 @@ void ExpectConcurrentReplayAgrees(const std::vector<Q>& queries, RunFn run) {
   auto report = exec.RunBatch<T>(
       std::span<const Q>(queries),
       [&](size_t i) { return std::make_unique<VectorSink<T>>(&batch_out[i]); },
-      [&](const Q& q, ResultSink<T>* sink) {
-        // Adapter: drive the vector-overload path into the batch sink so
-        // one helper serves families with both sink and vector overloads.
-        std::vector<T> tmp;
-        Status s = run(q, &tmp);
-        if (s.ok() && !tmp.empty()) sink->Emit(tmp);
-        return s;
-      });
+      run);
   ASSERT_TRUE(report.ok()) << report.report.FirstError().ToString();
   EXPECT_EQ(batch_out, expected);
   uint64_t total = 0;
@@ -106,8 +101,8 @@ TEST_F(ConcurrentQueryTest, MetablockTreeReplay) {
   std::vector<Coord> queries;
   for (Coord a = 0; a <= 2500; a += 167) queries.push_back(a);
   ExpectConcurrentReplayAgrees<Point>(
-      queries, [&](Coord a, std::vector<Point>* out) {
-        return tree->Query({a}, out);
+      queries, [&](Coord a, ResultSink<Point>* sink) {
+        return tree->Query({a}, sink);
       });
   ASSERT_TRUE(tree->Destroy().ok());
 }
@@ -123,8 +118,8 @@ TEST_F(ConcurrentQueryTest, AugmentedMetablockTreeReplay) {
   std::vector<Coord> queries;
   for (Coord a = 0; a <= 2000; a += 149) queries.push_back(a);
   ExpectConcurrentReplayAgrees<Point>(
-      queries, [&](Coord a, std::vector<Point>* out) {
-        return tree->Query({a}, out);
+      queries, [&](Coord a, ResultSink<Point>* sink) {
+        return tree->Query({a}, sink);
       });
   ASSERT_TRUE(tree->Destroy().ok());
 }
@@ -141,12 +136,12 @@ TEST_F(ConcurrentQueryTest, ThreeSidedTreesReplay) {
     queries.push_back({q, q + 700, q / 2});
   }
   ExpectConcurrentReplayAgrees<Point>(
-      queries, [&](const ThreeSidedQuery& q, std::vector<Point>* out) {
-        return tree->Query(q, out);
+      queries, [&](const ThreeSidedQuery& q, ResultSink<Point>* sink) {
+        return tree->Query(q, sink);
       });
   ExpectConcurrentReplayAgrees<Point>(
-      queries, [&](const ThreeSidedQuery& q, std::vector<Point>* out) {
-        return aug->Query(q, out);
+      queries, [&](const ThreeSidedQuery& q, ResultSink<Point>* sink) {
+        return aug->Query(q, sink);
       });
   ASSERT_TRUE(tree->Destroy().ok());
   ASSERT_TRUE(aug->Destroy().ok());
@@ -159,8 +154,8 @@ TEST_F(ConcurrentQueryTest, CornerStructureReplay) {
   std::vector<Coord> queries;
   for (Coord a = 0; a <= 800; a += 71) queries.push_back(a);
   ExpectConcurrentReplayAgrees<Point>(
-      queries, [&](Coord a, std::vector<Point>* out) {
-        return corner->Query(a, out);
+      queries, [&](Coord a, ResultSink<Point>* sink) {
+        return corner->Query(a, sink);
       });
   ASSERT_TRUE(corner->Free().ok());
 }
@@ -180,12 +175,12 @@ TEST_F(ConcurrentQueryTest, PstReplay) {
     queries.push_back({q, q + 600, q / 3});
   }
   ExpectConcurrentReplayAgrees<Point>(
-      queries, [&](const ThreeSidedQuery& q, std::vector<Point>* out) {
-        return pst->Query(q, out);
+      queries, [&](const ThreeSidedQuery& q, ResultSink<Point>* sink) {
+        return pst->Query(q, sink);
       });
   ExpectConcurrentReplayAgrees<Point>(
-      queries, [&](const ThreeSidedQuery& q, std::vector<Point>* out) {
-        return dyn->Query(q, out);
+      queries, [&](const ThreeSidedQuery& q, ResultSink<Point>* sink) {
+        return dyn->Query(q, sink);
       });
   ASSERT_TRUE(pst->Free().ok());
   ASSERT_TRUE(dyn->Destroy().ok());
@@ -199,8 +194,8 @@ TEST_F(ConcurrentQueryTest, BPlusTreeReplay) {
   std::vector<int64_t> queries;
   for (int64_t lo = 0; lo < 997; lo += 89) queries.push_back(lo);
   ExpectConcurrentReplayAgrees<BtEntry>(
-      queries, [&](int64_t lo, std::vector<BtEntry>* out) {
-        return tree.RangeSearch(lo, lo + 120, out);
+      queries, [&](int64_t lo, ResultSink<BtEntry>* sink) {
+        return tree.RangeScan(lo, lo + 120, sink);
       });
   ASSERT_TRUE(tree.Destroy().ok());
 }
@@ -214,16 +209,16 @@ TEST_F(ConcurrentQueryTest, IntervalIndexesReplay) {
   std::vector<Coord> queries;
   for (Coord q = 0; q < 4000; q += 409) queries.push_back(q);
   ExpectConcurrentReplayAgrees<Interval>(
-      queries, [&](Coord q, std::vector<Interval>* out) {
-        return index->Stab(q, out);
+      queries, [&](Coord q, ResultSink<Interval>* sink) {
+        return index->Stab(q, sink);
       });
   ExpectConcurrentReplayAgrees<Interval>(
-      queries, [&](Coord q, std::vector<Interval>* out) {
-        return index->Intersect(q, q + 200, out);
+      queries, [&](Coord q, ResultSink<Interval>* sink) {
+        return index->Intersect(q, q + 200, sink);
       });
   ExpectConcurrentReplayAgrees<Interval>(
-      queries, [&](Coord q, std::vector<Interval>* out) {
-        return dyn->Intersect(q, q + 200, out);
+      queries, [&](Coord q, ResultSink<Interval>* sink) {
+        return dyn->Intersect(q, q + 200, sink);
       });
   ASSERT_TRUE(index->Destroy().ok());
   ASSERT_TRUE(dyn->Destroy().ok());
@@ -256,12 +251,12 @@ TEST_F(ConcurrentQueryTest, ClassIndexesReplay) {
     for (Coord a1 = 0; a1 < 500; a1 += 110) queries.push_back({c, a1, a1 + 90});
   }
   ExpectConcurrentReplayAgrees<uint64_t>(
-      queries, [&](const ClassQuery& q, std::vector<uint64_t>* out) {
-        return simple.Query(q.c, q.a1, q.a2, out);
+      queries, [&](const ClassQuery& q, ResultSink<uint64_t>* sink) {
+        return simple.Query(q.c, q.a1, q.a2, sink);
       });
   ExpectConcurrentReplayAgrees<uint64_t>(
-      queries, [&](const ClassQuery& q, std::vector<uint64_t>* out) {
-        return rake->Query(q.c, q.a1, q.a2, out);
+      queries, [&](const ClassQuery& q, ResultSink<uint64_t>* sink) {
+        return rake->Query(q.c, q.a1, q.a2, sink);
       });
 }
 
@@ -271,9 +266,8 @@ TEST(ConcurrentTessellationTest, VisitRangeBlocksReplay) {
   std::vector<RangeQuery2D> queries;
   for (Coord x = 0; x < 60; x += 13) queries.push_back({x, x + 25, x / 2, 40});
   ExpectConcurrentReplayAgrees<TessBlock>(
-      queries, [&](const RangeQuery2D& q, std::vector<TessBlock>* out) {
-        VectorSink<TessBlock> sink(out);
-        tess->VisitRangeBlocks(q, &sink);
+      queries, [&](const RangeQuery2D& q, ResultSink<TessBlock>* sink) {
+        tess->VisitRangeBlocks(q, sink);
         return Status::OK();
       });
 }

@@ -147,7 +147,8 @@ TEST(ConcurrentUpdate, QuiescedUpdatesMatchSequentialReplay) {
     auto report = exec.RunBatch(
         std::span<const ThreeSidedQuery>(queries),
         [&](const ThreeSidedQuery& q, size_t index, unsigned) {
-          return st->Query(q, &got[index]);
+          VectorSink<Point> sink(&got[index]);
+          return st->Query(q, &sink);
         },
         &pager);
     ASSERT_TRUE(report.ok()) << report.FirstError().ToString();
@@ -174,7 +175,8 @@ TEST(ConcurrentUpdate, QuiescedUpdatesMatchSequentialReplay) {
   // Final state must be bit-identical to the sequential replay.
   std::vector<std::vector<Point>> finals(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_TRUE(st->Query(queries[i], &finals[i]).ok());
+    VectorSink<Point> sink(&finals[i]);
+    ASSERT_TRUE(st->Query(queries[i], &sink).ok());
     SortPoints(&finals[i]);
   }
   EXPECT_EQ(finals, boundaries.back());

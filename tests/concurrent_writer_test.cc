@@ -216,7 +216,8 @@ class PstAdapter {
     }
     for (const auto& q : qs) {
       std::vector<Point> got;
-      CCIDX_RETURN_IF_ERROR(pst_->Query(q, &got));
+      VectorSink<Point> sink(&got);
+      CCIDX_RETURN_IF_ERROR(pst_->Query(q, &sink));
       SortPoints(&got);
       if (got != oracle_.ThreeSided(q)) {
         return Status::Corruption("PST query diverged from oracle");
@@ -302,7 +303,8 @@ class DynResurrectAdapter {
   }
   Status Compare() {
     std::vector<Point> got;
-    CCIDX_RETURN_IF_ERROR(dyn_->Query({0, kDomain, 0}, &got));
+    VectorSink<Point> sink(&got);
+    CCIDX_RETURN_IF_ERROR(dyn_->Query({0, kDomain, 0}, &sink));
     SortPoints(&got);
     if (got != oracle_.ThreeSided({0, kDomain, 0})) {
       return Status::Corruption("resurrection state diverged from oracle");
@@ -392,7 +394,8 @@ class ClsAdapter {
   Status Compare() {
     for (uint32_t c = 0; c < h_->size(); ++c) {
       std::vector<uint64_t> got;
-      CCIDX_RETURN_IF_ERROR(index_->Query(c, 0, kDomain, &got));
+      VectorSink<uint64_t> sink(&got);
+      CCIDX_RETURN_IF_ERROR(index_->Query(c, 0, kDomain, &sink));
       std::sort(got.begin(), got.end());
       std::vector<uint64_t> want;
       Coord lo = h_->code(c), hi = h_->subtree_max_code(c);
@@ -486,7 +489,8 @@ TEST(ConcurrentWriter, DynamizedBackgroundPurgeMatchesOracle) {
     auto report = exec.RunBatch(
         std::span<const ThreeSidedQuery>(qs),
         [&](const ThreeSidedQuery& q, size_t index, unsigned) {
-          return dyn.Query(q, &got[index]);
+          VectorSink<Point> sink(&got[index]);
+          return dyn.Query(q, &sink);
         });
     ASSERT_TRUE(report.ok()) << report.FirstError().ToString();
   }
@@ -497,7 +501,8 @@ TEST(ConcurrentWriter, DynamizedBackgroundPurgeMatchesOracle) {
   EXPECT_EQ(maint.rebuilds_failed(), 0u);
 
   std::vector<Point> finals;
-  ASSERT_TRUE(dyn.Query({0, kDomain, 0}, &finals).ok());
+  VectorSink<Point> sink(&finals);
+  ASSERT_TRUE(dyn.Query({0, kDomain, 0}, &sink).ok());
   SortPoints(&finals);
   EXPECT_EQ(finals, oracle.ThreeSided({0, kDomain, 0}));
   ASSERT_TRUE(dyn.CheckInvariants().ok());
@@ -541,7 +546,8 @@ TEST(ConcurrentWriter, ExternalPstBackgroundRebuildMatchesOracle) {
     auto report = exec.RunBatch(
         std::span<const ThreeSidedQuery>(qs),
         [&](const ThreeSidedQuery& q, size_t index, unsigned) {
-          return pst->Query(q, &got[index]);
+          VectorSink<Point> sink(&got[index]);
+          return pst->Query(q, &sink);
         });
     ASSERT_TRUE(report.ok()) << report.FirstError().ToString();
   }
@@ -549,7 +555,8 @@ TEST(ConcurrentWriter, ExternalPstBackgroundRebuildMatchesOracle) {
   EXPECT_EQ(maint.rebuilds_failed(), 0u);
 
   std::vector<Point> finals;
-  ASSERT_TRUE(pst->Query({0, kDomain, 0}, &finals).ok());
+  VectorSink<Point> sink(&finals);
+  ASSERT_TRUE(pst->Query({0, kDomain, 0}, &sink).ok());
   SortPoints(&finals);
   EXPECT_EQ(finals, oracle.ThreeSided({0, kDomain, 0}));
   ASSERT_TRUE(pst->CheckInvariants().ok());

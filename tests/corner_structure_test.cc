@@ -28,7 +28,8 @@ TEST_F(CornerStructureTest, EmptySet) {
   auto cs = CornerStructure::Build(&pager_, {});
   ASSERT_TRUE(cs.ok());
   std::vector<Point> out;
-  ASSERT_TRUE(cs->Query(5, &out).ok());
+  VectorSink<Point> sink(&out);
+  ASSERT_TRUE(cs->Query(5, &sink).ok());
   EXPECT_TRUE(out.empty());
 }
 
@@ -36,14 +37,15 @@ TEST_F(CornerStructureTest, SinglePoint) {
   auto cs = CornerStructure::Build(&pager_, {{3, 8, 1}});
   ASSERT_TRUE(cs.ok());
   std::vector<Point> out;
-  ASSERT_TRUE(cs->Query(5, &out).ok());  // 3 <= 5 <= 8: hit
+  VectorSink<Point> sink(&out);
+  ASSERT_TRUE(cs->Query(5, &sink).ok());  // 3 <= 5 <= 8: hit
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].id, 1u);
   out.clear();
-  ASSERT_TRUE(cs->Query(2, &out).ok());  // x = 3 > 2: miss
+  ASSERT_TRUE(cs->Query(2, &sink).ok());  // x = 3 > 2: miss
   EXPECT_TRUE(out.empty());
   out.clear();
-  ASSERT_TRUE(cs->Query(9, &out).ok());  // y = 8 < 9: miss
+  ASSERT_TRUE(cs->Query(9, &sink).ok());  // y = 8 < 9: miss
   EXPECT_TRUE(out.empty());
 }
 
@@ -57,7 +59,8 @@ TEST_F(CornerStructureTest, MatchesOracleOnRandomSets) {
     ASSERT_TRUE(cs.ok());
     for (Coord a = 0; a <= 1000; a += 13) {
       std::vector<Point> got;
-      ASSERT_TRUE(cs->Query(a, &got).ok());
+      VectorSink<Point> sink(&got);
+      ASSERT_TRUE(cs->Query(a, &sink).ok());
       SortPoints(&got);
       EXPECT_EQ(got, oracle.Diagonal({a})) << "a=" << a << " seed=" << seed;
     }
@@ -77,7 +80,8 @@ TEST_F(CornerStructureTest, MatchesOracleWithDuplicateCoordinates) {
   ASSERT_TRUE(cs.ok());
   for (Coord a = -1; a <= 20; ++a) {
     std::vector<Point> got;
-    ASSERT_TRUE(cs->Query(a, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(cs->Query(a, &sink).ok());
     SortPoints(&got);
     EXPECT_EQ(got, oracle.Diagonal({a})) << "a=" << a;
   }
@@ -108,7 +112,8 @@ TEST_F(CornerStructureTest, QueryIoWithinLemmaBound) {
   for (Coord a = 0; a <= 10000; a += 307) {
     dev_.ResetStats();
     std::vector<Point> got;
-    ASSERT_TRUE(cs->Query(a, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(cs->Query(a, &sink).ok());
     size_t t = oracle.Diagonal({a}).size();
     ASSERT_EQ(got.size(), t);
     uint64_t budget = 2 * (t / kB) + 10;
@@ -133,7 +138,8 @@ TEST_F(CornerStructureTest, OpenByHeaderSeesSameData) {
   ASSERT_TRUE(built.ok());
   CornerStructure reopened = CornerStructure::Open(&pager_, built->header());
   std::vector<Point> got;
-  ASSERT_TRUE(reopened.Query(150, &got).ok());
+  VectorSink<Point> sink(&got);
+  ASSERT_TRUE(reopened.Query(150, &sink).ok());
   SortPoints(&got);
   EXPECT_EQ(got, oracle.Diagonal({150}));
 }
@@ -149,7 +155,8 @@ TEST_F(CornerStructureTest, PointsOnDiagonal) {
   ASSERT_TRUE(cs.ok());
   for (Coord a = 0; a < 50; a += 7) {
     std::vector<Point> got;
-    ASSERT_TRUE(cs->Query(a, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(cs->Query(a, &sink).ok());
     SortPoints(&got);
     EXPECT_EQ(got, oracle.Diagonal({a})) << "a=" << a;
   }
@@ -170,7 +177,8 @@ TEST_P(CornerStructureSizeTest, OracleEquivalence) {
   for (int i = 0; i < 60; ++i) {
     Coord a = static_cast<Coord>(rng() % 5200) - 100;
     std::vector<Point> got;
-    ASSERT_TRUE(cs->Query(a, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(cs->Query(a, &sink).ok());
     SortPoints(&got);
     EXPECT_EQ(got, oracle.Diagonal({a})) << "a=" << a;
   }

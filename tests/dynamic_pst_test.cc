@@ -31,7 +31,8 @@ class DynamicPstTest : public ::testing::Test {
 TEST_F(DynamicPstTest, EmptyTree) {
   DynamicPst pst(&pager_);
   std::vector<Point> out;
-  ASSERT_TRUE(pst.Query({0, 10, 0}, &out).ok());
+  VectorSink<Point> sink(&out);
+  ASSERT_TRUE(pst.Query({0, 10, 0}, &sink).ok());
   EXPECT_TRUE(out.empty());
   bool found = true;
   ASSERT_TRUE(pst.Delete({1, 2, 3}, &found).ok());
@@ -56,7 +57,8 @@ TEST_F(DynamicPstTest, PureInsertionMatchesOracle) {
     if (x1 > x2) std::swap(x1, x2);
     ThreeSidedQuery q{x1, x2, static_cast<Coord>(rng() % 1500)};
     std::vector<Point> got;
-    ASSERT_TRUE(pst.Query(q, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(pst.Query(q, &sink).ok());
     SortPoints(&got);
     ASSERT_EQ(got, oracle.ThreeSided(q)) << q.ToString();
   }
@@ -74,7 +76,8 @@ TEST_F(DynamicPstTest, SortedInsertsStayBalanced) {
   // Query cost must be logarithmic, not linear.
   dev_.ResetStats();
   std::vector<Point> out;
-  ASSERT_TRUE(pst.Query({2000, 2000, 0}, &out).ok());
+  VectorSink<Point> sink(&out);
+  ASSERT_TRUE(pst.Query({2000, 2000, 0}, &sink).ok());
   EXPECT_LE(dev_.stats().device_reads,
             8 * std::log2(4000.0) + 16);
 }
@@ -102,7 +105,8 @@ TEST_F(DynamicPstTest, InsertDeleteChurnMatchesOracle) {
       Coord x2 = x1 + static_cast<Coord>(rng() % 200);
       ThreeSidedQuery q{x1, x2, static_cast<Coord>(rng() % 800)};
       std::vector<Point> got;
-      ASSERT_TRUE(pst.Query(q, &got).ok());
+      VectorSink<Point> sink(&got);
+      ASSERT_TRUE(pst.Query(q, &sink).ok());
       SortPoints(&got);
       PointOracle oracle(live);
       ASSERT_EQ(got, oracle.ThreeSided(q))
@@ -144,7 +148,8 @@ TEST_F(DynamicPstTest, BulkBuildThenChurn) {
   PointOracle oracle(live);
   ThreeSidedQuery q{100, 900, 200};
   std::vector<Point> got;
-  ASSERT_TRUE(pst->Query(q, &got).ok());
+  VectorSink<Point> sink(&got);
+  ASSERT_TRUE(pst->Query(q, &sink).ok());
   SortPoints(&got);
   EXPECT_EQ(got, oracle.ThreeSided(q));
 }
@@ -175,7 +180,8 @@ TEST_F(DynamicPstTest, QueryIoStaysLogarithmicUnderChurn) {
     size_t t = oracle.ThreeSided(q).size();
     dev_.ResetStats();
     std::vector<Point> got;
-    ASSERT_TRUE(pst.Query(q, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(pst.Query(q, &sink).ok());
     ASSERT_EQ(got.size(), t);
     double budget = 6 * log2n + 5.0 * (static_cast<double>(t) / kB) + 16;
     EXPECT_LE(dev_.stats().device_reads, budget) << q.ToString();
@@ -261,14 +267,16 @@ TEST_F(DynamicIntervalTest, FullChurnMatchesOracle) {
     } else if (op == 8) {
       Coord q = static_cast<Coord>(rng() % 2300);
       std::vector<Interval> got;
-      ASSERT_TRUE(idx.Stab(q, &got).ok());
+      VectorSink<Interval> sink(&got);
+      ASSERT_TRUE(idx.Stab(q, &sink).ok());
       SortIntervals(&got);
       ASSERT_EQ(got, oracle.Stab(q)) << "stab " << q << " step " << step;
     } else {
       Coord a = static_cast<Coord>(rng() % 2300);
       Coord b = a + static_cast<Coord>(rng() % 400);
       std::vector<Interval> got;
-      ASSERT_TRUE(idx.Intersect(a, b, &got).ok());
+      VectorSink<Interval> sink(&got);
+      ASSERT_TRUE(idx.Intersect(a, b, &sink).ok());
       SortIntervals(&got);
       ASSERT_EQ(got, oracle.Intersect(a, b))
           << "[" << a << "," << b << "] step " << step;
@@ -292,7 +300,8 @@ TEST_F(DynamicIntervalTest, BulkBuildAndDelete) {
   }
   for (Coord q = 0; q <= 5000; q += 331) {
     std::vector<Interval> got;
-    ASSERT_TRUE(idx->Stab(q, &got).ok());
+    VectorSink<Interval> sink(&got);
+    ASSERT_TRUE(idx->Stab(q, &sink).ok());
     SortIntervals(&got);
     ASSERT_EQ(got, oracle.Stab(q)) << "q=" << q;
   }

@@ -29,7 +29,8 @@ TEST_F(ExternalPstTest, EmptyTree) {
   auto pst = ExternalPst::Build(&pager_, std::vector<Point>{});
   ASSERT_TRUE(pst.ok());
   std::vector<Point> out;
-  ASSERT_TRUE(pst->Query({0, 100, 0}, &out).ok());
+  VectorSink<Point> sink(&out);
+  ASSERT_TRUE(pst->Query({0, 100, 0}, &sink).ok());
   EXPECT_TRUE(out.empty());
   ASSERT_TRUE(pst->CheckInvariants().ok());
 }
@@ -38,14 +39,15 @@ TEST_F(ExternalPstTest, SinglePoint) {
   auto pst = ExternalPst::Build(&pager_, std::vector<Point>{{5, 7, 42}});
   ASSERT_TRUE(pst.ok());
   std::vector<Point> out;
-  ASSERT_TRUE(pst->Query({0, 10, 0}, &out).ok());
+  VectorSink<Point> sink(&out);
+  ASSERT_TRUE(pst->Query({0, 10, 0}, &sink).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].id, 42u);
   out.clear();
-  ASSERT_TRUE(pst->Query({6, 10, 0}, &out).ok());  // x misses
+  ASSERT_TRUE(pst->Query({6, 10, 0}, &sink).ok());  // x misses
   EXPECT_TRUE(out.empty());
   out.clear();
-  ASSERT_TRUE(pst->Query({0, 10, 8}, &out).ok());  // y misses
+  ASSERT_TRUE(pst->Query({0, 10, 8}, &sink).ok());  // y misses
   EXPECT_TRUE(out.empty());
 }
 
@@ -66,7 +68,8 @@ TEST_F(ExternalPstTest, MatchesOracleOnRandomSets) {
       Coord y = static_cast<Coord>(rng() % 1000);
       ThreeSidedQuery q{x1, x2, y};
       std::vector<Point> got;
-      ASSERT_TRUE(pst->Query(q, &got).ok());
+      VectorSink<Point> sink(&got);
+      ASSERT_TRUE(pst->Query(q, &sink).ok());
       SortPoints(&got);
       EXPECT_EQ(got, oracle.ThreeSided(q)) << q.ToString();
     }
@@ -77,7 +80,8 @@ TEST_F(ExternalPstTest, InvertedRangeIsEmpty) {
   auto pst = ExternalPst::Build(&pager_, RandomPoints(100, 100, 2));
   ASSERT_TRUE(pst.ok());
   std::vector<Point> out;
-  ASSERT_TRUE(pst->Query({50, 10, 0}, &out).ok());
+  VectorSink<Point> sink(&out);
+  ASSERT_TRUE(pst->Query({50, 10, 0}, &sink).ok());
   EXPECT_TRUE(out.empty());
 }
 
@@ -95,7 +99,8 @@ TEST_F(ExternalPstTest, DuplicateCoordinates) {
     for (Coord y = 0; y < 11; ++y) {
       ThreeSidedQuery q{x1, 6, y};
       std::vector<Point> got;
-      ASSERT_TRUE(pst->Query(q, &got).ok());
+      VectorSink<Point> sink(&got);
+      ASSERT_TRUE(pst->Query(q, &sink).ok());
       SortPoints(&got);
       EXPECT_EQ(got, oracle.ThreeSided(q)) << q.ToString();
     }
@@ -129,7 +134,8 @@ TEST_F(ExternalPstTest, QueryIoIsLog2PlusOutput) {
     size_t t = oracle.ThreeSided(q).size();
     dev_.ResetStats();
     std::vector<Point> got;
-    ASSERT_TRUE(pst->Query(q, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(pst->Query(q, &sink).ok());
     ASSERT_EQ(got.size(), t);
     double budget = 4 * log2n + 4.0 * (static_cast<double>(t) / kB) + 8;
     EXPECT_LE(dev_.stats().device_reads, budget)
@@ -153,7 +159,8 @@ TEST_F(ExternalPstTest, OpenByRootSeesSameData) {
   ExternalPst reopened = ExternalPst::Open(&pager_, built->root());
   ThreeSidedQuery q{100, 800, 300};
   std::vector<Point> got;
-  ASSERT_TRUE(reopened.Query(q, &got).ok());
+  VectorSink<Point> sink(&got);
+  ASSERT_TRUE(reopened.Query(q, &sink).ok());
   SortPoints(&got);
   EXPECT_EQ(got, oracle.ThreeSided(q));
 }
@@ -167,7 +174,8 @@ TEST_F(ExternalPstTest, TwoSidedSpecialCase) {
   for (Coord a = 0; a <= 2000; a += 157) {
     ThreeSidedQuery q{kCoordMin, a, a};
     std::vector<Point> got;
-    ASSERT_TRUE(pst->Query(q, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(pst->Query(q, &sink).ok());
     SortPoints(&got);
     EXPECT_EQ(got, oracle.ThreeSided(q)) << "a=" << a;
   }
@@ -190,7 +198,8 @@ TEST_P(ExternalPstSizeSweep, OracleEquivalence) {
     if (x1 > x2) std::swap(x1, x2);
     ThreeSidedQuery q{x1, x2, static_cast<Coord>(rng() % 3000)};
     std::vector<Point> got;
-    ASSERT_TRUE(pst->Query(q, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(pst->Query(q, &sink).ok());
     SortPoints(&got);
     EXPECT_EQ(got, oracle.ThreeSided(q)) << q.ToString();
   }

@@ -42,12 +42,14 @@ TEST(FaultInjectionTest, BptreeQueryPropagatesErrors) {
   }
   dev.ResetStats();
   std::vector<BtEntry> out;
-  ASSERT_TRUE(tree.RangeSearch(100, 200, &out).ok());
+  VectorSink<BtEntry> sink(&out);
+  ASSERT_TRUE(tree.RangeScan(100, 200, &sink).ok());
   uint64_t healthy = dev.stats().TotalIos();
   ASSERT_GT(healthy, 0u);
   SweepFailurePoints(&dev, healthy, [&] {
     std::vector<BtEntry> o;
-    return tree.RangeSearch(100, 200, &o);
+    VectorSink<BtEntry> sink(&o);
+    return tree.RangeScan(100, 200, &sink);
   });
 }
 
@@ -59,11 +61,13 @@ TEST(FaultInjectionTest, MetablockQueryPropagatesErrors) {
   ASSERT_TRUE(tree.ok());
   dev.ResetStats();
   std::vector<Point> out;
-  ASSERT_TRUE(tree->Query({500}, &out).ok());
+  VectorSink<Point> sink(&out);
+  ASSERT_TRUE(tree->Query({500}, &sink).ok());
   uint64_t healthy = dev.stats().TotalIos();
   SweepFailurePoints(&dev, healthy, [&] {
     std::vector<Point> o;
-    return tree->Query({500}, &o);
+    VectorSink<Point> sink(&o);
+    return tree->Query({500}, &sink);
   });
 }
 
@@ -75,11 +79,13 @@ TEST(FaultInjectionTest, ThreeSidedQueryPropagatesErrors) {
   ASSERT_TRUE(tree.ok());
   dev.ResetStats();
   std::vector<Point> out;
-  ASSERT_TRUE(tree->Query({200, 1500, 300}, &out).ok());
+  VectorSink<Point> sink(&out);
+  ASSERT_TRUE(tree->Query({200, 1500, 300}, &sink).ok());
   uint64_t healthy = dev.stats().TotalIos();
   SweepFailurePoints(&dev, healthy, [&] {
     std::vector<Point> o;
-    return tree->Query({200, 1500, 300}, &o);
+    VectorSink<Point> sink(&o);
+    return tree->Query({200, 1500, 300}, &sink);
   });
 }
 
@@ -90,11 +96,13 @@ TEST(FaultInjectionTest, PstQueryPropagatesErrors) {
   ASSERT_TRUE(pst.ok());
   dev.ResetStats();
   std::vector<Point> out;
-  ASSERT_TRUE(pst->Query({100, 1900, 100}, &out).ok());
+  VectorSink<Point> sink(&out);
+  ASSERT_TRUE(pst->Query({100, 1900, 100}, &sink).ok());
   uint64_t healthy = dev.stats().TotalIos();
   SweepFailurePoints(&dev, healthy, [&] {
     std::vector<Point> o;
-    return pst->Query({100, 1900, 100}, &o);
+    VectorSink<Point> sink(&o);
+    return pst->Query({100, 1900, 100}, &sink);
   });
 }
 
@@ -106,11 +114,13 @@ TEST(FaultInjectionTest, IntervalStabPropagatesErrors) {
   ASSERT_TRUE(idx.ok());
   dev.ResetStats();
   std::vector<Interval> out;
-  ASSERT_TRUE(idx->Intersect(1000, 1500, &out).ok());
+  VectorSink<Interval> sink(&out);
+  ASSERT_TRUE(idx->Intersect(1000, 1500, &sink).ok());
   uint64_t healthy = dev.stats().TotalIos();
   SweepFailurePoints(&dev, healthy, [&] {
     std::vector<Interval> o;
-    return idx->Intersect(1000, 1500, &o);
+    VectorSink<Interval> sink(&o);
+    return idx->Intersect(1000, 1500, &sink);
   });
 }
 
@@ -127,7 +137,8 @@ TEST(FaultInjectionTest, BptreeInsertFailsCleanly) {
   dev.SetFailAfter(-1);
   // The tree remains queryable after a failed insert.
   std::vector<BtEntry> out;
-  EXPECT_TRUE(tree.RangeSearch(0, 199, &out).ok());
+  VectorSink<BtEntry> sink(&out);
+  EXPECT_TRUE(tree.RangeScan(0, 199, &sink).ok());
   EXPECT_GE(out.size(), 200u);
 }
 
@@ -143,7 +154,8 @@ TEST(FaultInjectionTest, AugmentedInsertFailsCleanly) {
   EXPECT_FALSE(s.ok());
   dev.SetFailAfter(-1);
   std::vector<Point> out;
-  EXPECT_TRUE(tree.Query({100}, &out).ok());
+  VectorSink<Point> sink(&out);
+  EXPECT_TRUE(tree.Query({100}, &sink).ok());
 }
 
 }  // namespace

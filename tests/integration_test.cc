@@ -38,7 +38,8 @@ TEST(PagerIntegrationTest, CachedMetablockQueriesMatchUncached) {
 
   for (Coord a = 0; a <= 3000; a += 101) {
     std::vector<Point> got;
-    ASSERT_TRUE(tree->Query({a}, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(tree->Query({a}, &sink).ok());
     SortPoints(&got);
     ASSERT_EQ(got, oracle.Diagonal({a})) << "a=" << a;
   }
@@ -51,10 +52,11 @@ TEST(PagerIntegrationTest, WarmCacheReducesDeviceReads) {
   auto tree = MetablockTree::Build(&pager, points);
   ASSERT_TRUE(tree.ok());
   std::vector<Point> out;
-  ASSERT_TRUE(tree->Query({1500}, &out).ok());  // warm the pool
+  VectorSink<Point> sink(&out);
+  ASSERT_TRUE(tree->Query({1500}, &sink).ok());  // warm the pool
   dev.ResetStats();
   out.clear();
-  ASSERT_TRUE(tree->Query({1500}, &out).ok());  // fully cached now
+  ASSERT_TRUE(tree->Query({1500}, &sink).ok());  // fully cached now
   EXPECT_EQ(dev.stats().device_reads, 0u);
 }
 
@@ -67,7 +69,8 @@ TEST(PagerIntegrationTest, TinyCacheStillCorrect) {
   for (const Point& p : points) ASSERT_TRUE(tree.Insert(p).ok());
   for (Coord a = 0; a <= 2000; a += 173) {
     std::vector<Point> got;
-    ASSERT_TRUE(tree.Query({a}, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(tree.Query({a}, &sink).ok());
     SortPoints(&got);
     ASSERT_EQ(got, oracle.Diagonal({a})) << "a=" << a;
   }
@@ -92,8 +95,10 @@ TEST(AblationTest, AblatedTreesStayCorrect) {
 
   for (Coord a = 0; a <= 4000; a += 97) {
     std::vector<Point> g1, g2;
-    ASSERT_TRUE(t_nc->Query({a}, &g1).ok());
-    ASSERT_TRUE(t_nt->Query({a}, &g2).ok());
+    VectorSink<Point> g1_sink(&g1);
+    ASSERT_TRUE(t_nc->Query({a}, &g1_sink).ok());
+    VectorSink<Point> g2_sink(&g2);
+    ASSERT_TRUE(t_nt->Query({a}, &g2_sink).ok());
     SortPoints(&g1);
     SortPoints(&g2);
     auto want = oracle.Diagonal({a});
@@ -128,8 +133,10 @@ TEST(AblationTest, CornerStructureAvoidsVerticalSweep) {
     d0.ResetStats();
     d1.ResetStats();
     std::vector<Point> o0, o1;
-    ASSERT_TRUE(full->Query({a}, &o0).ok());
-    ASSERT_TRUE(nc->Query({a}, &o1).ok());
+    VectorSink<Point> o0_sink(&o0);
+    ASSERT_TRUE(full->Query({a}, &o0_sink).ok());
+    VectorSink<Point> o1_sink(&o1);
+    ASSERT_TRUE(nc->Query({a}, &o1_sink).ok());
     ASSERT_EQ(o0.size(), 1u);
     ASSERT_EQ(o1.size(), 1u);
     io_full += d0.stats().device_reads;
@@ -175,8 +182,10 @@ TEST(AblationTest, TsStructureAvoidsPerSiblingVisits) {
   d0.ResetStats();
   d1.ResetStats();
   std::vector<Point> o0, o1;
-  ASSERT_TRUE(full->Query({kQualY}, &o0).ok());
-  ASSERT_TRUE(nt->Query({kQualY}, &o1).ok());
+  VectorSink<Point> o0_sink(&o0);
+  ASSERT_TRUE(full->Query({kQualY}, &o0_sink).ok());
+  VectorSink<Point> o1_sink(&o1);
+  ASSERT_TRUE(nt->Query({kQualY}, &o1_sink).ok());
   ASSERT_EQ(o0.size(), o1.size());
   SortPoints(&o0);
   SortPoints(&o1);
@@ -266,11 +275,16 @@ TEST(ClassIndexAgreementTest, AllFourSchemesAgree) {
     Coord a1 = static_cast<Coord>(rng() % 2000);
     Coord a2 = a1 + static_cast<Coord>(rng() % 400);
     std::vector<std::vector<uint64_t>> results(5);
-    ASSERT_TRUE(simple.Query(c, a1, a2, &results[0]).ok());
-    ASSERT_TRUE(single.Query(c, a1, a2, &results[1]).ok());
-    ASSERT_TRUE(full.Query(c, a1, a2, &results[2]).ok());
-    ASSERT_TRUE(extent.Query(c, a1, a2, &results[3]).ok());
-    ASSERT_TRUE(rake->Query(c, a1, a2, &results[4]).ok());
+    VectorSink<uint64_t> simple_sink(&results[0]);
+    ASSERT_TRUE(simple.Query(c, a1, a2, &simple_sink).ok());
+    VectorSink<uint64_t> single_sink(&results[1]);
+    ASSERT_TRUE(single.Query(c, a1, a2, &single_sink).ok());
+    VectorSink<uint64_t> full_sink(&results[2]);
+    ASSERT_TRUE(full.Query(c, a1, a2, &full_sink).ok());
+    VectorSink<uint64_t> extent_sink(&results[3]);
+    ASSERT_TRUE(extent.Query(c, a1, a2, &extent_sink).ok());
+    VectorSink<uint64_t> rake_sink(&results[4]);
+    ASSERT_TRUE(rake->Query(c, a1, a2, &rake_sink).ok());
     for (auto& r : results) std::sort(r.begin(), r.end());
     for (int i = 1; i < 5; ++i) {
       ASSERT_EQ(results[0], results[i]) << "scheme " << i << " class " << c;

@@ -28,9 +28,10 @@ class IntervalIndexTest : public ::testing::Test {
 TEST_F(IntervalIndexTest, EmptyIndex) {
   IntervalIndex idx(&pager_);
   std::vector<Interval> out;
-  ASSERT_TRUE(idx.Stab(5, &out).ok());
+  VectorSink<Interval> sink(&out);
+  ASSERT_TRUE(idx.Stab(5, &sink).ok());
   EXPECT_TRUE(out.empty());
-  ASSERT_TRUE(idx.Intersect(0, 10, &out).ok());
+  ASSERT_TRUE(idx.Intersect(0, 10, &sink).ok());
   EXPECT_TRUE(out.empty());
 }
 
@@ -45,13 +46,14 @@ TEST_F(IntervalIndexTest, BasicStabbing) {
   ASSERT_TRUE(idx.Insert({5, 7, 1}).ok());
   ASSERT_TRUE(idx.Insert({8, 12, 2}).ok());
   std::vector<Interval> out;
-  ASSERT_TRUE(idx.Stab(6, &out).ok());
+  VectorSink<Interval> sink(&out);
+  ASSERT_TRUE(idx.Stab(6, &sink).ok());
   SortIntervals(&out);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].id, 0u);
   EXPECT_EQ(out[1].id, 1u);
   out.clear();
-  ASSERT_TRUE(idx.Stab(11, &out).ok());
+  ASSERT_TRUE(idx.Stab(11, &sink).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].id, 2u);
 }
@@ -60,16 +62,17 @@ TEST_F(IntervalIndexTest, StabbingBoundariesInclusive) {
   IntervalIndex idx(&pager_);
   ASSERT_TRUE(idx.Insert({3, 8, 0}).ok());
   std::vector<Interval> out;
-  ASSERT_TRUE(idx.Stab(3, &out).ok());
+  VectorSink<Interval> sink(&out);
+  ASSERT_TRUE(idx.Stab(3, &sink).ok());
   EXPECT_EQ(out.size(), 1u);  // left endpoint
   out.clear();
-  ASSERT_TRUE(idx.Stab(8, &out).ok());
+  ASSERT_TRUE(idx.Stab(8, &sink).ok());
   EXPECT_EQ(out.size(), 1u);  // right endpoint
   out.clear();
-  ASSERT_TRUE(idx.Stab(2, &out).ok());
+  ASSERT_TRUE(idx.Stab(2, &sink).ok());
   EXPECT_TRUE(out.empty());
   out.clear();
-  ASSERT_TRUE(idx.Stab(9, &out).ok());
+  ASSERT_TRUE(idx.Stab(9, &sink).ok());
   EXPECT_TRUE(out.empty());
 }
 
@@ -80,11 +83,12 @@ TEST_F(IntervalIndexTest, PointIntervals) {
         idx.Insert({static_cast<Coord>(i), static_cast<Coord>(i), i}).ok());
   }
   std::vector<Interval> out;
-  ASSERT_TRUE(idx.Stab(57, &out).ok());
+  VectorSink<Interval> sink(&out);
+  ASSERT_TRUE(idx.Stab(57, &sink).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].id, 57u);
   out.clear();
-  ASSERT_TRUE(idx.Intersect(10, 20, &out).ok());
+  ASSERT_TRUE(idx.Intersect(10, 20, &sink).ok());
   EXPECT_EQ(out.size(), 11u);
 }
 
@@ -97,7 +101,8 @@ TEST_F(IntervalIndexTest, NoDoubleReporting) {
   ASSERT_TRUE(idx.Insert({6, 8, 2}).ok());   // inside
   ASSERT_TRUE(idx.Insert({9, 12, 3}).ok());  // lo == qhi
   std::vector<Interval> out;
-  ASSERT_TRUE(idx.Intersect(5, 9, &out).ok());
+  VectorSink<Interval> sink(&out);
+  ASSERT_TRUE(idx.Intersect(5, 9, &sink).ok());
   SortIntervals(&out);
   ASSERT_EQ(out.size(), 4u);
   for (size_t i = 1; i < out.size(); ++i) {
@@ -120,14 +125,15 @@ TEST_P(IntervalWorkloadTest, MatchesOracleAcrossWorkloads) {
   for (int i = 0; i < 60; ++i) {
     Coord q = static_cast<Coord>(rng() % 10000);
     std::vector<Interval> got;
-    ASSERT_TRUE(idx->Stab(q, &got).ok());
+    VectorSink<Interval> sink(&got);
+    ASSERT_TRUE(idx->Stab(q, &sink).ok());
     SortIntervals(&got);
     ASSERT_EQ(got, oracle.Stab(q)) << "stab " << q;
 
     Coord a = static_cast<Coord>(rng() % 10000);
     Coord b = std::min<Coord>(9999, a + static_cast<Coord>(rng() % 2000));
     got.clear();
-    ASSERT_TRUE(idx->Intersect(a, b, &got).ok());
+    ASSERT_TRUE(idx->Intersect(a, b, &sink).ok());
     SortIntervals(&got);
     ASSERT_EQ(got, oracle.Intersect(a, b)) << "intersect " << a << "," << b;
   }
@@ -151,7 +157,8 @@ TEST_F(IntervalIndexTest, DynamicInsertsMatchOracle) {
     if (i % 83 == 0) {
       Coord q = static_cast<Coord>(rng() % 5000);
       std::vector<Interval> got;
-      ASSERT_TRUE(idx.Stab(q, &got).ok());
+      VectorSink<Interval> sink(&got);
+      ASSERT_TRUE(idx.Stab(q, &sink).ok());
       SortIntervals(&got);
       ASSERT_EQ(got, oracle.Stab(q)) << "stab " << q << " after " << i;
     }
@@ -170,7 +177,8 @@ TEST_F(IntervalIndexTest, StabbingIoWithinBound) {
   for (Coord q = 0; q <= 50000; q += 1499) {
     dev_.ResetStats();
     std::vector<Interval> got;
-    ASSERT_TRUE(idx->Stab(q, &got).ok());
+    VectorSink<Interval> sink(&got);
+    ASSERT_TRUE(idx->Stab(q, &sink).ok());
     size_t t = oracle.Stab(q).size();
     ASSERT_EQ(got.size(), t);
     double budget = 12 * logb + 8.0 * (static_cast<double>(t) / kB) + 30;

@@ -29,7 +29,8 @@ TEST_F(MetablockTreeTest, EmptyTree) {
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(tree->size(), 0u);
   std::vector<Point> out;
-  ASSERT_TRUE(tree->Query({5}, &out).ok());
+  VectorSink<Point> sink(&out);
+  ASSERT_TRUE(tree->Query({5}, &sink).ok());
   EXPECT_TRUE(out.empty());
   ASSERT_TRUE(tree->CheckInvariants().ok());
 }
@@ -55,7 +56,8 @@ TEST_F(MetablockTreeTest, SingleLeafMatchesOracle) {
   ASSERT_TRUE(tree->CheckInvariants().ok());
   for (Coord a = -5; a <= 105; a += 3) {
     std::vector<Point> got;
-    ASSERT_TRUE(tree->Query({a}, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(tree->Query({a}, &sink).ok());
     SortPoints(&got);
     EXPECT_EQ(got, oracle.Diagonal({a})) << "a=" << a;
   }
@@ -70,7 +72,8 @@ TEST_F(MetablockTreeTest, MultiLevelMatchesOracle) {
   ASSERT_TRUE(tree->CheckInvariants().ok());
   for (Coord a = 0; a <= 4000; a += 59) {
     std::vector<Point> got;
-    ASSERT_TRUE(tree->Query({a}, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(tree->Query({a}, &sink).ok());
     SortPoints(&got);
     EXPECT_EQ(got, oracle.Diagonal({a})) << "a=" << a;
   }
@@ -89,7 +92,8 @@ TEST_F(MetablockTreeTest, HeavyDuplicateCoordinates) {
   ASSERT_TRUE(tree->CheckInvariants().ok());
   for (Coord a = -1; a <= 40; ++a) {
     std::vector<Point> got;
-    ASSERT_TRUE(tree->Query({a}, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(tree->Query({a}, &sink).ok());
     SortPoints(&got);
     EXPECT_EQ(got, oracle.Diagonal({a})) << "a=" << a;
   }
@@ -118,7 +122,8 @@ TEST_F(MetablockTreeTest, QueryIoWithinTheoremBound) {
   for (Coord a = 0; a <= 100000; a += 1777) {
     dev_.ResetStats();
     std::vector<Point> got;
-    ASSERT_TRUE(tree->Query({a}, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(tree->Query({a}, &sink).ok());
     size_t t = oracle.Diagonal({a}).size();
     ASSERT_EQ(got.size(), t);
     // Generous constants: c1 * log_B n + c2 * t/B + c3.
@@ -137,7 +142,8 @@ TEST_F(MetablockTreeTest, LowerBoundStaircaseExactHits) {
   for (size_t i = 0; i < 300; i += 11) {
     std::vector<Point> got;
     Coord a = static_cast<Coord>(2 * i + 1);
-    ASSERT_TRUE(tree->Query({a}, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(tree->Query({a}, &sink).ok());
     ASSERT_EQ(got.size(), 1u) << "a=" << a;
     EXPECT_EQ(got[0].id, i);
   }
@@ -158,10 +164,11 @@ TEST_F(MetablockTreeTest, QueryOutsideDomain) {
   auto tree = MetablockTree::Build(&pager_, points);
   ASSERT_TRUE(tree.ok());
   std::vector<Point> got;
-  ASSERT_TRUE(tree->Query({-100}, &got).ok());  // left of all points
+  VectorSink<Point> sink(&got);
+  ASSERT_TRUE(tree->Query({-100}, &sink).ok());  // left of all points
   EXPECT_EQ(got.size(), oracle.Diagonal({-100}).size());
   got.clear();
-  ASSERT_TRUE(tree->Query({99999}, &got).ok());  // above all points
+  ASSERT_TRUE(tree->Query({99999}, &sink).ok());  // above all points
   EXPECT_TRUE(got.empty());
 }
 
@@ -187,7 +194,8 @@ TEST_P(MetablockTreeSweep, OracleEquivalence) {
   for (int i = 0; i < 50; ++i) {
     Coord a = static_cast<Coord>(rng() % 3200) - 100;
     std::vector<Point> got;
-    ASSERT_TRUE(tree->Query({a}, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(tree->Query({a}, &sink).ok());
     SortPoints(&got);
     EXPECT_EQ(got, oracle.Diagonal({a})) << "a=" << a;
   }

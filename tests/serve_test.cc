@@ -2,9 +2,10 @@
 // type and result mode, FrameScanner reassembly and poisoning, queue
 // watermark/shed/deadline semantics, session response ordering and
 // flow-control credits, a loopback end-to-end differential against
-// direct RunBatch (bit-identical answers), overload behavior (nonzero
-// shed, bounded accepted latency), and a TCP round-trip (skipped where
-// sockets are unavailable).
+// direct execution through the library sinks (bit-identical answers and
+// pins), the oversize-answer error, overload behavior (nonzero shed,
+// bounded accepted latency), and a TCP round-trip (skipped where sockets
+// are unavailable).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "ccidx/bptree/bptree.h"
+#include "ccidx/build/record_stream.h"
 #include "ccidx/core/metablock_tree.h"
 #include "ccidx/core/three_sided_tree.h"
 #include "ccidx/interval/interval_index.h"
@@ -418,29 +420,80 @@ class ServeEndToEndTest : public ::testing::Test {
   std::optional<ThreeSidedTree> three_sided_;
 };
 
-// A mixed request set covering every family and result mode.
+// A mixed request set covering all 16 family x result-mode pairs; kLimit
+// also runs with limit 0 and with a limit above every answer's size.
 std::vector<Request> MixedQuerySet() {
   std::vector<Request> reqs;
-  auto add = [&](RequestType type, ResultMode mode,
-                 std::array<int64_t, 3> args, uint32_t limit = 0) {
-    Request req;
-    req.type = type;
-    req.mode = mode;
-    req.args = args;
-    req.limit = limit;
-    reqs.push_back(std::move(req));
+  auto add = [&](RequestType type, std::array<int64_t, 3> args) {
+    for (ResultMode mode : {ResultMode::kRecords, ResultMode::kCount,
+                            ResultMode::kExists, ResultMode::kLimit}) {
+      Request req;
+      req.type = type;
+      req.mode = mode;
+      req.args = args;
+      req.limit = mode == ResultMode::kLimit ? 5 : 0;
+      reqs.push_back(req);
+    }
+    for (uint32_t limit : {0u, 1u << 20}) {
+      Request req;
+      req.type = type;
+      req.mode = ResultMode::kLimit;
+      req.args = args;
+      req.limit = limit;
+      reqs.push_back(req);
+    }
   };
-  for (int64_t a = 0; a <= 2000; a += 103) {
-    add(RequestType::kMetablockDiagonal, ResultMode::kRecords, {a, 0, 0});
-    add(RequestType::kMetablockDiagonal, ResultMode::kCount, {a, 0, 0});
-    add(RequestType::kBtreeRange, ResultMode::kRecords, {a, a + 400, 0});
-    add(RequestType::kBtreeRange, ResultMode::kLimit, {a, a + 400, 0}, 5);
-    add(RequestType::kIntervalStab, ResultMode::kRecords, {a, 0, 0});
-    add(RequestType::kIntervalStab, ResultMode::kExists, {a, 0, 0});
-    add(RequestType::kThreeSided, ResultMode::kRecords, {a, a + 500, 300});
-    add(RequestType::kThreeSided, ResultMode::kCount, {a, a + 500, 300});
+  for (int64_t a = 0; a <= 2000; a += 127) {
+    add(RequestType::kMetablockDiagonal, {a, 0, 0});
+    add(RequestType::kBtreeRange, {a, a + 400, 0});
+    add(RequestType::kIntervalStab, {a, 0, 0});
+    add(RequestType::kThreeSided, {a, a + 500, 300});
   }
   return reqs;
+}
+
+std::array<uint64_t, 3> WireRecord(const Point& p) {
+  return {static_cast<uint64_t>(p.x), static_cast<uint64_t>(p.y), p.id};
+}
+std::array<uint64_t, 3> WireRecord(const BtEntry& e) {
+  return {static_cast<uint64_t>(e.key), e.value, static_cast<uint64_t>(e.aux)};
+}
+std::array<uint64_t, 3> WireRecord(const Interval& iv) {
+  return {static_cast<uint64_t>(iv.lo), static_cast<uint64_t>(iv.hi), iv.id};
+}
+
+// The answer `req` must get, computed with no serving layer: `run` feeds
+// the family's result stream into the library sink the mode names.
+template <typename T, typename RunFn>
+void DirectAnswer(const Request& req, Response* resp, RunFn run) {
+  std::vector<T> out;
+  switch (req.mode) {
+    case ResultMode::kRecords: {
+      VectorSink<T> sink(&out);
+      ASSERT_TRUE(run(&sink).ok());
+      break;
+    }
+    case ResultMode::kLimit: {
+      LimitSink<T> sink(req.limit);
+      ASSERT_TRUE(run(&sink).ok());
+      out = sink.results();
+      break;
+    }
+    case ResultMode::kCount: {
+      CountSink<T> sink;
+      ASSERT_TRUE(run(&sink).ok());
+      resp->count = sink.count();
+      return;
+    }
+    case ResultMode::kExists: {
+      ExistsSink<T> sink;
+      ASSERT_TRUE(run(&sink).ok());
+      resp->count = sink.exists() ? 1 : 0;
+      return;
+    }
+  }
+  resp->count = out.size();
+  for (const T& r : out) resp->records.push_back(WireRecord(r));
 }
 
 TEST_F(ServeEndToEndTest, LoopbackMatchesDirectExecutionBitForBit) {
@@ -449,78 +502,41 @@ TEST_F(ServeEndToEndTest, LoopbackMatchesDirectExecutionBitForBit) {
 
   // Reference: the same descriptors run directly against the families
   // (no serving layer), materialized into wire records.
+  const uint64_t pins_before = pager_.CombinedStats().pin_requests;
   std::vector<Response> expected(reqs.size());
   for (size_t i = 0; i < reqs.size(); ++i) {
     const Request& req = reqs[i];
     Response& resp = expected[i];
     resp.id = i + 1;
     switch (req.type) {
-      case RequestType::kMetablockDiagonal: {
-        std::vector<Point> out;
-        ASSERT_TRUE(metablock_->Query({req.args[0]}, &out).ok());
-        if (req.mode == ResultMode::kCount) {
-          resp.count = out.size();
-        } else {
-          resp.count = out.size();
-          for (const Point& p : out) {
-            resp.records.push_back({static_cast<uint64_t>(p.x),
-                                    static_cast<uint64_t>(p.y), p.id});
-          }
-        }
+      case RequestType::kMetablockDiagonal:
+        DirectAnswer<Point>(req, &resp, [&](ResultSink<Point>* sink) {
+          return metablock_->Query({req.args[0]}, sink);
+        });
         break;
-      }
-      case RequestType::kBtreeRange: {
-        std::vector<BtEntry> out;
-        if (req.mode == ResultMode::kLimit) {
-          LimitSink<BtEntry> sink(req.limit);
-          ASSERT_TRUE(
-              btree_->RangeScan(req.args[0], req.args[1], &sink).ok());
-          out = sink.results();
-        } else {
-          ASSERT_TRUE(
-              btree_->RangeSearch(req.args[0], req.args[1], &out).ok());
-        }
-        resp.count = out.size();
-        for (const BtEntry& e : out) {
-          resp.records.push_back({static_cast<uint64_t>(e.key), e.value,
-                                  static_cast<uint64_t>(e.aux)});
-        }
+      case RequestType::kBtreeRange:
+        DirectAnswer<BtEntry>(req, &resp, [&](ResultSink<BtEntry>* sink) {
+          return btree_->RangeScan(req.args[0], req.args[1], sink);
+        });
         break;
-      }
-      case RequestType::kIntervalStab: {
-        std::vector<Interval> out;
-        ASSERT_TRUE(interval_->Stab(req.args[0], &out).ok());
-        if (req.mode == ResultMode::kExists) {
-          resp.count = out.empty() ? 0 : 1;
-        } else {
-          resp.count = out.size();
-          for (const Interval& iv : out) {
-            resp.records.push_back({static_cast<uint64_t>(iv.lo),
-                                    static_cast<uint64_t>(iv.hi), iv.id});
-          }
-        }
+      case RequestType::kIntervalStab:
+        DirectAnswer<Interval>(req, &resp, [&](ResultSink<Interval>* sink) {
+          return interval_->Stab(req.args[0], sink);
+        });
         break;
-      }
-      case RequestType::kThreeSided: {
-        std::vector<Point> out;
-        ASSERT_TRUE(three_sided_
-                        ->Query({req.args[0], req.args[1], req.args[2]}, &out)
-                        .ok());
-        if (req.mode == ResultMode::kCount) {
-          resp.count = out.size();
-        } else {
-          resp.count = out.size();
-          for (const Point& p : out) {
-            resp.records.push_back({static_cast<uint64_t>(p.x),
-                                    static_cast<uint64_t>(p.y), p.id});
-          }
-        }
+      case RequestType::kThreeSided:
+        DirectAnswer<Point>(req, &resp, [&](ResultSink<Point>* sink) {
+          return three_sided_->Query({req.args[0], req.args[1], req.args[2]},
+                                     sink);
+        });
         break;
-      }
       default:
         FAIL() << "unexpected type";
     }
+    if (HasFatalFailure()) return;
   }
+  const uint64_t direct_pins =
+      pager_.CombinedStats().pin_requests - pins_before;
 
   ServerOptions opts;
   opts.query_threads = 4;
@@ -538,6 +554,14 @@ TEST_F(ServeEndToEndTest, LoopbackMatchesDirectExecutionBitForBit) {
   }
   server.Stop();
   EXPECT_EQ(conn.decode_errors(), 0u);
+  // Every mode stops where its library sink stops, so on a cost-model
+  // device serving pins exactly the pages direct execution pinned. Where
+  // speculation runs, its batched pins (and the admission throttle that
+  // turns them off under backlog) make the count timing-dependent.
+  if (pager_.base_speculation_budget() == 0) {
+    EXPECT_EQ(pager_.CombinedStats().pin_requests - pins_before - direct_pins,
+              direct_pins);
+  }
   ServerStats stats = server.stats();
   EXPECT_EQ(stats.admitted, reqs.size());
   EXPECT_EQ(stats.dispatch.queries, reqs.size());
@@ -784,7 +808,8 @@ TEST_F(ServeEndToEndTest, TcpRoundTrip) {
     // Cross-check one family against direct execution.
     if (reqs[i].type == RequestType::kMetablockDiagonal) {
       std::vector<Point> direct;
-      ASSERT_TRUE(metablock_->Query({reqs[i].args[0]}, &direct).ok());
+      VectorSink<Point> sink(&direct);
+      ASSERT_TRUE(metablock_->Query({reqs[i].args[0]}, &sink).ok());
       EXPECT_EQ(resp.count, direct.size());
     }
   }
@@ -792,6 +817,75 @@ TEST_F(ServeEndToEndTest, TcpRoundTrip) {
   transport.Stop();
   server.Stop();
   EXPECT_EQ(transport.accepted(), 1u);
+}
+
+// Streams the entries {k, k, 0} for k in [0, n) a block at a time, so a
+// multi-million-entry bulk load needs no input vector.
+class SequentialEntries final : public RecordStream<BtEntry> {
+ public:
+  explicit SequentialEntries(int64_t n) : n_(n) {}
+
+  Result<std::span<const BtEntry>> Next() override {
+    block_.clear();
+    for (; next_ < n_ && block_.size() < 4096; ++next_) {
+      block_.push_back({next_, static_cast<uint64_t>(next_), 0});
+    }
+    return std::span<const BtEntry>(block_);
+  }
+
+ private:
+  const int64_t n_;
+  int64_t next_ = 0;
+  std::vector<BtEntry> block_;
+};
+
+TEST(ServeOversize, AnswerAboveFrameCapIsErrorAndStreamSurvives) {
+  // One record more than a response frame carries: encoded, the answer
+  // would exceed kMaxPayloadBytes and the client could not decode it.
+  // The server must answer kError with no records instead, and the
+  // session's later responses must still arrive.
+  const int64_t n = static_cast<int64_t>(kMaxResponseRecords) + 1;
+  BlockDevice dev(PageSizeForBranching(64));
+  Pager pager(&dev, 64);
+  SequentialEntries entries(n);
+  auto btree = BPlusTree::BulkLoad(&pager, &entries);
+  ASSERT_TRUE(btree.ok());
+  ServeTables tables;
+  tables.pager = &pager;
+  tables.btree = &*btree;
+  Server server(tables, ServerOptions{});
+  server.Start();
+  LoopbackConnection conn(&server);
+
+  Request all;
+  all.type = RequestType::kBtreeRange;
+  all.args = {0, n - 1, 0};
+  conn.Send(all);
+  Request limited = all;
+  limited.mode = ResultMode::kLimit;
+  limited.limit = static_cast<uint32_t>(n);
+  conn.Send(limited);
+  Request count = all;
+  count.mode = ResultMode::kCount;
+  conn.Send(count);
+  conn.Send(Request{});  // ping
+  // Stop drains the queue, so every response has been delivered (or
+  // dropped by the client's decoder) once it returns.
+  server.Stop();
+
+  std::vector<Response> got;
+  for (Response r; conn.TryReceive(&r);) got.push_back(std::move(r));
+  EXPECT_EQ(conn.decode_errors(), 0u);
+  ASSERT_EQ(got.size(), 4u);
+  for (size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i].id, i + 1);
+  for (size_t i : {0, 1}) {
+    EXPECT_EQ(got[i].status, WireStatus::kError) << "request " << i + 1;
+    EXPECT_EQ(got[i].count, 0u);
+    EXPECT_TRUE(got[i].records.empty());
+  }
+  EXPECT_EQ(got[2].status, WireStatus::kOk);
+  EXPECT_EQ(got[2].count, static_cast<uint64_t>(n));
+  EXPECT_EQ(got[3].status, WireStatus::kOk);
 }
 
 }  // namespace

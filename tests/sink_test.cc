@@ -1,6 +1,6 @@
-// Sink-based query execution (DESIGN.md §5): sink results must agree with
-// the vector overloads (and the oracles) on randomized workloads for every
-// index family, and early-terminating sinks must pin strictly fewer pages
+// Sink-based query execution (DESIGN.md §5): every sink must agree with
+// full VectorSink reporting (and the oracles) on randomized workloads for
+// every index family, and early-terminating sinks must pin strictly fewer pages
 // — ExistsSink / LimitSink(k) on an uncached pager cost O(log_B n + k/B)
 // device reads, far below full reporting when t >> k.
 
@@ -109,7 +109,8 @@ TEST_F(SinkQueryTest, MetablockTreeAgreesWithVectorOverload) {
   ASSERT_TRUE(tree.ok());
   for (Coord a = 0; a <= 3000; a += 113) {
     std::vector<Point> full;
-    ASSERT_TRUE(tree->Query({a}, &full).ok());
+    VectorSink<Point> sink(&full);
+    ASSERT_TRUE(tree->Query({a}, &sink).ok());
     std::vector<Point> sorted = full;
     SortPoints(&sorted);
     ASSERT_EQ(sorted, oracle.Diagonal({a})) << "a=" << a;
@@ -130,7 +131,8 @@ TEST_F(SinkQueryTest, MetablockTreeAblatedPathsAgree) {
   ASSERT_TRUE(tree.ok());
   for (Coord a = 0; a <= 2000; a += 97) {
     std::vector<Point> full;
-    ASSERT_TRUE(tree->Query({a}, &full).ok());
+    VectorSink<Point> sink(&full);
+    ASSERT_TRUE(tree->Query({a}, &sink).ok());
     ExpectSinksAgree(full, [&](ResultSink<Point>* s) {
       return tree->Query({a}, s);
     });
@@ -149,7 +151,8 @@ TEST_F(SinkQueryTest, AugmentedMetablockTreeAgreesWithVectorOverload) {
   ASSERT_TRUE(tree->CheckInvariants().ok());
   for (Coord a = 0; a <= 2500; a += 101) {
     std::vector<Point> full;
-    ASSERT_TRUE(tree->Query({a}, &full).ok());
+    VectorSink<Point> sink(&full);
+    ASSERT_TRUE(tree->Query({a}, &sink).ok());
     ExpectSinksAgree(full, [&](ResultSink<Point>* s) {
       return tree->Query({a}, s);
     });
@@ -165,7 +168,8 @@ TEST_F(SinkQueryTest, ThreeSidedTreeAgreesWithVectorOverload) {
   for (Coord q = 0; q < 2000; q += 157) {
     ThreeSidedQuery query{q, q + 700, q / 2};
     std::vector<Point> full;
-    ASSERT_TRUE(tree->Query(query, &full).ok());
+    VectorSink<Point> sink(&full);
+    ASSERT_TRUE(tree->Query(query, &sink).ok());
     std::vector<Point> sorted = full;
     SortPoints(&sorted);
     ASSERT_EQ(sorted, oracle.ThreeSided(query));
@@ -188,7 +192,8 @@ TEST_F(SinkQueryTest, AugmentedThreeSidedTreeAgreesWithVectorOverload) {
   for (Coord q = 0; q < 2000; q += 157) {
     ThreeSidedQuery query{q, q + 700, q / 2};
     std::vector<Point> full;
-    ASSERT_TRUE(tree->Query(query, &full).ok());
+    VectorSink<Point> sink(&full);
+    ASSERT_TRUE(tree->Query(query, &sink).ok());
     ExpectSinksAgree(full, [&](ResultSink<Point>* s) {
       return tree->Query(query, s);
     });
@@ -202,7 +207,8 @@ TEST_F(SinkQueryTest, CornerStructureAgreesWithVectorOverload) {
   ASSERT_TRUE(corner.ok());
   for (Coord a = 0; a <= 800; a += 53) {
     std::vector<Point> full;
-    ASSERT_TRUE(corner->Query(a, &full).ok());
+    VectorSink<Point> sink(&full);
+    ASSERT_TRUE(corner->Query(a, &sink).ok());
     ExpectSinksAgree(full, [&](ResultSink<Point>* s) {
       return corner->Query(a, s);
     });
@@ -217,7 +223,8 @@ TEST_F(SinkQueryTest, ExternalPstAgreesWithVectorOverload) {
   for (Coord q = 0; q < 2000; q += 157) {
     ThreeSidedQuery query{q, q + 600, q / 3};
     std::vector<Point> full;
-    ASSERT_TRUE(pst->Query(query, &full).ok());
+    VectorSink<Point> sink(&full);
+    ASSERT_TRUE(pst->Query(query, &sink).ok());
     ExpectSinksAgree(full, [&](ResultSink<Point>* s) {
       return pst->Query(query, s);
     });
@@ -236,7 +243,8 @@ TEST_F(SinkQueryTest, DynamicPstAgreesWithVectorOverload) {
   for (Coord q = 0; q < 2000; q += 157) {
     ThreeSidedQuery query{q, q + 600, q / 3};
     std::vector<Point> full;
-    ASSERT_TRUE(pst->Query(query, &full).ok());
+    VectorSink<Point> sink(&full);
+    ASSERT_TRUE(pst->Query(query, &sink).ok());
     ExpectSinksAgree(full, [&](ResultSink<Point>* s) {
       return pst->Query(query, s);
     });
@@ -252,7 +260,8 @@ TEST_F(SinkQueryTest, BPlusTreeAgreesWithVectorOverload) {
   for (int64_t lo = 0; lo < 997; lo += 83) {
     int64_t hi = lo + 120;
     std::vector<BtEntry> full;
-    ASSERT_TRUE(tree.RangeSearch(lo, hi, &full).ok());
+    VectorSink<BtEntry> sink(&full);
+    ASSERT_TRUE(tree.RangeScan(lo, hi, &sink).ok());
     ExpectSinksAgree(full, [&](ResultSink<BtEntry>* s) {
       return tree.RangeScan(lo, hi, s);
     });
@@ -267,12 +276,14 @@ TEST_F(SinkQueryTest, IntervalIndexAgreesWithVectorOverload) {
   ASSERT_TRUE(index.ok());
   for (Coord q = 0; q < 4000; q += 311) {
     std::vector<Interval> full;
-    ASSERT_TRUE(index->Stab(q, &full).ok());
+    VectorSink<Interval> sink(&full);
+    ASSERT_TRUE(index->Stab(q, &sink).ok());
     ExpectSinksAgree(full, [&](ResultSink<Interval>* s) {
       return index->Stab(q, s);
     });
     std::vector<Interval> full_isect;
-    ASSERT_TRUE(index->Intersect(q, q + 200, &full_isect).ok());
+    VectorSink<Interval> full_isect_sink(&full_isect);
+    ASSERT_TRUE(index->Intersect(q, q + 200, &full_isect_sink).ok());
     ExpectSinksAgree(full_isect, [&](ResultSink<Interval>* s) {
       return index->Intersect(q, q + 200, s);
     });
@@ -287,7 +298,8 @@ TEST_F(SinkQueryTest, DynamicIntervalIndexAgreesWithVectorOverload) {
   ASSERT_TRUE(index.ok());
   for (Coord q = 0; q < 4000; q += 311) {
     std::vector<Interval> full;
-    ASSERT_TRUE(index->Intersect(q, q + 200, &full).ok());
+    VectorSink<Interval> sink(&full);
+    ASSERT_TRUE(index->Intersect(q, q + 200, &sink).ok());
     ExpectSinksAgree(full, [&](ResultSink<Interval>* s) {
       return index->Intersect(q, q + 200, s);
     });
@@ -326,7 +338,8 @@ TEST_F(SinkQueryTest, ClassIndexesAgreeWithVectorOverloads) {
       Coord a2 = a1 + 90;
       auto check = [&](auto& index) {
         std::vector<uint64_t> full;
-        ASSERT_TRUE(index.Query(c, a1, a2, &full).ok());
+        VectorSink<uint64_t> sink(&full);
+        ASSERT_TRUE(index.Query(c, a1, a2, &sink).ok());
         std::vector<uint64_t> sorted = full;
         std::sort(sorted.begin(), sorted.end());
         ASSERT_EQ(sorted, NaiveClassQuery(h, objects, c, a1, a2));
@@ -343,7 +356,8 @@ TEST_F(SinkQueryTest, ClassIndexesAgreeWithVectorOverloads) {
   }
   // QueryObjects streams full objects through the same path.
   std::vector<Object> objs;
-  ASSERT_TRUE(simple.QueryObjects(person, 0, 499, &objs).ok());
+  VectorSink<Object> sink(&objs);
+  ASSERT_TRUE(simple.QueryObjects(person, 0, 499, &sink).ok());
   EXPECT_EQ(objs.size(), objects.size());
   CountSink<Object> obj_count;
   ASSERT_TRUE(simple.QueryObjects(person, 0, 499, &obj_count).ok());
@@ -444,7 +458,8 @@ TEST_F(SinkIoTest, LimitSinkStopsEarlyOnIntervalStabbing) {
 
   IoStats s0 = dev_.stats();
   std::vector<Interval> full;
-  ASSERT_TRUE(index->Stab(5000, &full).ok());
+  VectorSink<Interval> sink(&full);
+  ASSERT_TRUE(index->Stab(5000, &sink).ok());
   uint64_t full_reads = (dev_.stats() - s0).device_reads;
   ASSERT_GT(full.size(), 500u);
 

@@ -30,7 +30,8 @@ TEST_F(ThreeSidedTreeTest, EmptyTree) {
   auto tree = ThreeSidedTree::Build(&pager_, std::vector<Point>{});
   ASSERT_TRUE(tree.ok());
   std::vector<Point> out;
-  ASSERT_TRUE(tree->Query({0, 10, 0}, &out).ok());
+  VectorSink<Point> sink(&out);
+  ASSERT_TRUE(tree->Query({0, 10, 0}, &sink).ok());
   EXPECT_TRUE(out.empty());
 }
 
@@ -44,7 +45,8 @@ TEST_F(ThreeSidedTreeTest, SingleLeaf) {
     for (Coord y = 0; y <= 100; y += 23) {
       ThreeSidedQuery q{x1, x1 + 30, y};
       std::vector<Point> got;
-      ASSERT_TRUE(tree->Query(q, &got).ok());
+      VectorSink<Point> sink(&got);
+      ASSERT_TRUE(tree->Query(q, &sink).ok());
       SortPoints(&got);
       EXPECT_EQ(got, oracle.ThreeSided(q)) << q.ToString();
     }
@@ -64,7 +66,8 @@ TEST_F(ThreeSidedTreeTest, MultiLevelMatchesOracle) {
     if (x1 > x2) std::swap(x1, x2);
     ThreeSidedQuery q{x1, x2, static_cast<Coord>(rng() % 4000)};
     std::vector<Point> got;
-    ASSERT_TRUE(tree->Query(q, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(tree->Query(q, &sink).ok());
     SortPoints(&got);
     ASSERT_EQ(got, oracle.ThreeSided(q)) << q.ToString();
   }
@@ -79,7 +82,8 @@ TEST_F(ThreeSidedTreeTest, NarrowSlabQueries) {
   for (Coord x = 0; x <= 2000; x += 97) {
     ThreeSidedQuery q{x, x, 0};  // degenerate slab: a vertical ray
     std::vector<Point> got;
-    ASSERT_TRUE(tree->Query(q, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(tree->Query(q, &sink).ok());
     SortPoints(&got);
     EXPECT_EQ(got, oracle.ThreeSided(q)) << q.ToString();
   }
@@ -94,7 +98,8 @@ TEST_F(ThreeSidedTreeTest, FullWidthQueries) {
   for (Coord y = 0; y <= 1000; y += 53) {
     ThreeSidedQuery q{kCoordMin, kCoordMax, y};
     std::vector<Point> got;
-    ASSERT_TRUE(tree->Query(q, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(tree->Query(q, &sink).ok());
     SortPoints(&got);
     EXPECT_EQ(got, oracle.ThreeSided(q)) << "y=" << y;
   }
@@ -110,11 +115,12 @@ TEST_F(ThreeSidedTreeTest, TwoSidedSpecialCases) {
     ThreeSidedQuery left{kCoordMin, v, v / 2};
     ThreeSidedQuery right{v, kCoordMax, v / 3};
     std::vector<Point> got;
-    ASSERT_TRUE(tree->Query(left, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(tree->Query(left, &sink).ok());
     SortPoints(&got);
     EXPECT_EQ(got, oracle.ThreeSided(left)) << left.ToString();
     got.clear();
-    ASSERT_TRUE(tree->Query(right, &got).ok());
+    ASSERT_TRUE(tree->Query(right, &sink).ok());
     SortPoints(&got);
     EXPECT_EQ(got, oracle.ThreeSided(right)) << right.ToString();
   }
@@ -135,7 +141,8 @@ TEST_F(ThreeSidedTreeTest, DuplicateCoordinates) {
     for (Coord y = 0; y < 25; y += 3) {
       ThreeSidedQuery q{x1, x1 + 5, y};
       std::vector<Point> got;
-      ASSERT_TRUE(tree->Query(q, &got).ok());
+      VectorSink<Point> sink(&got);
+      ASSERT_TRUE(tree->Query(q, &sink).ok());
       SortPoints(&got);
       ASSERT_EQ(got, oracle.ThreeSided(q)) << q.ToString();
     }
@@ -170,7 +177,8 @@ TEST_F(ThreeSidedTreeTest, QueryIoWithinLemmaBound) {
     size_t t = oracle.ThreeSided(q).size();
     dev_.ResetStats();
     std::vector<Point> got;
-    ASSERT_TRUE(tree->Query(q, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(tree->Query(q, &sink).ok());
     ASSERT_EQ(got.size(), t);
     double budget =
         10 * logb_n + 12 * log2_b + 8.0 * (static_cast<double>(t) / kB) + 30;
@@ -202,8 +210,10 @@ TEST_F(ThreeSidedTreeTest, AgreesWithExternalPst) {
     if (x1 > x2) std::swap(x1, x2);
     ThreeSidedQuery q{x1, x2, static_cast<Coord>(rng() % 5000)};
     std::vector<Point> a, b;
-    ASSERT_TRUE(tree->Query(q, &a).ok());
-    ASSERT_TRUE(pst->Query(q, &b).ok());
+    VectorSink<Point> a_sink(&a);
+    ASSERT_TRUE(tree->Query(q, &a_sink).ok());
+    VectorSink<Point> b_sink(&b);
+    ASSERT_TRUE(pst->Query(q, &b_sink).ok());
     SortPoints(&a);
     SortPoints(&b);
     ASSERT_EQ(a, b) << q.ToString();
@@ -234,7 +244,8 @@ TEST_P(ThreeSidedSweep, OracleEquivalence) {
     if (x1 > x2) std::swap(x1, x2);
     ThreeSidedQuery q{x1, x2, static_cast<Coord>(rng() % 3000)};
     std::vector<Point> got;
-    ASSERT_TRUE(tree->Query(q, &got).ok());
+    VectorSink<Point> sink(&got);
+    ASSERT_TRUE(tree->Query(q, &sink).ok());
     SortPoints(&got);
     ASSERT_EQ(got, oracle.ThreeSided(q)) << q.ToString();
   }

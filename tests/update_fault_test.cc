@@ -285,7 +285,8 @@ struct PointFaultSetup {
     if constexpr (kDiagonal) {
       for (Coord a : {Coord{0}, kDomain / 4, kDomain / 2, kDomain}) {
         std::vector<Point> got;
-        CCIDX_RETURN_IF_ERROR(st->Query(DiagonalQuery{a}, &got));
+        VectorSink<Point> sink(&got);
+        CCIDX_RETURN_IF_ERROR(st->Query(DiagonalQuery{a}, &sink));
         SortPoints(&got);
         if (got != model.Diagonal({a})) {
           return Status::Corruption("diagonal anchor mismatch");
@@ -294,7 +295,8 @@ struct PointFaultSetup {
     } else {
       ThreeSidedQuery all{kCoordMin, kCoordMax, kCoordMin};
       std::vector<Point> got;
-      CCIDX_RETURN_IF_ERROR(st->Query(all, &got));
+      VectorSink<Point> sink(&got);
+      CCIDX_RETURN_IF_ERROR(st->Query(all, &sink));
       SortPoints(&got);
       if (got != model.ThreeSided(all)) {
         return Status::Corruption("full extent mismatch");
@@ -392,7 +394,8 @@ struct CornerSetup {
     }
     for (Coord a : {Coord{0}, kDomain / 4, kDomain / 2, kDomain}) {
       std::vector<Point> got;
-      CCIDX_RETURN_IF_ERROR(st->Query(a, &got));
+      VectorSink<Point> sink(&got);
+      CCIDX_RETURN_IF_ERROR(st->Query(a, &sink));
       SortPoints(&got);
       if (got != model.Diagonal({a})) {
         return Status::Corruption("corner anchor mismatch");
@@ -465,7 +468,8 @@ struct IntervalSetup {
       return Status::Corruption("interval size mismatch");
     }
     std::vector<Interval> got;
-    CCIDX_RETURN_IF_ERROR(st->Intersect(-1, kDomain + 1, &got));
+    VectorSink<Interval> sink(&got);
+    CCIDX_RETURN_IF_ERROR(st->Intersect(-1, kDomain + 1, &sink));
     SortIntervals(&got);
     if (got != model.Intersect(-1, kDomain + 1)) {
       return Status::Corruption("interval full extent mismatch");
@@ -521,7 +525,8 @@ struct RakeSetup {
   Status Verify() const {
     for (uint32_t cls = 0; cls < hierarchy->size(); ++cls) {
       std::vector<uint64_t> got;
-      CCIDX_RETURN_IF_ERROR(st->Query(cls, 0, kDomain, &got));
+      VectorSink<uint64_t> sink(&got);
+      CCIDX_RETURN_IF_ERROR(st->Query(cls, 0, kDomain, &sink));
       std::sort(got.begin(), got.end());
       std::vector<uint64_t> want =
           NaiveClassQuery(*hierarchy, model, cls, 0, kDomain);
@@ -566,7 +571,8 @@ struct GeneralizedSetup {
 
   Status Verify() const {
     std::vector<uint64_t> got;
-    CCIDX_RETURN_IF_ERROR(st->RangeQueryIds(0, kDomain, &got));
+    VectorSink<uint64_t> sink(&got);
+    CCIDX_RETURN_IF_ERROR(st->RangeQueryIds(0, kDomain, &sink));
     std::sort(got.begin(), got.end());
     std::vector<uint64_t> want;
     for (size_t i = n_delete; i < initial.size(); ++i) {
@@ -856,7 +862,8 @@ struct BtreeCrashSetup {
       return Status::Corruption("btree size mismatch");
     }
     std::vector<BtEntry> out;
-    CCIDX_RETURN_IF_ERROR(st->RangeSearch(-1, 1 << 20, &out));
+    VectorSink<BtEntry> sink(&out);
+    CCIDX_RETURN_IF_ERROR(st->RangeScan(-1, 1 << 20, &sink));
     std::vector<std::pair<int64_t, uint64_t>> got;
     for (const BtEntry& e : out) got.push_back({e.key, e.value});
     std::sort(got.begin(), got.end());

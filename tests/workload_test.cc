@@ -187,7 +187,8 @@ struct DiagonalAdapter : PointBase {
   Status Query(std::mt19937_64& rng) {
     DiagonalQuery q{Rand(rng, -kDomain / 8, kDomain + kDomain / 8)};
     std::vector<Point> got;
-    CCIDX_RETURN_IF_ERROR(st->Query(q, &got));
+    VectorSink<Point> sink(&got);
+    CCIDX_RETURN_IF_ERROR(st->Query(q, &sink));
     return ComparePoints(std::move(got), oracle.Diagonal(q),
                          "diagonal query a=" + std::to_string(q.a));
   }
@@ -201,7 +202,8 @@ struct DiagonalAdapter : PointBase {
     }
     for (Coord a : {Coord{0}, kDomain / 4, kDomain / 2, kDomain}) {
       std::vector<Point> got;
-      CCIDX_RETURN_IF_ERROR(st->Query(DiagonalQuery{a}, &got));
+      VectorSink<Point> sink(&got);
+      CCIDX_RETURN_IF_ERROR(st->Query(DiagonalQuery{a}, &sink));
       CCIDX_RETURN_IF_ERROR(ComparePoints(
           std::move(got), oracle.Diagonal({a}), "check anchor"));
     }
@@ -235,7 +237,8 @@ struct ThreeSidedAdapter : PointBase {
     ThreeSidedQuery q{std::min(x1, x2), std::max(x1, x2),
                       Rand(rng, 0, kDomain - 1)};
     std::vector<Point> got;
-    CCIDX_RETURN_IF_ERROR(st->Query(q, &got));
+    VectorSink<Point> sink(&got);
+    CCIDX_RETURN_IF_ERROR(st->Query(q, &sink));
     return ComparePoints(std::move(got), oracle.ThreeSided(q),
                          "3-sided query");
   }
@@ -249,7 +252,8 @@ struct ThreeSidedAdapter : PointBase {
     }
     ThreeSidedQuery all{kCoordMin, kCoordMax, kCoordMin};
     std::vector<Point> got;
-    CCIDX_RETURN_IF_ERROR(st->Query(all, &got));
+    VectorSink<Point> sink(&got);
+    CCIDX_RETURN_IF_ERROR(st->Query(all, &sink));
     return ComparePoints(std::move(got), oracle.ThreeSided(all),
                          "full extent");
   }
@@ -279,7 +283,8 @@ struct CornerAdapter : PointBase {
   Status Query(std::mt19937_64& rng) {
     Coord a = Rand(rng, -kDomain / 8, kDomain + kDomain / 8);
     std::vector<Point> got;
-    CCIDX_RETURN_IF_ERROR(st->Query(a, &got));
+    VectorSink<Point> sink(&got);
+    CCIDX_RETURN_IF_ERROR(st->Query(a, &sink));
     return ComparePoints(std::move(got), oracle.Diagonal({a}),
                          "corner query a=" + std::to_string(a));
   }
@@ -290,7 +295,8 @@ struct CornerAdapter : PointBase {
     }
     for (Coord a : {Coord{0}, kDomain / 4, kDomain / 2, kDomain}) {
       std::vector<Point> got;
-      CCIDX_RETURN_IF_ERROR(st->Query(a, &got));
+      VectorSink<Point> sink(&got);
+      CCIDX_RETURN_IF_ERROR(st->Query(a, &sink));
       CCIDX_RETURN_IF_ERROR(ComparePoints(
           std::move(got), oracle.Diagonal({a}), "corner check anchor"));
     }
@@ -350,7 +356,8 @@ struct BtAdapter {
 
   Status Compare(int64_t lo, int64_t hi) {
     std::vector<BtEntry> got;
-    CCIDX_RETURN_IF_ERROR(st->RangeSearch(lo, hi, &got));
+    VectorSink<BtEntry> sink(&got);
+    CCIDX_RETURN_IF_ERROR(st->RangeScan(lo, hi, &sink));
     std::vector<BtEntry> want;
     for (const BtEntry& e : oracle) {
       if (e.key >= lo && e.key <= hi) want.push_back(e);
@@ -427,14 +434,16 @@ struct IntervalAdapter {
     std::string what;
     if (rng() % 2 == 0) {
       Coord q = Rand(rng, -kDomain / 8, kDomain + kDomain / 8);
-      CCIDX_RETURN_IF_ERROR(st->Stab(q, &got));
+      VectorSink<Interval> sink(&got);
+      CCIDX_RETURN_IF_ERROR(st->Stab(q, &sink));
       want = oracle.Stab(q);
       what = "stab q=" + std::to_string(q);
     } else {
       Coord a = Rand(rng, 0, kDomain - 1);
       Coord b = Rand(rng, 0, kDomain - 1);
       Coord lo = std::min(a, b), hi = std::max(a, b);
-      CCIDX_RETURN_IF_ERROR(st->Intersect(lo, hi, &got));
+      VectorSink<Interval> sink(&got);
+      CCIDX_RETURN_IF_ERROR(st->Intersect(lo, hi, &sink));
       want = oracle.Intersect(lo, hi);
       what = "intersect";
     }
@@ -453,7 +462,8 @@ struct IntervalAdapter {
                                 std::to_string(oracle.size()));
     }
     std::vector<Interval> got;
-    CCIDX_RETURN_IF_ERROR(st->Intersect(-1, kDomain + 1, &got));
+    VectorSink<Interval> sink(&got);
+    CCIDX_RETURN_IF_ERROR(st->Intersect(-1, kDomain + 1, &sink));
     SortIntervals(&got);
     std::vector<Interval> want = oracle.Intersect(-1, kDomain + 1);
     if (got != want) {
@@ -535,7 +545,8 @@ struct ClassAdapter {
     Coord b = Rand(rng, 0, kDomain - 1);
     Coord a1 = std::min(a, b), a2 = std::max(a, b);
     std::vector<uint64_t> got;
-    CCIDX_RETURN_IF_ERROR(st->Query(cls, a1, a2, &got));
+    VectorSink<uint64_t> sink(&got);
+    CCIDX_RETURN_IF_ERROR(st->Query(cls, a1, a2, &sink));
     std::sort(got.begin(), got.end());
     std::vector<uint64_t> want =
         NaiveClassQuery(*hierarchy, objects, cls, a1, a2);
@@ -605,7 +616,8 @@ struct GeneralizedAdapter {
 
   Status Compare(Coord a1, Coord a2) {
     std::vector<uint64_t> got;
-    CCIDX_RETURN_IF_ERROR(st->RangeQueryIds(a1, a2, &got));
+    VectorSink<uint64_t> sink(&got);
+    CCIDX_RETURN_IF_ERROR(st->RangeQueryIds(a1, a2, &sink));
     std::sort(got.begin(), got.end());
     std::vector<uint64_t> want;
     for (const Interval& k : keys) {
