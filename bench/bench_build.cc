@@ -5,6 +5,13 @@
 // next to the external-sort bound (n/B) * max(1, log_{M/B}(n/B)) so the
 // JSON series tracks how far construction sits from the sorting cost the
 // paper's model prescribes.
+//
+// Space census: every build reports the pages its structure holds
+// (live_pages) and their ratio to the n/B pages the data fills
+// (pages_per_data_page; Theorem 3.2 promises O(1)). The metablock tree
+// also splits that ratio by role through MetablockOptions ablations:
+// blockings (vertical + horizontal, with the control pages and child
+// lists), TS chains, and corner structures.
 
 #include "bench_util.h"
 
@@ -29,20 +36,35 @@ double SortBound(double n, double b) {
   return n_over_b * levels;
 }
 
-void ReportBuild(benchmark::State& state, BlockDevice& dev, double n,
-                 double b, uint64_t ios, uint64_t builds) {
+// `pages`: live pages of one built structure (read before its Destroy).
+void ReportBuild(benchmark::State& state, double n, double b, uint64_t ios,
+                 uint64_t builds, uint64_t pages) {
   double per_build = static_cast<double>(ios) / static_cast<double>(builds);
   state.counters["build_ios"] = per_build;
   state.counters["sort_bound_ios"] = SortBound(n, b);
   state.counters["io_vs_sort_bound"] = per_build / SortBound(n, b);
-  state.counters["live_pages"] = static_cast<double>(dev.live_pages());
+  state.counters["live_pages"] = static_cast<double>(pages);
+  state.counters["pages_per_data_page"] = static_cast<double>(pages) / (n / b);
+}
+
+// Live pages of one metablock tree over the benchmark's points, built with
+// `options` and destroyed again.
+uint64_t MetablockPages(Disk* disk, int64_t n,
+                        const MetablockOptions& options) {
+  PointStream stream(PointStream::Shape::kAboveDiagonal,
+                     static_cast<size_t>(n), kDomain, 42);
+  auto tree = MetablockTree::Build(&disk->pager, &stream, options);
+  CCIDX_CHECK(tree.ok());
+  uint64_t pages = disk->device.live_pages();
+  CCIDX_CHECK(tree->Destroy().ok());
+  return pages;
 }
 
 void BM_BuildMetablock(benchmark::State& state) {
   int64_t n = state.range(0);
   uint32_t b = static_cast<uint32_t>(state.range(1));
   Disk disk(b);
-  uint64_t ios = 0, builds = 0;
+  uint64_t ios = 0, builds = 0, pages = 0;
   for (auto _ : state) {
     IoStats before = disk.device.stats();
     PointStream stream(PointStream::Shape::kAboveDiagonal,
@@ -52,17 +74,32 @@ void BM_BuildMetablock(benchmark::State& state) {
     ios += (disk.device.stats() - before).TotalIos();
     builds++;
     state.PauseTiming();
+    pages = disk.device.live_pages();
     CCIDX_CHECK(tree->Destroy().ok());
     state.ResumeTiming();
   }
-  ReportBuild(state, disk.device, static_cast<double>(n), b, ios, builds);
+  ReportBuild(state, static_cast<double>(n), b, ios, builds, pages);
+  // Role split: each ablation drops one side structure, so successive
+  // differences are what that structure costs.
+  MetablockOptions blockings_only{.use_corner_structures = false,
+                                  .use_ts_structures = false};
+  MetablockOptions with_ts{.use_corner_structures = false,
+                           .use_ts_structures = true};
+  const uint64_t base = MetablockPages(&disk, n, blockings_only);
+  const uint64_t ts = MetablockPages(&disk, n, with_ts);
+  const double data_pages = static_cast<double>(n) / b;
+  state.counters["role_blockings_per_data_page"] = base / data_pages;
+  state.counters["role_ts_per_data_page"] =
+      static_cast<double>(ts - base) / data_pages;
+  state.counters["role_corner_per_data_page"] =
+      static_cast<double>(pages - ts) / data_pages;
 }
 
 void BM_BuildThreeSided(benchmark::State& state) {
   int64_t n = state.range(0);
   uint32_t b = static_cast<uint32_t>(state.range(1));
   Disk disk(b);
-  uint64_t ios = 0, builds = 0;
+  uint64_t ios = 0, builds = 0, pages = 0;
   for (auto _ : state) {
     IoStats before = disk.device.stats();
     PointStream stream(PointStream::Shape::kUniform,
@@ -72,17 +109,18 @@ void BM_BuildThreeSided(benchmark::State& state) {
     ios += (disk.device.stats() - before).TotalIos();
     builds++;
     state.PauseTiming();
+    pages = disk.device.live_pages();
     CCIDX_CHECK(tree->Destroy().ok());
     state.ResumeTiming();
   }
-  ReportBuild(state, disk.device, static_cast<double>(n), b, ios, builds);
+  ReportBuild(state, static_cast<double>(n), b, ios, builds, pages);
 }
 
 void BM_BuildExternalPst(benchmark::State& state) {
   int64_t n = state.range(0);
   uint32_t b = static_cast<uint32_t>(state.range(1));
   Disk disk(b);
-  uint64_t ios = 0, builds = 0;
+  uint64_t ios = 0, builds = 0, pages = 0;
   for (auto _ : state) {
     IoStats before = disk.device.stats();
     PointStream stream(PointStream::Shape::kUniform,
@@ -92,10 +130,11 @@ void BM_BuildExternalPst(benchmark::State& state) {
     ios += (disk.device.stats() - before).TotalIos();
     builds++;
     state.PauseTiming();
+    pages = disk.device.live_pages();
     CCIDX_CHECK(pst->Free().ok());
     state.ResumeTiming();
   }
-  ReportBuild(state, disk.device, static_cast<double>(n), b, ios, builds);
+  ReportBuild(state, static_cast<double>(n), b, ios, builds, pages);
 }
 
 void BM_BuildBptree(benchmark::State& state) {
@@ -104,7 +143,7 @@ void BM_BuildBptree(benchmark::State& state) {
   Pager pager(&dev, 0);
   PageIo io(&pager);
   double b = io.CapacityFor(sizeof(BtEntry));
-  uint64_t ios = 0, builds = 0;
+  uint64_t ios = 0, builds = 0, pages = 0;
   for (auto _ : state) {
     IoStats before = dev.stats();
     // Unsorted entries: the sorter is part of the measured cost.
@@ -123,17 +162,18 @@ void BM_BuildBptree(benchmark::State& state) {
     ios += (dev.stats() - before).TotalIos();
     builds++;
     state.PauseTiming();
+    pages = dev.live_pages();
     CCIDX_CHECK(tree->Destroy().ok());
     state.ResumeTiming();
   }
-  ReportBuild(state, dev, static_cast<double>(n), b, ios, builds);
+  ReportBuild(state, static_cast<double>(n), b, ios, builds, pages);
 }
 
 void BM_BuildIntervalIndex(benchmark::State& state) {
   int64_t n = state.range(0);
   uint32_t b = static_cast<uint32_t>(state.range(1));
   Disk disk(b);
-  uint64_t ios = 0, builds = 0;
+  uint64_t ios = 0, builds = 0, pages = 0;
   for (auto _ : state) {
     IoStats before = disk.device.stats();
     IntervalStream stream(IntervalWorkload::kUniform,
@@ -143,10 +183,11 @@ void BM_BuildIntervalIndex(benchmark::State& state) {
     ios += (disk.device.stats() - before).TotalIos();
     builds++;
     state.PauseTiming();
+    pages = disk.device.live_pages();
     CCIDX_CHECK(idx->Destroy().ok());
     state.ResumeTiming();
   }
-  ReportBuild(state, disk.device, static_cast<double>(n), b, ios, builds);
+  ReportBuild(state, static_cast<double>(n), b, ios, builds, pages);
 }
 
 }  // namespace

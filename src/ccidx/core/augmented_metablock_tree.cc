@@ -88,9 +88,9 @@ Status AugmentedMetablockTree::RebuildOrganizations(
   CCIDX_RETURN_IF_ERROR(horiz.status());
   ctrl->horiz_head = *horiz;
   if (!own.empty() && ctrl->bbox_ymin <= ctrl->bbox_xmax) {
-    auto corner = CornerStructure::Build(pager, std::move(own));
+    auto corner = CornerStructure::BuildOnBlocking(pager, own, *vb);
     CCIDX_RETURN_IF_ERROR(corner.status());
-    ctrl->corner_header = corner->header();
+    ctrl->corner_header = *corner;
   }
   ctrl->node_ymax = std::max({ctrl->bbox_ymax, ctrl->update_ymax,
                               ctrl->desc_ymax});
@@ -119,7 +119,8 @@ AugmentedMetablockTree::BuildNode(Pager* pager, PointGroup group,
     CCIDX_RETURN_IF_ERROR(all.status());
     own = std::move(*all);
   } else {
-    auto part = std::move(group).PartitionTopY(b2, branching);
+    const uint32_t fanout = ChildFanout(group.size() - b2, branching);
+    auto part = std::move(group).PartitionTopY(b2, fanout);
     CCIDX_RETURN_IF_ERROR(part.status());
     own = std::move(part->top);
 
@@ -625,6 +626,11 @@ Status AugmentedMetablockTree::VisitSubtreePages(
   return Status::OK();
 }
 
+Status AugmentedMetablockTree::VisitPages(std::vector<PageId>* out) const {
+  if (root_ == kInvalidPageId) return Status::OK();
+  return VisitSubtreePages(root_, out);
+}
+
 Status AugmentedMetablockTree::GlobalPurgeRebuild() {
   // Shared fault-atomic skeleton (dynamic/purge_rebuild.h): harvest
   // points + page ids read-only, drop tombstoned points, rebuild the
@@ -948,6 +954,22 @@ Status AugmentedMetablockTree::CheckSubtree(PageId id, bool is_root,
   bool diagonal = !own.empty() && ctrl.bbox_ymin <= ctrl.bbox_xmax;
   if (diagonal != (ctrl.corner_header != kInvalidPageId)) {
     return Status::Corruption("corner structure presence mismatch");
+  }
+  // The metablock's corner indexes its own blocking in place; a TD corner
+  // (over pushed points no blocking holds) owns its own.
+  PageId vindex;
+  bool owned;
+  if (ctrl.corner_header != kInvalidPageId) {
+    CCIDX_RETURN_IF_ERROR(CornerStructure::Open(pager_, ctrl.corner_header)
+                              .LoadBlocking(&vindex, &owned));
+    if (owned || vindex != ctrl.vindex_head) {
+      return Status::Corruption("corner structure copies its blocking");
+    }
+  }
+  if (ctrl.td_header != kInvalidPageId) {
+    CCIDX_RETURN_IF_ERROR(CornerStructure::Open(pager_, ctrl.td_header)
+                              .LoadBlocking(&vindex, &owned));
+    if (!owned) return Status::Corruption("TD corner borrows a blocking");
   }
 
   uint64_t count = own.size() + upd.size();

@@ -140,8 +140,13 @@ class AugmentedMetablockTree {
   /// Frees all pages.
   Status Destroy();
 
+  /// Appends every page id of the tree to `out`, each exactly once (the
+  /// read-only mirror of Destroy). O(n/B) I/Os; requires quiescence.
+  Status VisitPages(std::vector<PageId>* out) const;
+
   /// Structural checks (sizes, bboxes, blocking agreement, desc_ymax and
-  /// node_ymax watermarks, TS freshness envelope). O(n/B) I/Os.
+  /// node_ymax watermarks, TS freshness envelope, each metablock corner
+  /// borrowing its node's vertical blocking). O(n/B) I/Os.
   Status CheckInvariants() const;
 
  private:

@@ -133,8 +133,9 @@ AugmentedThreeSidedTree::BuildNode(Pager* pager, PointGroup group,
   } else {
     // Tie-free boundaries: never separate an equal-x run, so routing by
     // sub_xlo equals membership (fork filtering depends on this).
+    const uint32_t fanout = ChildFanout(group.size() - b2, branching);
     auto part = std::move(group).PartitionTopY(
-        b2, branching, PointGroup::SplitMode::kTieFreeX);
+        b2, fanout, PointGroup::SplitMode::kTieFreeX);
     CCIDX_RETURN_IF_ERROR(part.status());
     own = std::move(part->top);
 
@@ -691,6 +692,11 @@ Status AugmentedThreeSidedTree::VisitSubtreePages(
   }
   out->push_back(id);
   return Status::OK();
+}
+
+Status AugmentedThreeSidedTree::VisitPages(std::vector<PageId>* out) const {
+  if (root_ == kInvalidPageId) return Status::OK();
+  return VisitSubtreePages(root_, out);
 }
 
 Status AugmentedThreeSidedTree::GlobalPurgeRebuild() {

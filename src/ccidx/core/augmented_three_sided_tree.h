@@ -114,7 +114,14 @@ class AugmentedThreeSidedTree {
   uint32_t branching() const { return branching_; }
   uint32_t metablock_capacity() const { return branching_ * branching_; }
 
+  /// Root control page (kInvalidPageId when empty).
+  PageId root_page() const { return root_; }
+
   Status Destroy();
+
+  /// Appends every page id of the tree to `out`, each exactly once (the
+  /// read-only mirror of Destroy). O(n/B) I/Os; requires quiescence.
+  Status VisitPages(std::vector<PageId>* out) const;
 
   /// Structural checks (blockings, watermarks, TS/PST presence, counts).
   Status CheckInvariants() const;

@@ -37,6 +37,18 @@ struct VerticalBlock {
   uint64_t page;
 };
 
+/// Fan-out of a metablock-family node whose subtree holds `rest` points
+/// beyond its own B^2: min(B, ceil(rest / B^2)). Children stay full — a
+/// node never splits fewer than B^3 points into more children than it
+/// takes to hold them at <= B^2 each, so those children are leaves and no
+/// TS chain (up to B^2 points) fences a sibling set smaller than itself.
+/// Above B^3 the fan-out is B, so the height stays O(log_B n).
+inline uint32_t ChildFanout(uint64_t rest, uint32_t branching) {
+  const uint64_t b2 = uint64_t{branching} * branching;
+  return static_cast<uint32_t>(
+      std::min<uint64_t>(branching, (rest + b2 - 1) / b2));
+}
+
 /// Result of writing a vertical blocking.
 struct VerticalBlocking {
   PageId index_head = kInvalidPageId;  // chain of VerticalBlock entries

@@ -10,18 +10,8 @@ namespace ccidx {
 
 namespace {
 
-// Counts points in the rectangle (xlo, xhi] x [ylo, +inf). Build-time only.
-size_t CountInRegion(const std::vector<Point>& pts, Coord xlo_exclusive,
-                     Coord xhi, Coord ylo) {
-  size_t n = 0;
-  for (const Point& p : pts) {
-    if (p.x > xlo_exclusive && p.x <= xhi && p.y >= ylo) n++;
-  }
-  return n;
-}
-
 // The explicit answer to a diagonal query at (c, c), sorted descending y.
-std::vector<Point> AnswerSet(const std::vector<Point>& pts, Coord c) {
+std::vector<Point> AnswerSet(std::span<const Point> pts, Coord c) {
   std::vector<Point> out;
   for (const Point& p : pts) {
     if (p.x <= c && p.y >= c) out.push_back(p);
@@ -34,67 +24,89 @@ std::vector<Point> AnswerSet(const std::vector<Point>& pts, Coord c) {
 
 Result<CornerStructure> CornerStructure::Build(Pager* pager,
                                                std::vector<Point> points) {
+  std::sort(points.begin(), points.end(), PointXOrder());
+  auto blocking = WriteVerticalBlocking(pager, points);
+  CCIDX_RETURN_IF_ERROR(blocking.status());
+  auto header = WriteIndex(pager, points, *blocking, /*owns_blocking=*/true);
+  CCIDX_RETURN_IF_ERROR(header.status());
+  CornerStructure out(pager, *header);
+  out.stored_count_ = points.size();
+  return out;
+}
+
+Result<PageId> CornerStructure::BuildOnBlocking(
+    Pager* pager, std::span<const Point> sorted_by_x,
+    const VerticalBlocking& blocking) {
+  return WriteIndex(pager, sorted_by_x, blocking, /*owns_blocking=*/false);
+}
+
+Result<PageId> CornerStructure::WriteIndex(Pager* pager,
+                                           std::span<const Point> points,
+                                           const VerticalBlocking& blocking,
+                                           bool owns_blocking) {
   PageIo io(pager);
   const uint32_t cap = io.CapacityFor(sizeof(Point));
 
-  std::sort(points.begin(), points.end(), PointXOrder());
-
-  // Vertical blocking: consecutive runs of `cap` points by x.
-  std::vector<VBlockEntry> vblocks;
-  std::vector<std::vector<Point>> vdata;
+  // C: the right boundary (max x) of each vertical block, which
+  // WriteVerticalBlocking cut every `cap` points.
+  std::vector<Coord> bound_x;
   for (size_t i = 0; i < points.size(); i += cap) {
-    size_t end = std::min(points.size(), i + cap);
-    std::vector<Point> blk(points.begin() + i, points.begin() + end);
-    vblocks.push_back({blk.front().x, blk.back().x, kInvalidPageId});
-    vdata.push_back(std::move(blk));
+    bound_x.push_back(points[std::min(points.size(), i + cap) - 1].x);
   }
-  for (size_t i = 0; i < vdata.size(); ++i) {
-    PageId id = pager->Allocate();
-    CCIDX_RETURN_IF_ERROR(io.WriteRecords<Point>(id, vdata[i]));
-    vblocks[i].page = id;
-  }
+  CCIDX_CHECK(bound_x.size() == blocking.num_blocks);
 
   // Candidate corners: right boundaries of vertical blocks 0..m-2. The
   // first C* element is the left boundary of the rightmost block, i.e. the
   // boundary between blocks m-2 and m-1 — the rightmost candidate.
   std::vector<CStarEntry> cstar;  // kept in descending x order
-  std::vector<PageId> chains_to_store_heads;
-  if (vblocks.size() >= 2) {
+  if (bound_x.size() >= 2) {
+    // Points ascend by x, so { x <= v } is the prefix [0, x_prefix(v)).
+    auto x_prefix = [&](Coord v) {
+      return static_cast<size_t>(
+          std::upper_bound(points.begin(), points.end(), v,
+                           [](Coord x, const Point& p) { return x < p.x; }) -
+          points.begin());
+    };
+    // With cj the last stored corner and c the current candidate:
+    size_t answer = 0;  // |S*(cj)| = |{ x <= cj, y >= cj }|
+    size_t omega = 0;   // |{ x <= c, y >= cj }|
+    size_t prefix = 0;  // x_prefix(c)
     auto store = [&](Coord c, uint32_t block_idx) -> Status {
       std::vector<Point> ans = AnswerSet(points, c);
       auto ids = io.WriteChain<Point>(ans);
       CCIDX_RETURN_IF_ERROR(ids.status());
       PageId head = ids->empty() ? kInvalidPageId : ids->front();
       cstar.push_back({c, head, block_idx, 0});
+      answer = omega = ans.size();
+      prefix = x_prefix(c);
       return Status::OK();
     };
-    uint32_t first_idx = static_cast<uint32_t>(vblocks.size()) - 2;
-    CCIDX_RETURN_IF_ERROR(store(vblocks[first_idx].xhi, first_idx));
+    uint32_t first_idx = static_cast<uint32_t>(bound_x.size()) - 2;
+    CCIDX_RETURN_IF_ERROR(store(bound_x[first_idx], first_idx));
 
     for (uint32_t i = first_idx; i-- > 0;) {
-      Coord c = vblocks[i].xhi;        // candidate c_i (moving down-left)
+      Coord c = bound_x[i];            // candidate c_i (moving down-left)
       Coord cj = cstar.back().x;       // last stored corner (up-right)
       if (c == cj) continue;           // duplicate boundary (x ties)
+      // Points with x in (c, previous candidate] leave Omega for Delta-.
+      const size_t end = x_prefix(c);
+      for (size_t k = end; k < prefix; ++k) {
+        if (points[k].y >= cj) omega--;
+      }
+      prefix = end;
       // Sets of Fig. 12, as counts:
       //   Omega  = { x <= c,      y >= cj }          (shared output)
       //   Delta+ = { x <= c, c <= y <  cj }          (new, below cj)
       //   Delta- = { c <  x <= cj, y >= cj }         (stored, right of c)
-      size_t omega = CountInRegion(points, kCoordMin, c, cj);
-      size_t delta_plus = 0;
-      for (const Point& p : points) {
-        if (p.x <= c && p.y >= c && p.y < cj) delta_plus++;
-      }
-      size_t delta_minus = CountInRegion(points, c, cj, cj);
-      size_t s_i = omega + delta_plus;
-      if (delta_minus + delta_plus > s_i) {
+      // Store c_i iff |Delta-| + |Delta+| > |S_i| = |Omega| + |Delta+|,
+      // i.e. iff |Delta-| = |S*(cj)| - |Omega| exceeds |Omega|.
+      if (answer - omega > omega) {
         CCIDX_RETURN_IF_ERROR(store(c, i));
       }
     }
   }
 
-  // Persist the two index chains and the header.
-  auto vindex = io.WriteChain<VBlockEntry>(vblocks);
-  CCIDX_RETURN_IF_ERROR(vindex.status());
+  // Persist the C* index and the header.
   auto cindex = io.WriteChain<CStarEntry>(cstar);
   CCIDX_RETURN_IF_ERROR(cindex.status());
 
@@ -102,15 +114,15 @@ Result<CornerStructure> CornerStructure::Build(Pager* pager,
   CCIDX_RETURN_IF_ERROR(ref.status());
   PageId header = ref->id();
   PageWriter w(ref->data());
-  Header h{static_cast<uint32_t>(vblocks.size()),
+  Header h{blocking.num_blocks,
            static_cast<uint32_t>(cstar.size()),
-           vindex->empty() ? kInvalidPageId : vindex->front(),
-           cindex->empty() ? kInvalidPageId : cindex->front()};
+           blocking.index_head,
+           cindex->empty() ? kInvalidPageId : cindex->front(),
+           owns_blocking ? 1u : 0u,
+           0};
   w.Put(h);
   CCIDX_RETURN_IF_ERROR(ref->Release());
-  CornerStructure out(pager, header);
-  out.stored_count_ = points.size();
-  return out;
+  return header;
 }
 
 CornerStructure CornerStructure::Open(Pager* pager, PageId header) {
@@ -125,23 +137,31 @@ Status CornerStructure::LoadHeader(Header* h) const {
   return Status::OK();
 }
 
-Status CornerStructure::LoadIndexes(std::vector<VBlockEntry>* vblocks,
-                                    std::vector<CStarEntry>* cstar) const {
+Status CornerStructure::LoadCStar(const Header& h,
+                                  std::vector<CStarEntry>* cstar) const {
+  PageIo io(pager_);
+  CCIDX_RETURN_IF_ERROR(io.ReadChain<CStarEntry>(h.cstar_head, cstar));
+  CCIDX_CHECK(cstar->size() == h.num_cstar);
+  return Status::OK();
+}
+
+Status CornerStructure::LoadBlocking(PageId* index_head, bool* owned) const {
   Header h;
   CCIDX_RETURN_IF_ERROR(LoadHeader(&h));
-  PageIo io(pager_);
-  CCIDX_RETURN_IF_ERROR(io.ReadChain<VBlockEntry>(h.vindex_head, vblocks));
-  CCIDX_RETURN_IF_ERROR(io.ReadChain<CStarEntry>(h.cstar_head, cstar));
-  CCIDX_CHECK(vblocks->size() == h.num_vblocks);
-  CCIDX_CHECK(cstar->size() == h.num_cstar);
+  *index_head = h.vindex_head;
+  *owned = h.owns_blocking != 0;
   return Status::OK();
 }
 
 Status CornerStructure::Query(Coord a, SinkEmitter<Point>& em) const {
   if (em.stopped()) return Status::OK();
-  std::vector<VBlockEntry> vblocks;
+  Header h;
+  CCIDX_RETURN_IF_ERROR(LoadHeader(&h));
+  std::vector<VerticalBlock> vblocks;
+  CCIDX_RETURN_IF_ERROR(ReadVerticalIndex(pager_, h.vindex_head, &vblocks));
+  CCIDX_CHECK(vblocks.size() == h.num_vblocks);
   std::vector<CStarEntry> cstar;
-  CCIDX_RETURN_IF_ERROR(LoadIndexes(&vblocks, &cstar));
+  CCIDX_RETURN_IF_ERROR(LoadCStar(h, &cstar));
   if (vblocks.empty()) return Status::OK();
 
   // Largest stored corner <= a (cstar is in descending x order).
@@ -265,22 +285,18 @@ Status CornerStructure::Rebuild() {
 }
 
 Status CornerStructure::VisitPages(std::vector<PageId>* out) const {
-  std::vector<VBlockEntry> vblocks;
+  Header h;
+  CCIDX_RETURN_IF_ERROR(LoadHeader(&h));
   std::vector<CStarEntry> cstar;
-  CCIDX_RETURN_IF_ERROR(LoadIndexes(&vblocks, &cstar));
-  PageIo io(pager_);
-  for (const VBlockEntry& v : vblocks) {
-    out->push_back(v.page);
+  CCIDX_RETURN_IF_ERROR(LoadCStar(h, &cstar));
+  if (h.owns_blocking) {
+    CCIDX_RETURN_IF_ERROR(VisitVerticalBlocking(pager_, h.vindex_head, out));
   }
+  PageIo io(pager_);
   for (const CStarEntry& c : cstar) {
     if (c.head != kInvalidPageId) {
       CCIDX_RETURN_IF_ERROR(io.VisitChain(c.head, out));
     }
-  }
-  Header h;
-  CCIDX_RETURN_IF_ERROR(LoadHeader(&h));
-  if (h.vindex_head != kInvalidPageId) {
-    CCIDX_RETURN_IF_ERROR(io.VisitChain(h.vindex_head, out));
   }
   if (h.cstar_head != kInvalidPageId) {
     CCIDX_RETURN_IF_ERROR(io.VisitChain(h.cstar_head, out));
@@ -290,11 +306,13 @@ Status CornerStructure::VisitPages(std::vector<PageId>* out) const {
 }
 
 Status CornerStructure::CollectPoints(std::vector<Point>* out) const {
-  std::vector<VBlockEntry> vblocks;
-  std::vector<CStarEntry> cstar;
-  CCIDX_RETURN_IF_ERROR(LoadIndexes(&vblocks, &cstar));
+  Header h;
+  CCIDX_RETURN_IF_ERROR(LoadHeader(&h));
+  if (!h.owns_blocking) return Status::OK();
+  std::vector<VerticalBlock> vblocks;
+  CCIDX_RETURN_IF_ERROR(ReadVerticalIndex(pager_, h.vindex_head, &vblocks));
   PageIo io(pager_);
-  for (const VBlockEntry& v : vblocks) {
+  for (const VerticalBlock& v : vblocks) {
     auto next = io.ReadRecords<Point>(v.page, out);
     CCIDX_RETURN_IF_ERROR(next.status());
   }
@@ -303,61 +321,18 @@ Status CornerStructure::CollectPoints(std::vector<Point>* out) const {
 
 Status CornerStructure::Free() {
   TxnScope txn(pager_);
-  std::vector<VBlockEntry> vblocks;
-  std::vector<CStarEntry> cstar;
-  CCIDX_RETURN_IF_ERROR(LoadIndexes(&vblocks, &cstar));
-  PageIo io(pager_);
-  for (const VBlockEntry& v : vblocks) {
-    CCIDX_RETURN_IF_ERROR(pager_->Free(v.page));
+  std::vector<PageId> pages;
+  CCIDX_RETURN_IF_ERROR(VisitPages(&pages));
+  for (PageId id : pages) {
+    CCIDX_RETURN_IF_ERROR(pager_->Free(id));
   }
-  for (const CStarEntry& c : cstar) {
-    if (c.head != kInvalidPageId) {
-      CCIDX_RETURN_IF_ERROR(io.FreeChain(c.head));
-    }
-  }
-  Header h;
-  CCIDX_RETURN_IF_ERROR(LoadHeader(&h));
-  if (h.vindex_head != kInvalidPageId) {
-    CCIDX_RETURN_IF_ERROR(io.FreeChain(h.vindex_head));
-  }
-  if (h.cstar_head != kInvalidPageId) {
-    CCIDX_RETURN_IF_ERROR(io.FreeChain(h.cstar_head));
-  }
-  CCIDX_RETURN_IF_ERROR(pager_->Free(header_));
   return txn.Commit();
 }
 
 Result<uint64_t> CornerStructure::CountPages() const {
-  std::vector<VBlockEntry> vblocks;
-  std::vector<CStarEntry> cstar;
-  CCIDX_RETURN_IF_ERROR(LoadIndexes(&vblocks, &cstar));
-  PageIo io(pager_);
-  uint64_t pages = 1;  // header
-  pages += vblocks.size();
-  Header h;
-  CCIDX_RETURN_IF_ERROR(LoadHeader(&h));
-  // Walks a chain counting pages; only the 16-byte header of each page is
-  // touched, through a transient pin.
-  auto count_chain = [&](PageId id) -> Status {
-    while (id != kInvalidPageId) {
-      pages++;
-      auto ref = pager_->Pin(id);
-      CCIDX_RETURN_IF_ERROR(ref.status());
-      PageReader pr(ref->data());
-      pr.Get<uint32_t>();
-      pr.Get<uint32_t>();
-      id = pr.Get<uint64_t>();
-    }
-    return Status::OK();
-  };
-  // Index chain lengths.
-  CCIDX_RETURN_IF_ERROR(count_chain(h.vindex_head));
-  CCIDX_RETURN_IF_ERROR(count_chain(h.cstar_head));
-  // Explicit answer chains.
-  for (const CStarEntry& c : cstar) {
-    CCIDX_RETURN_IF_ERROR(count_chain(c.head));
-  }
-  return pages;
+  std::vector<PageId> pages;
+  CCIDX_RETURN_IF_ERROR(VisitPages(&pages));
+  return pages.size();
 }
 
 std::vector<uint8_t> CornerStructure::SerializeMeta() const {

@@ -4,7 +4,14 @@
 // A set S of k <= O(B^2) points (all with y >= x) is stored so that a
 // diagonal corner query anchored at (a, a) is answered in O(1) + 2t/B I/Os:
 //
-//   * S is vertically blocked (sorted by x, B points per page).
+//   * S is vertically blocked (sorted by x, B points per page). Inside a
+//     metablock tree, S is the metablock's own points and the blocking is
+//     the metablock's own vertical blocking: the corner structure indexes
+//     it in place (BuildOnBlocking) rather than storing a second copy.
+//     Standalone and TD structures write their own (Build). The header
+//     page records which case holds; Free, VisitPages, CountPages and
+//     CollectPoints touch the blocking only when the structure owns it,
+//     so a borrowed blocking is never freed or reported twice.
 //   * C = x-boundaries of the vertical blocks projected onto y = x — the
 //     candidate corner positions (|C| < k/B).
 //   * A subset C* of C is chosen right-to-left; for each c in C*, the exact
@@ -18,6 +25,10 @@
 // until y < a (points with x <= c*); phase 2 reads the vertical blocks
 // covering (c*, a] and filters. The lemma's charging argument bounds the
 // phase-2 overshoot by t/B + 1 pages.
+//
+// Space: the explicit answer chains (<= 2k points), the C* index and the
+// header page — O(k/B) pages beyond S's blocking, which a borrowed
+// structure does not pay for at all.
 //
 // Deviation from the paper (documented constant): the paper packs the
 // lookup index into a single block; we store the vertical index and the C*
@@ -44,6 +55,7 @@
 #include <span>
 #include <vector>
 
+#include "ccidx/core/blocking.h"
 #include "ccidx/core/geometry.h"
 #include "ccidx/dynamic/rebuild.h"
 #include "ccidx/dynamic/tombstones.h"
@@ -60,10 +72,20 @@ namespace ccidx {
 /// under the owning metablock tree's write latch (DESIGN.md §11).
 class CornerStructure {
  public:
-  /// Builds over `points` (need not be sorted; all must satisfy y >= x).
-  /// Space: O(|points|/B + 1) pages. Build work is in-core.
+  /// Builds over `points` (need not be sorted; all must satisfy y >= x),
+  /// writing and owning their vertical blocking. Space: O(|points|/B + 1)
+  /// pages. Build work is in-core.
   static Result<CornerStructure> Build(Pager* pager,
                                        std::vector<Point> points);
+
+  /// Builds over an existing vertical blocking of `sorted_by_x` (as
+  /// WriteVerticalBlocking wrote it), which the caller keeps owning: the
+  /// structure adds only its answer chains, C* index and header. Returns
+  /// the header page of a static view (reattach with Open); the blocking
+  /// must outlive it.
+  static Result<PageId> BuildOnBlocking(Pager* pager,
+                                        std::span<const Point> sorted_by_x,
+                                        const VerticalBlocking& blocking);
 
   /// Re-attaches to a previously built structure by its header page (a
   /// static view: no update support, size not tracked).
@@ -95,20 +117,25 @@ class CornerStructure {
   /// metablock-tree query so kStop propagates across structures).
   Status Query(Coord a, SinkEmitter<Point>& em) const;
 
-  /// Frees every page of the structure.
+  /// Frees every page the structure owns (a borrowed blocking stays).
   Status Free();
 
-  /// Appends every page id of the structure to `out` (read-only mirror of
-  /// Free; the fail-safe first half of a fault-atomic rebuild). Used by
-  /// the enclosing trees' purge rebuilds as well.
+  /// Appends every page id the structure owns to `out` (read-only mirror
+  /// of Free; the fail-safe first half of a fault-atomic rebuild). Used
+  /// by the enclosing trees' purge rebuilds as well.
   Status VisitPages(std::vector<PageId>* out) const;
 
-  /// Appends every stored point to `out` (reads the vertical blocking;
-  /// O(k/B) I/Os). Used when a TD structure is rebuilt (Section 3.2).
+  /// Appends every point of an owned blocking to `out` (O(k/B) I/Os); a
+  /// borrowed blocking's points are its owner's to report. Used when a
+  /// TD structure is rebuilt (Section 3.2).
   Status CollectPoints(std::vector<Point>* out) const;
 
-  /// Total pages used (for space-bound tests); O(k/B) I/Os to compute.
+  /// Total pages owned (for space-bound tests); O(k/B) I/Os to compute.
   Result<uint64_t> CountPages() const;
+
+  /// The index-chain head of the vertical blocking phase 2 reads, and
+  /// whether this structure owns it (for invariant checks).
+  Status LoadBlocking(PageId* index_head, bool* owned) const;
 
   /// Serializes the attachable dynamized state — header page, stored
   /// count, pending buffer, tombstones — for the WAL meta registry
@@ -124,12 +151,6 @@ class CornerStructure {
   CornerStructure(Pager* pager, PageId header)
       : pager_(pager), header_(header) {}
 
-  // One vertical block: points with x in [xlo, next block's xlo).
-  struct VBlockEntry {
-    Coord xlo;
-    Coord xhi;  // max x in the block (== the C boundary value)
-    uint64_t page;
-  };
   // One stored corner: explicit answer chain for the query at (x, x).
   struct CStarEntry {
     Coord x;
@@ -141,13 +162,22 @@ class CornerStructure {
   struct Header {
     uint32_t num_vblocks;
     uint32_t num_cstar;
-    uint64_t vindex_head;
+    uint64_t vindex_head;  // VerticalBlock chain (C = each block's xhi)
     uint64_t cstar_head;
+    uint32_t owns_blocking;  // 1: Free releases the vertical blocking
+    uint32_t reserved;
   };
 
+  // Selects C* over the blocks of `points` (sorted by x, blocked as
+  // `blocking`), writes the answer chains, the C* index and the header
+  // page; returns the header page.
+  static Result<PageId> WriteIndex(Pager* pager,
+                                   std::span<const Point> points,
+                                   const VerticalBlocking& blocking,
+                                   bool owns_blocking);
+
   Status LoadHeader(Header* h) const;
-  Status LoadIndexes(std::vector<VBlockEntry>* vblocks,
-                     std::vector<CStarEntry>* cstar) const;
+  Status LoadCStar(const Header& h, std::vector<CStarEntry>* cstar) const;
 
   // Merges pending inserts, drops tombstoned points, and replaces the
   // on-device structure (fault-atomic; see file comment).

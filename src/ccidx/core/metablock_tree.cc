@@ -54,8 +54,10 @@ Result<MetablockTree::BuiltNode> MetablockTree::BuildNode(
     own = std::move(*all);
   } else {
     // The B^2 points with the largest y values stay here; the rest are
-    // divided by x into `branching` groups, one child each (Fig. 8).
-    auto part = std::move(group).PartitionTopY(b2, branching);
+    // divided by x into ChildFanout groups — B, or as few as hold the
+    // rest at <= B^2 each — one child each (Fig. 8).
+    const uint32_t fanout = ChildFanout(group.size() - b2, branching);
+    auto part = std::move(group).PartitionTopY(b2, fanout);
     CCIDX_RETURN_IF_ERROR(part.status());
     own = std::move(part->top);
 
@@ -103,9 +105,9 @@ Result<MetablockTree::BuiltNode> MetablockTree::BuildNode(
   CCIDX_RETURN_IF_ERROR(horiz.status());
   ctrl.horiz_head = *horiz;
   if (options.use_corner_structures && ctrl.bbox_ymin <= ctrl.bbox_xmax) {
-    auto corner = CornerStructure::Build(pager, own);
+    auto corner = CornerStructure::BuildOnBlocking(pager, own, *vb);
     CCIDX_RETURN_IF_ERROR(corner.status());
-    ctrl.corner_header = corner->header();
+    ctrl.corner_header = *corner;
   }
   node.own_points = std::move(own);
   return node;
@@ -354,44 +356,54 @@ Status MetablockTree::ScanAll(ResultSink<Point>* sink) const {
   return ScanSubtree(root_, em);
 }
 
-Status MetablockTree::DestroySubtree(PageId control_id) {
+Status MetablockTree::VisitSubtreePages(PageId control_id,
+                                        std::vector<PageId>* out) const {
   Control ctrl;
   CCIDX_RETURN_IF_ERROR(LoadControl(control_id, &ctrl));
   PageIo io(pager_);
-  CCIDX_RETURN_IF_ERROR(FreeVerticalBlocking(pager_, ctrl.vindex_head));
-  if (ctrl.horiz_head != kInvalidPageId) {
-    CCIDX_RETURN_IF_ERROR(io.FreeChain(ctrl.horiz_head));
-  }
-  if (ctrl.ts_head != kInvalidPageId) {
-    CCIDX_RETURN_IF_ERROR(io.FreeChain(ctrl.ts_head));
+  CCIDX_RETURN_IF_ERROR(VisitVerticalBlocking(pager_, ctrl.vindex_head, out));
+  for (PageId head : {static_cast<PageId>(ctrl.horiz_head),
+                      static_cast<PageId>(ctrl.ts_head)}) {
+    if (head != kInvalidPageId) {
+      CCIDX_RETURN_IF_ERROR(io.VisitChain(head, out));
+    }
   }
   if (ctrl.corner_header != kInvalidPageId) {
     CornerStructure corner = CornerStructure::Open(pager_,
                                                    ctrl.corner_header);
-    CCIDX_RETURN_IF_ERROR(corner.Free());
+    CCIDX_RETURN_IF_ERROR(corner.VisitPages(out));
   }
   if (ctrl.children_head != kInvalidPageId) {
     std::vector<ChildEntry> children;
     CCIDX_RETURN_IF_ERROR(io.ReadChain<ChildEntry>(ctrl.children_head,
                                                    &children));
     for (const ChildEntry& c : children) {
-      CCIDX_RETURN_IF_ERROR(DestroySubtree(c.control));
+      CCIDX_RETURN_IF_ERROR(VisitSubtreePages(c.control, out));
     }
-    CCIDX_RETURN_IF_ERROR(io.FreeChain(ctrl.children_head));
+    CCIDX_RETURN_IF_ERROR(io.VisitChain(ctrl.children_head, out));
   }
-  return pager_->Free(control_id);
+  out->push_back(control_id);
+  return Status::OK();
+}
+
+Status MetablockTree::VisitPages(std::vector<PageId>* out) const {
+  if (root_ == kInvalidPageId) return Status::OK();
+  return VisitSubtreePages(root_, out);
 }
 
 Status MetablockTree::Destroy() {
-  if (root_ == kInvalidPageId) return Status::OK();
-  CCIDX_RETURN_IF_ERROR(DestroySubtree(root_));
+  std::vector<PageId> pages;
+  CCIDX_RETURN_IF_ERROR(VisitPages(&pages));
+  for (PageId id : pages) {
+    CCIDX_RETURN_IF_ERROR(pager_->Free(id));
+  }
   root_ = kInvalidPageId;
   size_ = 0;
   return Status::OK();
 }
 
 Status MetablockTree::CheckSubtree(PageId control_id, Coord parent_min_y,
-                                   bool is_root) const {
+                                   bool is_root, uint64_t* count) const {
   Control ctrl;
   CCIDX_RETURN_IF_ERROR(LoadControl(control_id, &ctrl));
   PageIo io(pager_);
@@ -455,7 +467,19 @@ Status MetablockTree::CheckSubtree(PageId control_id, Coord parent_min_y,
   if (diagonal_crosses != (ctrl.corner_header != kInvalidPageId)) {
     return Status::Corruption("corner structure presence mismatch");
   }
+  if (ctrl.corner_header != kInvalidPageId) {
+    // The corner indexes this metablock's own blocking; it holds no copy.
+    PageId corner_vindex;
+    bool owned;
+    CCIDX_RETURN_IF_ERROR(CornerStructure::Open(pager_, ctrl.corner_header)
+                              .LoadBlocking(&corner_vindex, &owned));
+    if (owned || corner_vindex != ctrl.vindex_head) {
+      return Status::Corruption("corner structure copies its blocking");
+    }
+  }
 
+  const uint64_t count_before = *count;
+  *count += own.size();
   if (ctrl.num_children > 0) {
     std::vector<ChildEntry> children;
     CCIDX_RETURN_IF_ERROR(io.ReadChain<ChildEntry>(ctrl.children_head,
@@ -470,7 +494,7 @@ Status MetablockTree::CheckSubtree(PageId control_id, Coord parent_min_y,
         return Status::Corruption("children not ordered by x");
       }
       CCIDX_RETURN_IF_ERROR(
-          CheckSubtree(children[i].control, ctrl.bbox_ymin, false));
+          CheckSubtree(children[i].control, ctrl.bbox_ymin, false, count));
       Control cc;
       CCIDX_RETURN_IF_ERROR(LoadControl(children[i].control, &cc));
       ts_heads.push_back(cc.ts_head);
@@ -479,13 +503,18 @@ Status MetablockTree::CheckSubtree(PageId control_id, Coord parent_min_y,
       }
     }
     CCIDX_RETURN_IF_ERROR(CheckTsChains(pager_, ts_heads, stored, b2));
+    const uint64_t rest = *count - count_before - own.size();
+    if (ctrl.num_children != ChildFanout(rest, branching_)) {
+      return Status::Corruption("fan-out differs from ChildFanout");
+    }
   }
   return Status::OK();
 }
 
 Status MetablockTree::CheckInvariants() const {
   if (root_ == kInvalidPageId) return Status::OK();
-  return CheckSubtree(root_, kCoordMax, true);
+  uint64_t count = 0;
+  return CheckSubtree(root_, kCoordMax, true, &count);
 }
 
 }  // namespace ccidx

@@ -7,11 +7,15 @@
 // matching the lower bound of Proposition 3.3.
 //
 // Shape (Fig. 8): a B-ary tree of metablocks. The root metablock holds the
-// B^2 points with the largest y values; the remaining points are divided by
-// x into B groups, each built recursively. Every metablock stores its
-// points twice — vertically blocked (by x) and horizontally blocked (by
-// descending y) — plus, when the diagonal crosses its bounding box, a
-// CornerStructure (Lemma 3.1). Each non-leftmost child c also carries
+// B^2 points with the largest y values; the remaining `rest` points are
+// divided by x into ChildFanout(rest, B) = min(B, ceil(rest / B^2)) groups,
+// each built recursively — B groups above B^3 points, and below that as
+// few as hold the rest at <= B^2 each, so no child is a half-full leaf
+// (DESIGN.md §6). Every metablock stores its points twice — vertically
+// blocked (by x) and horizontally blocked (by descending y) — plus, when
+// the diagonal crosses its bounding box, a CornerStructure (Lemma 3.1)
+// built over that same vertical blocking rather than a copy of it. Each
+// non-leftmost child c also carries
 // TS(c): the B^2 highest-y points among the points *stored in* its left
 // siblings (Fig. 10), which lets a query either read all left-sibling
 // output from TS in output-dense pages, or prove there are >= B^2 results
@@ -136,9 +140,16 @@ class MetablockTree {
   /// Frees all pages.
   Status Destroy();
 
+  /// Appends every page id of the tree to `out`, each exactly once (a
+  /// corner structure reports only the pages it owns; the vertical
+  /// blocking it reads is its metablock's). O(n/B) I/Os.
+  Status VisitPages(std::vector<PageId>* out) const;
+
   /// Structural checks: every metablock's own points within its recorded
   /// bbox, children partition the subtree x-interval, metablock sizes
-  /// within capacity, descendants' y below the metablock's min y.
+  /// within capacity, descendants' y below the metablock's min y, each
+  /// node's fan-out is ChildFanout of its subtree, and every corner
+  /// structure reads its metablock's own vertical blocking.
   Status CheckInvariants() const;
 
  private:
@@ -200,9 +211,10 @@ class MetablockTree {
                        SinkEmitter<Point>& em) const;
 
   Status ScanSubtree(PageId control_id, SinkEmitter<Point>& em) const;
-  Status DestroySubtree(PageId control_id);
-  Status CheckSubtree(PageId control_id, Coord parent_min_y,
-                      bool is_root) const;
+  Status VisitSubtreePages(PageId control_id, std::vector<PageId>* out) const;
+  // Checks the subtree at `control_id` and adds its point count to *count.
+  Status CheckSubtree(PageId control_id, Coord parent_min_y, bool is_root,
+                      uint64_t* count) const;
 
   Pager* pager_;
   PageId root_;

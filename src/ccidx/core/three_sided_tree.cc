@@ -40,7 +40,8 @@ Result<ThreeSidedTree::BuiltNode> ThreeSidedTree::BuildNode(
     CCIDX_RETURN_IF_ERROR(all.status());
     own = std::move(*all);
   } else {
-    auto part = std::move(group).PartitionTopY(b2, branching);
+    const uint32_t fanout = ChildFanout(group.size() - b2, branching);
+    auto part = std::move(group).PartitionTopY(b2, fanout);
     CCIDX_RETURN_IF_ERROR(part.status());
     own = std::move(part->top);
 
@@ -408,41 +409,50 @@ Status ThreeSidedTree::ScanAll(ResultSink<Point>* sink) const {
   return ScanSubtree(root_, em);
 }
 
-Status ThreeSidedTree::DestroySubtree(PageId id) {
+Status ThreeSidedTree::VisitSubtreePages(PageId id,
+                                         std::vector<PageId>* out) const {
   Control ctrl;
   CCIDX_RETURN_IF_ERROR(LoadControl(id, &ctrl));
   PageIo io(pager_);
-  CCIDX_RETURN_IF_ERROR(FreeVerticalBlocking(pager_, ctrl.vindex_head));
+  CCIDX_RETURN_IF_ERROR(VisitVerticalBlocking(pager_, ctrl.vindex_head, out));
   for (PageId head : {static_cast<PageId>(ctrl.horiz_head),
                       static_cast<PageId>(ctrl.ts_left_head),
                       static_cast<PageId>(ctrl.ts_right_head)}) {
     if (head != kInvalidPageId) {
-      CCIDX_RETURN_IF_ERROR(io.FreeChain(head));
+      CCIDX_RETURN_IF_ERROR(io.VisitChain(head, out));
     }
   }
-  if (ctrl.own_pst_root != kInvalidPageId) {
-    ExternalPst pst = ExternalPst::Open(pager_, ctrl.own_pst_root);
-    CCIDX_RETURN_IF_ERROR(pst.Free());
-  }
-  if (ctrl.children_pst_root != kInvalidPageId) {
-    ExternalPst pst = ExternalPst::Open(pager_, ctrl.children_pst_root);
-    CCIDX_RETURN_IF_ERROR(pst.Free());
+  for (PageId root : {static_cast<PageId>(ctrl.own_pst_root),
+                      static_cast<PageId>(ctrl.children_pst_root)}) {
+    if (root != kInvalidPageId) {
+      ExternalPst pst = ExternalPst::Open(pager_, root);
+      CCIDX_RETURN_IF_ERROR(pst.VisitPages(out));
+    }
   }
   if (ctrl.num_children > 0) {
     std::vector<ChildEntry> children;
     CCIDX_RETURN_IF_ERROR(
         io.ReadChain<ChildEntry>(ctrl.children_head, &children));
     for (const ChildEntry& c : children) {
-      CCIDX_RETURN_IF_ERROR(DestroySubtree(c.control));
+      CCIDX_RETURN_IF_ERROR(VisitSubtreePages(c.control, out));
     }
-    CCIDX_RETURN_IF_ERROR(io.FreeChain(ctrl.children_head));
+    CCIDX_RETURN_IF_ERROR(io.VisitChain(ctrl.children_head, out));
   }
-  return pager_->Free(id);
+  out->push_back(id);
+  return Status::OK();
+}
+
+Status ThreeSidedTree::VisitPages(std::vector<PageId>* out) const {
+  if (root_ == kInvalidPageId) return Status::OK();
+  return VisitSubtreePages(root_, out);
 }
 
 Status ThreeSidedTree::Destroy() {
-  if (root_ == kInvalidPageId) return Status::OK();
-  CCIDX_RETURN_IF_ERROR(DestroySubtree(root_));
+  std::vector<PageId> pages;
+  CCIDX_RETURN_IF_ERROR(VisitPages(&pages));
+  for (PageId id : pages) {
+    CCIDX_RETURN_IF_ERROR(pager_->Free(id));
+  }
   root_ = kInvalidPageId;
   size_ = 0;
   return Status::OK();
@@ -480,6 +490,7 @@ Status ThreeSidedTree::CheckSubtree(PageId id, Coord parent_min_y,
   } else if (ctrl.num_points > 0) {
     return Status::Corruption("missing own PST");
   }
+  const uint64_t count_before = *count;
   *count += own.size();
   if (ctrl.num_children > 0) {
     if (ctrl.children_pst_root == kInvalidPageId) {
@@ -511,6 +522,10 @@ Status ThreeSidedTree::CheckSubtree(PageId id, Coord parent_min_y,
     std::reverse(right_heads.begin(), right_heads.end());
     std::reverse(stored.begin(), stored.end());
     CCIDX_RETURN_IF_ERROR(CheckTsChains(pager_, right_heads, stored, b2));
+    const uint64_t rest = *count - count_before - own.size();
+    if (ctrl.num_children != ChildFanout(rest, branching_)) {
+      return Status::Corruption("fan-out differs from ChildFanout");
+    }
   }
   return Status::OK();
 }

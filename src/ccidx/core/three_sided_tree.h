@@ -74,6 +74,9 @@ class ThreeSidedTree {
   uint64_t size() const { return size_; }
   uint32_t branching() const { return branching_; }
 
+  /// Root control page (kInvalidPageId when empty).
+  PageId root_page() const { return root_; }
+
   /// Streams every stored point into `sink`, in no particular order (each
   /// metablock's horizontal chain, top-down; PSTs, TS chains and vertical
   /// blockings hold copies). O(n/B) I/Os. The merge source of the
@@ -83,7 +86,12 @@ class ThreeSidedTree {
   /// Frees all pages.
   Status Destroy();
 
-  /// Structural checks (heap order, blockings, TS contents, PST presence).
+  /// Appends every page id of the tree to `out`, each exactly once.
+  /// O(n/B) I/Os.
+  Status VisitPages(std::vector<PageId>* out) const;
+
+  /// Structural checks (heap order, blockings, TS contents, PST presence,
+  /// ChildFanout shape).
   Status CheckInvariants() const;
 
  private:
@@ -150,7 +158,7 @@ class ThreeSidedTree {
                    SinkEmitter<Point>& em) const;
 
   Status ScanSubtree(PageId id, SinkEmitter<Point>& em) const;
-  Status DestroySubtree(PageId id);
+  Status VisitSubtreePages(PageId id, std::vector<PageId>* out) const;
   Status CheckSubtree(PageId id, Coord parent_min_y, bool is_root,
                       uint64_t* count) const;
 

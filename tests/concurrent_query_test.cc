@@ -454,6 +454,9 @@ TEST(QueryExecutorTest, BatchEqualsSequentialLoopAndReportsIo) {
   auto points = RandomPointsAboveDiagonal(1000, 2000, 31);
   auto tree = MetablockTree::Build(&pager, points);
   ASSERT_TRUE(tree.ok());
+  // The tree outgrows the pool: write the build's dirty frames back now,
+  // so no eviction below owes the device a write-back.
+  ASSERT_TRUE(pager.Flush().ok());
 
   std::vector<Coord> queries;
   for (Coord a = 0; a <= 2000; a += 101) queries.push_back(a);
