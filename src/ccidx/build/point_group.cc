@@ -1,26 +1,97 @@
 #include "ccidx/build/point_group.h"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
-#include <queue>
 
-#include "ccidx/build/external_sorter.h"
+#include "ccidx/build/run.h"
 
 namespace ccidx {
 
-namespace {
+void TopYSet::Add(const Point& p) {
+  if (heap_.size() < limit_) {
+    heap_.push_back(p);
+    std::push_heap(heap_.begin(), heap_.end(), PointDescYOrder());
+    return;
+  }
+  if (heap_.empty() || !PointYOrder()(heap_.front(), p)) return;
+  std::pop_heap(heap_.begin(), heap_.end(), PointDescYOrder());
+  heap_.back() = p;
+  std::push_heap(heap_.begin(), heap_.end(), PointDescYOrder());
+}
 
-// Min-heap on PointYOrder: top() is the smallest of the kept set, i.e.
-// the selection cutoff once the heap holds `keep` points.
-using MinYHeap =
-    std::priority_queue<Point, std::vector<Point>, PointDescYOrder>;
+std::vector<Point> TopYSet::TakeDescending() {
+  std::sort_heap(heap_.begin(), heap_.end(), PointDescYOrder());
+  return std::move(heap_);
+}
 
-}  // namespace
+// Builds one group record by record: resident up to `limit` records;
+// past that, everything spills to a run and the top `limit` by y is kept
+// beside it. The shared writer of FromStream and of every streamed
+// partition's children.
+class PointGroup::Writer {
+ public:
+  Writer(Pager* pager, size_t limit) : limit_(limit), top_(limit) {
+    g_.pager_ = pager;
+    g_.resident_limit_ = limit;
+  }
+
+  uint64_t count() const { return g_.count_; }
+  Coord last_x() const { return g_.last_x_; }
+
+  // Sizes the resident buffer for an expected `n` records, unless that
+  // many would spill anyway.
+  void Reserve(uint64_t n) {
+    if (n <= limit_) g_.mem_.reserve(n);
+  }
+
+  Status Append(const Point& p) {
+    if (g_.count_ == 0) g_.first_x_ = p.x;
+    g_.last_x_ = p.x;
+    g_.count_++;
+    if (!run_.has_value()) {
+      if (g_.mem_.size() < limit_) {
+        g_.mem_.push_back(p);
+        return Status::OK();
+      }
+      // Crossed the resident limit: spill what we have and stream on.
+      run_.emplace(g_.pager_);
+      for (const Point& q : g_.mem_) top_.Add(q);
+      CCIDX_RETURN_IF_ERROR(run_->AppendSpan(g_.mem_));
+      g_.mem_.clear();
+      g_.mem_.shrink_to_fit();
+    }
+    top_.Add(p);
+    return run_->Append(p);
+  }
+
+  Result<PointGroup> Finish() && {
+    if (run_.has_value()) {
+      auto run = run_->Finish();
+      CCIDX_RETURN_IF_ERROR(run.status());
+      g_.source_ = std::make_unique<RunReader<Point>>(
+          g_.pager_, *run, /*free_consumed=*/true);
+      g_.top_ = top_.TakeDescending();
+    }
+    return std::move(g_);
+  }
+
+  // Rejected input: frees whatever was spilled.
+  void Discard() {
+    if (!run_.has_value()) return;
+    auto run = run_->Finish();
+    if (run.ok()) (void)FreeRun(g_.pager_, *run);
+    run_.reset();
+  }
+
+ private:
+  size_t limit_;
+  TopYSet top_;
+  std::optional<RunWriter<Point>> run_;
+  PointGroup g_;
+};
 
 PointGroup PointGroup::FromVector(std::vector<Point> sorted_by_x) {
   PointGroup g;
-  g.resident_ = true;
   g.count_ = sorted_by_x.size();
   if (!sorted_by_x.empty()) {
     g.first_x_ = sorted_by_x.front().x;
@@ -34,9 +105,7 @@ Result<PointGroup> PointGroup::FromStream(Pager* pager,
                                           RecordStream<Point>* sorted_by_x,
                                           size_t resident_limit,
                                           bool require_above_diagonal) {
-  PointGroup g;
-  g.pager_ = pager;
-  std::optional<RunWriter<Point>> writer;
+  Writer writer(pager, resident_limit);
   Point prev{};
   while (true) {
     auto block = sorted_by_x->Next();
@@ -44,208 +113,194 @@ Result<PointGroup> PointGroup::FromStream(Pager* pager,
     if (block->empty()) break;
     for (const Point& p : *block) {
       if (require_above_diagonal && p.y < p.x) {
-        if (writer.has_value()) {
-          auto run = writer->Finish();
-          if (run.ok()) (void)FreeRun(pager, *run);
-        }
+        writer.Discard();
         return Status::InvalidArgument("points must satisfy y >= x");
       }
-      if (g.count_ > 0 && PointXOrder()(p, prev)) {
-        if (writer.has_value()) {
-          auto run = writer->Finish();
-          if (run.ok()) (void)FreeRun(pager, *run);
-        }
+      if (writer.count() > 0 && PointXOrder()(p, prev)) {
+        writer.Discard();
         return Status::InvalidArgument("point stream not sorted by x");
       }
       prev = p;
-      if (g.count_ == 0) g.first_x_ = p.x;
-      g.last_x_ = p.x;
-      g.count_++;
-      if (!writer.has_value()) {
-        if (g.mem_.size() < resident_limit) {
-          g.mem_.push_back(p);
-          continue;
-        }
-        // Crossed the resident limit: spill what we have and stream on.
-        writer.emplace(pager);
-        CCIDX_RETURN_IF_ERROR(writer->AppendSpan(g.mem_));
-        g.mem_.clear();
-        g.mem_.shrink_to_fit();
-      }
-      CCIDX_RETURN_IF_ERROR(writer->Append(p));
+      CCIDX_RETURN_IF_ERROR(writer.Append(p));
     }
   }
-  if (writer.has_value()) {
-    auto run = writer->Finish();
-    CCIDX_RETURN_IF_ERROR(run.status());
-    g.resident_ = false;
-    g.run_ = *run;
-  }
-  return g;
+  return std::move(writer).Finish();
 }
 
 Result<std::vector<Point>> PointGroup::TakeAll() && {
-  if (resident_) return std::move(mem_);
-  std::vector<Point> out;
-  out.reserve(count_);
-  RunReader<Point> reader(pager_, run_, /*free_consumed=*/true);
-  while (true) {
-    auto block = reader.Next();
-    CCIDX_RETURN_IF_ERROR(block.status());
-    if (block->empty()) break;
-    out.insert(out.end(), block->begin(), block->end());
+  std::vector<Point> out = std::move(mem_);
+  if (source_ != nullptr) {
+    out.reserve(count_);
+    while (true) {
+      auto block = source_->Next();
+      CCIDX_RETURN_IF_ERROR(block.status());
+      if (block->empty()) break;
+      out.insert(out.end(), block->begin(), block->end());
+    }
+    source_.reset();
   }
-  run_ = SortedRun{};
   count_ = 0;
   return out;
 }
 
-Result<PointGroup::Partition> PointGroup::PartitionTopY(uint32_t keep,
-                                                        uint32_t fanout,
-                                                        SplitMode mode) && {
-  CCIDX_CHECK(count_ > keep);
+Result<std::vector<Point>> PointGroup::PartitionTopY(
+    uint32_t keep, uint32_t fanout, SplitMode mode,
+    const ChildFn& on_child) && {
+  CCIDX_CHECK(keep >= 1 && count_ > keep);
   CCIDX_CHECK(fanout >= 1);
-  Partition part;
-
-  if (resident_) {
-    // In-core path: linear-time selection of the top `keep`, then a sort
-    // of those alone. PointYOrder is total, so the selected set and its
-    // order equal a full sort's prefix.
-    std::vector<Point> by_y = mem_;
+  const std::vector<Point> mem = std::move(mem_);
+  std::unique_ptr<RecordStream<Point>> source = std::move(source_);
+  std::vector<Point> top;
+  if (source == nullptr) {
+    // In-core: linear-time selection of the top `keep`, then a sort of
+    // those alone. PointYOrder is total, so the selected set and its
+    // order equal a full sort's prefix. Children stay in core: none
+    // exceeds the resident limit this group was written under.
+    std::vector<Point> by_y = mem;
     std::nth_element(by_y.begin(), by_y.begin() + (keep - 1), by_y.end(),
                      PointDescYOrder());
-    const Point cutoff = by_y[keep - 1];
     std::sort(by_y.begin(), by_y.begin() + (keep - 1), PointDescYOrder());
-    part.top.assign(by_y.begin(), by_y.begin() + keep);
-    std::vector<Point> rest;
-    rest.reserve(mem_.size() - keep);
-    for (const Point& p : mem_) {  // preserves x order
-      if (PointYOrder()(p, cutoff)) rest.push_back(p);
-    }
-    CCIDX_CHECK(rest.size() == mem_.size() - keep);
-    size_t taken = 0;
-    for (uint32_t i = 0; i < fanout && taken < rest.size(); ++i) {
-      size_t want = (rest.size() - taken) / (fanout - i);
-      size_t end;
-      if (mode == SplitMode::kEven) {
-        if (want == 0) continue;
-        end = taken + want;
-      } else {
-        if (want == 0) want = 1;
-        end = taken + want;
-        while (end < rest.size() && rest[end - 1].x == rest[end].x) end++;
-        if (i + 1 == fanout) end = rest.size();
-      }
-      part.children.push_back(FromVector(
-          std::vector<Point>(rest.begin() + taken, rest.begin() + end)));
-      taken = end;
-    }
-    mem_.clear();
-    count_ = 0;
-    return part;
+    top.assign(by_y.begin(), by_y.begin() + keep);
+    source = std::make_unique<SpanStream<Point>>(std::span<const Point>(mem),
+                                                 mem.size());
+  } else {
+    // Streamed: the writer kept the top resident_limit_ set.
+    CCIDX_CHECK(keep <= top_.size());
+    top.assign(top_.begin(), top_.begin() + keep);
+    top_ = {};
   }
-
-  // External path. Scan 1: bounded top-k selection by PointYOrder.
-  MinYHeap heap;
-  {
-    RunReader<Point> reader(pager_, run_, /*free_consumed=*/false);
-    while (true) {
-      auto block = reader.Next();
-      CCIDX_RETURN_IF_ERROR(block.status());
-      if (block->empty()) break;
-      for (const Point& p : *block) {
-        heap.push(p);
-        if (heap.size() > keep) heap.pop();
-      }
-    }
-  }
-  part.top.resize(heap.size());
-  for (size_t i = heap.size(); i-- > 0;) {
-    part.top[i] = heap.top();  // pop order ascends: fill back to front
-    heap.pop();
-  }
-  const Point cutoff = part.top.back();
-
-  // Scan 2: distribute the rest into per-child runs (x order preserved),
-  // freeing input pages behind the cursor. The boundary decisions mirror
-  // the resident path record for record: wants are recomputed per slot
-  // from what previous children actually consumed, and in kTieFreeX mode
-  // a child closes only once the incoming x differs from its last.
-  const uint64_t rest_count = count_ - keep;
-  struct ChildWriter {
-    RunWriter<Point> writer;
-    uint64_t want;
-    Coord first_x = 0;
-    Coord last_x = 0;
-    uint64_t written = 0;
-    ChildWriter(Pager* pager, uint64_t want) : writer(pager), want(want) {}
-  };
-  std::vector<std::unique_ptr<ChildWriter>> writers;
-  {
-    uint32_t slot = 0;      // next child slot to open
-    uint64_t taken = 0;     // records consumed by closed children
-    auto open_next = [&]() {
-      uint64_t want = 0;
-      while (slot < fanout) {
-        want = (rest_count - taken) / (fanout - slot);
-        if (mode == SplitMode::kTieFreeX && want == 0) want = 1;
-        if (want > 0) break;
-        slot++;  // kEven: skip zero-want slots
-      }
-      CCIDX_CHECK(slot < fanout && want > 0);
-      writers.push_back(std::make_unique<ChildWriter>(pager_, want));
-      slot++;
-    };
-    uint64_t seen = 0;
-    RunReader<Point> reader(pager_, run_, /*free_consumed=*/true);
-    while (true) {
-      auto block = reader.Next();
-      CCIDX_RETURN_IF_ERROR(block.status());
-      if (block->empty()) break;
-      for (const Point& p : *block) {
-        if (!PointYOrder()(p, cutoff)) continue;  // selected into `top`
-        if (writers.empty()) open_next();
-        ChildWriter* cw = writers.back().get();
-        if (slot < fanout && cw->written >= cw->want &&
-            (mode == SplitMode::kEven || p.x != cw->last_x)) {
-          taken += cw->written;
-          open_next();
-          cw = writers.back().get();
-        }
-        if (cw->written == 0) cw->first_x = p.x;
-        cw->last_x = p.x;
-        CCIDX_RETURN_IF_ERROR(cw->writer.Append(p));
-        cw->written++;
-        seen++;
-      }
-    }
-    CCIDX_CHECK(seen == rest_count);
-  }
-  for (auto& cw : writers) {
-    auto run = cw->writer.Finish();
-    CCIDX_RETURN_IF_ERROR(run.status());
-    PointGroup g;
-    g.pager_ = pager_;
-    g.resident_ = false;
-    g.run_ = *run;
-    g.count_ = run->count;
-    g.first_x_ = cw->first_x;
-    g.last_x_ = cw->last_x;
-    part.children.push_back(std::move(g));
-  }
-  run_ = SortedRun{};
+  const Point cutoff = top.back();
+  const uint64_t rest = count_ - keep;
   count_ = 0;
-  return part;
+
+  // One scan distributes the rest (x order preserved). Wants are
+  // recomputed per slot from what earlier children actually took, and in
+  // kTieFreeX mode a child closes only once the incoming x differs from
+  // its last. A child is complete the moment the next one opens, so it
+  // goes to `on_child` right then, with the scan paused.
+  uint32_t slot = 0;   // next child slot to open
+  uint64_t taken = 0;  // records in closed children
+  uint64_t want = 0;   // the open child's share
+  std::optional<Writer> child;
+  auto open_next = [&]() {
+    while (slot < fanout) {
+      want = (rest - taken) / (fanout - slot);
+      if (mode == SplitMode::kTieFreeX && want == 0) want = 1;
+      if (want > 0) break;
+      slot++;  // kEven: skip zero-want slots
+    }
+    CCIDX_CHECK(slot < fanout && want > 0);
+    slot++;
+    child.emplace(pager_, resident_limit_);
+    child->Reserve(want);
+  };
+  auto close = [&]() -> Status {
+    taken += child->count();
+    auto group = std::move(*child).Finish();
+    child.reset();
+    CCIDX_RETURN_IF_ERROR(group.status());
+    return on_child(std::move(*group));
+  };
+  while (true) {
+    auto block = source->Next();
+    CCIDX_RETURN_IF_ERROR(block.status());
+    if (block->empty()) break;
+    for (const Point& p : *block) {
+      if (!PointYOrder()(p, cutoff)) continue;  // selected into `top`
+      if (!child.has_value()) {
+        open_next();
+      } else if (slot < fanout && child->count() >= want &&
+                 (mode == SplitMode::kEven || p.x != child->last_x())) {
+        CCIDX_RETURN_IF_ERROR(close());
+        open_next();
+      }
+      CCIDX_RETURN_IF_ERROR(child->Append(p));
+    }
+  }
+  if (child.has_value()) {
+    CCIDX_RETURN_IF_ERROR(close());
+  }
+  CCIDX_CHECK(taken == rest);
+  return top;
+}
+
+namespace {
+
+// A spilled PointSorter's output: owns the sorter, so its runs live
+// exactly as long as the group that reads them.
+class SorterStream final : public RecordStream<Point> {
+ public:
+  SorterStream(std::unique_ptr<ExternalSorter<Point, PointXOrder>> sorter,
+               RecordStream<Point>* merged)
+      : sorter_(std::move(sorter)), merged_(merged) {}
+
+  Result<std::span<const Point>> Next() override { return merged_->Next(); }
+
+ private:
+  std::unique_ptr<ExternalSorter<Point, PointXOrder>> sorter_;
+  RecordStream<Point>* merged_;
+};
+
+}  // namespace
+
+PointSorter::PointSorter(Pager* pager, bool require_above_diagonal)
+    : pager_(pager),
+      require_above_diagonal_(require_above_diagonal),
+      sorter_(std::make_unique<ExternalSorter<Point, PointXOrder>>(pager)),
+      top_(sorter_->budget()) {}
+
+Status PointSorter::Add(const Point& p) {
+  if (require_above_diagonal_ && p.y < p.x) {
+    return Status::InvalidArgument("points must satisfy y >= x");
+  }
+  if (count_ == 0 || p.x < min_x_) min_x_ = p.x;
+  if (count_ == 0 || p.x > max_x_) max_x_ = p.x;
+  count_++;
+  top_.Add(p);
+  return sorter_->Add(p);
+}
+
+Status PointSorter::AddStream(RecordStream<Point>* points) {
+  while (true) {
+    auto block = points->Next();
+    CCIDX_RETURN_IF_ERROR(block.status());
+    if (block->empty()) return Status::OK();
+    for (const Point& p : *block) {
+      CCIDX_RETURN_IF_ERROR(Add(p));
+    }
+  }
+}
+
+Result<PointGroup> PointSorter::Finish() && {
+  auto merged = sorter_->Finish();
+  CCIDX_RETURN_IF_ERROR(merged.status());
+  if (sorter_->in_memory()) {
+    std::vector<Point> pts;
+    pts.reserve(count_);
+    while (true) {
+      auto block = (*merged)->Next();
+      CCIDX_RETURN_IF_ERROR(block.status());
+      if (block->empty()) break;
+      pts.insert(pts.end(), block->begin(), block->end());
+    }
+    return PointGroup::FromVector(std::move(pts));
+  }
+  PointGroup g;
+  g.pager_ = pager_;
+  g.count_ = count_;
+  g.first_x_ = min_x_;
+  g.last_x_ = max_x_;
+  g.top_ = top_.TakeDescending();
+  g.resident_limit_ = sorter_->budget();
+  g.source_ = std::make_unique<SorterStream>(std::move(sorter_), *merged);
+  return g;
 }
 
 Result<PointGroup> SortPointStream(Pager* pager, RecordStream<Point>* points,
                                    bool require_above_diagonal) {
-  ExternalSorter<Point, PointXOrder> sorter(pager);
+  PointSorter sorter(pager, require_above_diagonal);
   CCIDX_RETURN_IF_ERROR(sorter.AddStream(points));
-  auto merged = sorter.Finish();
-  CCIDX_RETURN_IF_ERROR(merged.status());
-  return PointGroup::FromStream(pager, *merged, sorter.budget(),
-                                require_above_diagonal);
+  return std::move(sorter).Finish();
 }
 
 }  // namespace ccidx

@@ -1,34 +1,61 @@
 // PointGroup: the unit of work of every metablock / PST bulk build
 // (DESIGN.md §6).
 //
-// Each tree family's recursive builder repeats the same three accesses
-// over an x-sorted point set:
+// Each tree family's recursive builder repeats the same two accesses over
+// an x-sorted point set:
 //   * read it whole (the leaf case — guaranteed small),
-//   * select the k highest-y points (the metablock / PST node set),
-//   * distribute the rest into f x-contiguous children (even-split rule).
-// PointGroup provides exactly those, over either of two representations:
+//   * keep the k highest-y points (the metablock / PST node set) and
+//     distribute the rest into f x-contiguous children.
+// PointGroup provides both, over either of two representations:
 //   * resident — an in-memory vector (insert-time rebuilds, inputs below
-//     the sort budget);
-//   * run — a device-resident sorted run, processed block-at-a-time with
-//     O(keep + fanout * B) working memory: one scan selects the top set
-//     through a bounded min-heap, a second scan distributes the rest into
-//     per-child RunWriters, freeing input pages behind the cursor.
-// Both representations produce bit-identical partitions (same selection
-// cutoff, same even-split child sizes, x order preserved), which is what
-// lets every family keep exactly one construction implementation.
+//     the sort budget, and every child of at most M records);
+//   * streamed — a sorted stream read exactly once: a device-resident run
+//     (freed page by page behind the cursor) or the lazy merge of a
+//     PointSorter. Whatever wrote it folded every record into a bounded
+//     top-M set on the way (M = the resident limit, B^2 by default), and
+//     PointYOrder is total, so any family's top `keep` <= M is a prefix
+//     of that set: the partition needs no selection scan, only the one
+//     distribution scan.
+// The distribution hands each child to the caller as soon as the stream
+// closes it (children are x-contiguous, so only one is open at a time).
+// A child of at most M records stays resident and is never written; a
+// larger one spills to a run that carries its own top-M set. Both
+// representations produce bit-identical partitions (same selection
+// cutoff, same even-split or tie-free child boundaries, x order
+// preserved), which is what lets every family keep exactly one
+// construction implementation.
 
 #ifndef CCIDX_BUILD_POINT_GROUP_H_
 #define CCIDX_BUILD_POINT_GROUP_H_
 
+#include <functional>
+#include <limits>
+#include <memory>
 #include <vector>
 
+#include "ccidx/build/external_sorter.h"
 #include "ccidx/build/record_stream.h"
-#include "ccidx/build/run.h"
 #include "ccidx/core/geometry.h"
 
 namespace ccidx {
 
-/// An x-sorted point set, resident or device-resident.
+/// The `limit` highest points by PointYOrder among those added: a bounded
+/// min-heap, O(1) per point below the current cutoff.
+class TopYSet {
+ public:
+  explicit TopYSet(size_t limit) : limit_(limit) {}
+
+  void Add(const Point& p);
+
+  /// The kept points, descending by y. Empties the set.
+  std::vector<Point> TakeDescending();
+
+ private:
+  size_t limit_;
+  std::vector<Point> heap_;  // heap on PointDescYOrder: front() is lowest
+};
+
+/// An x-sorted point set, resident or streamed.
 class PointGroup {
  public:
   PointGroup() = default;
@@ -38,11 +65,14 @@ class PointGroup {
   PointGroup& operator=(const PointGroup&) = delete;
 
   /// Wraps an in-memory vector (must already be sorted by PointXOrder).
+  /// Its children stay resident too.
   static PointGroup FromVector(std::vector<Point> sorted_by_x);
 
   /// Stages a sorted stream. Inputs of at most `resident_limit` records
   /// stay in memory; larger inputs spill to a device-resident run,
-  /// holding only one block in memory. Verifies x order, and y >= x per
+  /// holding one block and the top `resident_limit` points by y in
+  /// memory. `resident_limit` bounds the `keep` PartitionTopY accepts
+  /// and the size of a resident child. Verifies x order, and y >= x per
   /// point when `require_above_diagonal`.
   static Result<PointGroup> FromStream(Pager* pager,
                                        RecordStream<Point>* sorted_by_x,
@@ -51,7 +81,7 @@ class PointGroup {
 
   uint64_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
-  bool resident() const { return resident_; }
+  bool resident() const { return source_ == nullptr; }
 
   /// First / last x of the set (the subtree x-interval). Empty group: 0.
   Coord first_x() const { return first_x_; }
@@ -72,34 +102,63 @@ class PointGroup {
     kTieFreeX,
   };
 
-  struct Partition {
-    /// The `keep` highest-y points (PointYOrder), descending by y.
-    std::vector<Point> top;
-    /// The rest, split into at most `fanout` non-empty x-contiguous
-    /// groups per the SplitMode, preserving x order.
-    std::vector<PointGroup> children;
-  };
+  /// Receives each child of a partition, in x order, as soon as it is
+  /// complete. An error stops the partition and is returned from it.
+  using ChildFn = std::function<Status(PointGroup child)>;
 
-  /// Consumes the group (requires size() > keep): selects the top set and
-  /// distributes the rest. Run-backed input pages are freed behind the
-  /// distribution scan.
-  Result<Partition> PartitionTopY(uint32_t keep, uint32_t fanout,
-                                  SplitMode mode = SplitMode::kEven) &&;
+  /// Consumes the group (requires size() > keep, and for a streamed
+  /// group keep <= its resident limit) in one scan: returns the `keep`
+  /// highest-y points (PointYOrder), descending by y, and hands the rest,
+  /// split into at most `fanout` non-empty x-contiguous children per
+  /// `mode`, to `on_child`. The scan pauses while `on_child` runs.
+  Result<std::vector<Point>> PartitionTopY(uint32_t keep, uint32_t fanout,
+                                           SplitMode mode,
+                                           const ChildFn& on_child) &&;
 
  private:
+  friend class PointSorter;
+  class Writer;
+
   Pager* pager_ = nullptr;
-  bool resident_ = true;
-  std::vector<Point> mem_;
-  SortedRun run_;
+  std::vector<Point> mem_;  // resident records
+  // Streamed records (run reader or sorter merge), consumed once.
+  std::unique_ptr<RecordStream<Point>> source_;
+  std::vector<Point> top_;  // streamed: the top resident_limit_ by y
+  size_t resident_limit_ = std::numeric_limits<size_t>::max();
   uint64_t count_ = 0;
   Coord first_x_ = 0;
   Coord last_x_ = 0;
 };
 
-/// Sorts an arbitrarily-ordered point stream (ExternalSorter under the
-/// default budget) and stages the result as a group — the shared front
-/// half of every point-tree stream build. Sub-budget inputs stay
+/// Sorts an arbitrarily ordered point stream by x (ExternalSorter under
+/// the default budget M) and hands it over as one PointGroup with no
+/// staged copy. While records are added it taps the count, the x span,
+/// the top-M set and the y >= x check, so the root's partition reads the
+/// sorter's merge stream directly. Inputs of at most M records stay
 /// resident and cost no device I/O.
+class PointSorter {
+ public:
+  PointSorter(Pager* pager, bool require_above_diagonal);
+
+  Status Add(const Point& p);
+  Status AddStream(RecordStream<Point>* points);
+
+  /// Seals input. The group owns the sorter; its runs are freed as the
+  /// partition consumes them.
+  Result<PointGroup> Finish() &&;
+
+ private:
+  Pager* pager_;
+  bool require_above_diagonal_;
+  std::unique_ptr<ExternalSorter<Point, PointXOrder>> sorter_;
+  TopYSet top_;
+  uint64_t count_ = 0;
+  Coord min_x_ = 0;
+  Coord max_x_ = 0;
+};
+
+/// PointSorter over one stream — the shared front half of every
+/// point-tree stream build.
 Result<PointGroup> SortPointStream(Pager* pager, RecordStream<Point>* points,
                                    bool require_above_diagonal);
 

@@ -1,5 +1,5 @@
-// Device-resident record runs: the unit of external sorting and staged
-// construction (DESIGN.md §6).
+// Device-resident record runs: the unit of external sorting, and of the
+// point groups a bulk build spills (DESIGN.md §6).
 //
 // A run is an ordinary [count][next][records] page chain (PageIo layout)
 // holding a sorted sequence of records. RunWriter appends records
@@ -7,8 +7,10 @@
 // pointers are resolved by holding each full block until its successor's
 // page id is known, so no page is ever written twice). RunReader streams a
 // run back as a RecordStream, optionally freeing each page as soon as it
-// has been consumed so a merge or distribution pass never holds more than
-// one copy of the data on the device.
+// has been consumed. Sorter runs are read once, by a merge; a spilled
+// point group (a child of more than M records) is read once, by its own
+// partition scan. Neither pass holds more than one copy of the data on
+// the device.
 
 #ifndef CCIDX_BUILD_RUN_H_
 #define CCIDX_BUILD_RUN_H_

@@ -120,27 +120,29 @@ AugmentedMetablockTree::BuildNode(Pager* pager, PointGroup group,
     own = std::move(*all);
   } else {
     const uint32_t fanout = ChildFanout(group.size() - b2, branching);
-    auto part = std::move(group).PartitionTopY(b2, fanout);
-    CCIDX_RETURN_IF_ERROR(part.status());
-    own = std::move(part->top);
-
     std::vector<ChildEntry> child_entries;
     std::vector<Point> ts;  // top B^2 of the left siblings' own points
-    for (PointGroup& sub : part->children) {
-      auto child = BuildNode(pager, std::move(sub), branching);
-      CCIDX_RETURN_IF_ERROR(child.status());
-      if (!ts.empty()) {
-        auto head = WriteDescYChain(pager, ts);
-        CCIDX_RETURN_IF_ERROR(head.status());
-        child->ctrl.ts_head = *head;
-      }
-      CCIDX_RETURN_IF_ERROR(
-          WriteControl(pager, child->control_page, child->ctrl));
-      child_entries.push_back({child->ctrl.sub_xlo, child->ctrl.node_ymax,
-                               child->control_page});
-      ctrl.desc_ymax = std::max(ctrl.desc_ymax, child->ctrl.node_ymax);
-      FoldTopK(&ts, child->own_points, b2);
-    }
+    auto top = std::move(group).PartitionTopY(
+        b2, fanout, PointGroup::SplitMode::kEven,
+        [&](PointGroup sub) -> Status {
+          auto child = BuildNode(pager, std::move(sub), branching);
+          CCIDX_RETURN_IF_ERROR(child.status());
+          if (!ts.empty()) {
+            auto head = WriteDescYChain(pager, ts);
+            CCIDX_RETURN_IF_ERROR(head.status());
+            child->ctrl.ts_head = *head;
+          }
+          CCIDX_RETURN_IF_ERROR(
+              WriteControl(pager, child->control_page, child->ctrl));
+          child_entries.push_back({child->ctrl.sub_xlo,
+                                   child->ctrl.node_ymax,
+                                   child->control_page});
+          ctrl.desc_ymax = std::max(ctrl.desc_ymax, child->ctrl.node_ymax);
+          FoldTopK(&ts, child->own_points, b2);
+          return Status::OK();
+        });
+    CCIDX_RETURN_IF_ERROR(top.status());
+    own = std::move(*top);
     auto ids = io.WriteChain<ChildEntry>(child_entries);
     CCIDX_RETURN_IF_ERROR(ids.status());
     ctrl.children_head = ids->empty() ? kInvalidPageId : ids->front();

@@ -134,17 +134,17 @@ AugmentedThreeSidedTree::BuildNode(Pager* pager, PointGroup group,
     // Tie-free boundaries: never separate an equal-x run, so routing by
     // sub_xlo equals membership (fork filtering depends on this).
     const uint32_t fanout = ChildFanout(group.size() - b2, branching);
-    auto part = std::move(group).PartitionTopY(
-        b2, fanout, PointGroup::SplitMode::kTieFreeX);
-    CCIDX_RETURN_IF_ERROR(part.status());
-    own = std::move(part->top);
-
     std::vector<BuiltNode> children;
-    for (PointGroup& sub : part->children) {
-      auto child = BuildNode(pager, std::move(sub), branching);
-      CCIDX_RETURN_IF_ERROR(child.status());
-      children.push_back(std::move(*child));
-    }
+    auto top = std::move(group).PartitionTopY(
+        b2, fanout, PointGroup::SplitMode::kTieFreeX,
+        [&](PointGroup sub) -> Status {
+          auto child = BuildNode(pager, std::move(sub), branching);
+          CCIDX_RETURN_IF_ERROR(child.status());
+          children.push_back(std::move(*child));
+          return Status::OK();
+        });
+    CCIDX_RETURN_IF_ERROR(top.status());
+    own = std::move(*top);
 
     // TS chains in both directions (running top-B^2 folds); children-union
     // PST.

@@ -57,28 +57,33 @@ Result<MetablockTree::BuiltNode> MetablockTree::BuildNode(
     // divided by x into ChildFanout groups — B, or as few as hold the
     // rest at <= B^2 each — one child each (Fig. 8).
     const uint32_t fanout = ChildFanout(group.size() - b2, branching);
-    auto part = std::move(group).PartitionTopY(b2, fanout);
-    CCIDX_RETURN_IF_ERROR(part.status());
-    own = std::move(part->top);
-
     std::vector<ChildEntry> child_entries;
     std::vector<Point> ts;  // top B^2 of the left siblings' own points
-    for (PointGroup& sub : part->children) {
-      auto child = BuildNode(pager, std::move(sub), branching, options);
-      CCIDX_RETURN_IF_ERROR(child.status());
+    auto top = std::move(group).PartitionTopY(
+        b2, fanout, PointGroup::SplitMode::kEven,
+        [&](PointGroup sub) -> Status {
+          auto child = BuildNode(pager, std::move(sub), branching, options);
+          CCIDX_RETURN_IF_ERROR(child.status());
 
-      // TS(child) = the B^2 highest-y points stored in its left siblings.
-      if (options.use_ts_structures && !ts.empty()) {
-        auto head = WriteDescYChain(pager, ts);
-        CCIDX_RETURN_IF_ERROR(head.status());
-        child->ctrl.ts_head = *head;
-      }
-      CCIDX_RETURN_IF_ERROR(
-          WriteControl(pager, child->control_page, child->ctrl));
-      child_entries.push_back({child->ctrl.sub_xlo, child->ctrl.bbox_ymax,
-                               child->control_page});
-      if (options.use_ts_structures) FoldTopK(&ts, child->own_points, b2);
-    }
+          // TS(child) = the B^2 highest-y points stored in its left
+          // siblings.
+          if (options.use_ts_structures && !ts.empty()) {
+            auto head = WriteDescYChain(pager, ts);
+            CCIDX_RETURN_IF_ERROR(head.status());
+            child->ctrl.ts_head = *head;
+          }
+          CCIDX_RETURN_IF_ERROR(
+              WriteControl(pager, child->control_page, child->ctrl));
+          child_entries.push_back({child->ctrl.sub_xlo,
+                                   child->ctrl.bbox_ymax,
+                                   child->control_page});
+          if (options.use_ts_structures) {
+            FoldTopK(&ts, child->own_points, b2);
+          }
+          return Status::OK();
+        });
+    CCIDX_RETURN_IF_ERROR(top.status());
+    own = std::move(*top);
     PageIo io(pager);
     auto ids = io.WriteChain<ChildEntry>(child_entries);
     CCIDX_RETURN_IF_ERROR(ids.status());

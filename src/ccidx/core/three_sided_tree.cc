@@ -41,17 +41,18 @@ Result<ThreeSidedTree::BuiltNode> ThreeSidedTree::BuildNode(
     own = std::move(*all);
   } else {
     const uint32_t fanout = ChildFanout(group.size() - b2, branching);
-    auto part = std::move(group).PartitionTopY(b2, fanout);
-    CCIDX_RETURN_IF_ERROR(part.status());
-    own = std::move(part->top);
-
     // Build all children first; TS structures need both directions.
     std::vector<BuiltNode> children;
-    for (PointGroup& sub : part->children) {
-      auto child = BuildNode(pager, std::move(sub), branching);
-      CCIDX_RETURN_IF_ERROR(child.status());
-      children.push_back(std::move(*child));
-    }
+    auto top = std::move(group).PartitionTopY(
+        b2, fanout, PointGroup::SplitMode::kEven,
+        [&](PointGroup sub) -> Status {
+          auto child = BuildNode(pager, std::move(sub), branching);
+          CCIDX_RETURN_IF_ERROR(child.status());
+          children.push_back(std::move(*child));
+          return Status::OK();
+        });
+    CCIDX_RETURN_IF_ERROR(top.status());
+    own = std::move(*top);
 
     // TS-left from running prefix top-B^2 folds, TS-right from suffix
     // folds.

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "ccidx/build/external_sorter.h"
+#include "ccidx/build/point_group.h"
 #include "ccidx/interval/interval_codec.h"
 
 namespace ccidx {
@@ -14,7 +15,7 @@ Result<IntervalIndex> IntervalIndex::Build(Pager* pager,
                                            RecordStream<Interval>* intervals) {
   TxnScope txn(pager);
   ExternalSorter<BtEntry> entry_sorter(pager);
-  ExternalSorter<Point, PointXOrder> point_sorter(pager);
+  PointSorter point_sorter(pager, /*require_above_diagonal=*/true);
   while (true) {
     auto block = intervals->Next();
     CCIDX_RETURN_IF_ERROR(block.status());
@@ -31,11 +32,7 @@ Result<IntervalIndex> IntervalIndex::Build(Pager* pager,
   CCIDX_RETURN_IF_ERROR(sorted_entries.status());
   auto endpoints = BPlusTree::BulkLoad(pager, *sorted_entries);
   CCIDX_RETURN_IF_ERROR(endpoints.status());
-  auto sorted_points = point_sorter.Finish();
-  CCIDX_RETURN_IF_ERROR(sorted_points.status());
-  auto points = PointGroup::FromStream(pager, *sorted_points,
-                                       point_sorter.budget(),
-                                       /*require_above_diagonal=*/true);
+  auto points = std::move(point_sorter).Finish();
   CCIDX_RETURN_IF_ERROR(points.status());
   auto stabbing = AugmentedMetablockTree::Build(pager, std::move(*points));
   CCIDX_RETURN_IF_ERROR(stabbing.status());

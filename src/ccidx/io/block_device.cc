@@ -123,6 +123,7 @@ Status BlockDevice::Read(PageId id, std::span<uint8_t> out) {
     }
     CCIDX_RETURN_IF_ERROR(backend_->ReadPage(id, out.data()));
     device_reads_.fetch_add(1, std::memory_order_relaxed);
+    read_rounds_.fetch_add(1, std::memory_order_relaxed);
   }
   InjectReadLatency();
   return Status::OK();
@@ -161,6 +162,7 @@ Status BlockDevice::ReadBatch(std::span<const PageReadRequest> reqs) {
       CCIDX_RETURN_IF_ERROR(backend_->ReadPages(reqs.data(), approved));
       device_reads_.fetch_add(approved, std::memory_order_relaxed);
       read_batches_.fetch_add(1, std::memory_order_relaxed);
+      read_rounds_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   // One delay for the whole batch: all approved requests were queued on
@@ -255,6 +257,7 @@ IoStats BlockDevice::stats() const {
   s.device_reads = device_reads_.load(std::memory_order_relaxed);
   s.device_writes = device_writes_.load(std::memory_order_relaxed);
   s.read_batches = read_batches_.load(std::memory_order_relaxed);
+  s.read_rounds = read_rounds_.load(std::memory_order_relaxed);
   s.pages_allocated = pages_allocated_.load(std::memory_order_relaxed);
   s.pages_freed = pages_freed_.load(std::memory_order_relaxed);
   return s;
@@ -264,6 +267,7 @@ void BlockDevice::ResetStats() {
   device_reads_.store(0, std::memory_order_relaxed);
   device_writes_.store(0, std::memory_order_relaxed);
   read_batches_.store(0, std::memory_order_relaxed);
+  read_rounds_.store(0, std::memory_order_relaxed);
   pages_allocated_.store(0, std::memory_order_relaxed);
   pages_freed_.store(0, std::memory_order_relaxed);
 }

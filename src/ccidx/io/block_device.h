@@ -205,6 +205,7 @@ class BlockDevice {
   std::atomic<uint64_t> device_reads_{0};
   std::atomic<uint64_t> device_writes_{0};
   std::atomic<uint64_t> read_batches_{0};
+  std::atomic<uint64_t> read_rounds_{0};
   std::atomic<uint64_t> pages_allocated_{0};
   std::atomic<uint64_t> pages_freed_{0};
   std::atomic<int64_t> fail_after_{-1};  // < 0: fault injection disabled

@@ -23,6 +23,9 @@ struct IoStats {
   uint64_t device_reads = 0;   ///< pages read from the device
   uint64_t device_writes = 0;  ///< pages written to the device
   uint64_t read_batches = 0;   ///< ReadBatch calls (>= 1 approved request)
+  /// Device read round trips: one per single-page read, one per batch —
+  /// each is charged the injected read latency once.
+  uint64_t read_rounds = 0;
   uint64_t cache_hits = 0;     ///< pager requests served from the pool
   uint64_t cache_misses = 0;   ///< pager requests that went to the device
   uint64_t pin_requests = 0;   ///< Pin/PinMut/PinNew calls (logical accesses)
@@ -47,6 +50,7 @@ inline IoStats operator-(const IoStats& a, const IoStats& b) {
   d.device_reads = a.device_reads - b.device_reads;
   d.device_writes = a.device_writes - b.device_writes;
   d.read_batches = a.read_batches - b.read_batches;
+  d.read_rounds = a.read_rounds - b.read_rounds;
   d.cache_hits = a.cache_hits - b.cache_hits;
   d.cache_misses = a.cache_misses - b.cache_misses;
   d.pin_requests = a.pin_requests - b.pin_requests;
@@ -61,6 +65,7 @@ inline IoStats operator+(const IoStats& a, const IoStats& b) {
   s.device_reads = a.device_reads + b.device_reads;
   s.device_writes = a.device_writes + b.device_writes;
   s.read_batches = a.read_batches + b.read_batches;
+  s.read_rounds = a.read_rounds + b.read_rounds;
   s.cache_hits = a.cache_hits + b.cache_hits;
   s.cache_misses = a.cache_misses + b.cache_misses;
   s.pin_requests = a.pin_requests + b.pin_requests;

@@ -58,21 +58,22 @@ Result<PageId> DynamicPst::BuildNode(Pager* pager, PointGroup group,
     own = std::move(*all);
     std::sort(own.begin(), own.end(), PointDescYOrder());
   } else {
-    auto part = std::move(group).PartitionTopY(cap, 2);
-    CCIDX_RETURN_IF_ERROR(part.status());
-    own = std::move(part->top);  // already descending by y
-    PointGroup* left_group =
-        part->children.size() > 1 ? &part->children[0] : nullptr;
-    PointGroup* right_group =
-        part->children.size() > 1 ? &part->children[1] : &part->children[0];
-    if (left_group != nullptr) {
-      auto left = BuildNode(pager, std::move(*left_group), cap);
-      CCIDX_RETURN_IF_ERROR(left.status());
-      h.left = *left;
-    }
-    auto right = BuildNode(pager, std::move(*right_group), cap);
-    CCIDX_RETURN_IF_ERROR(right.status());
-    h.right = *right;
+    // The rest splits into two x-halves, built as the scan closes them.
+    // A one-element rest yields a single child: the right half (the even
+    // split gives the left child floor(rest/2) = 0 points).
+    std::vector<PageId> kids;
+    auto top = std::move(group).PartitionTopY(
+        cap, 2, PointGroup::SplitMode::kEven,
+        [&](PointGroup sub) -> Status {
+          auto kid = BuildNode(pager, std::move(sub), cap);
+          CCIDX_RETURN_IF_ERROR(kid.status());
+          kids.push_back(*kid);
+          return Status::OK();
+        });
+    CCIDX_RETURN_IF_ERROR(top.status());
+    own = std::move(*top);  // already descending by y
+    if (kids.size() > 1) h.left = kids.front();
+    h.right = kids.back();
   }
   h.count = static_cast<uint32_t>(own.size());
   h.min_y = own.empty() ? kCoordMax : own.back().y;
