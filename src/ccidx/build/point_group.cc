@@ -148,6 +148,12 @@ Result<std::vector<Point>> PointGroup::PartitionTopY(
     const ChildFn& on_child) && {
   CCIDX_CHECK(keep >= 1 && count_ > keep);
   CCIDX_CHECK(fanout >= 1);
+  if (source_ != nullptr && keep > top_.size()) {
+    // The writer kept only the top resident_limit_; a larger node set
+    // would need a selection scan, which the one-pass path does not have.
+    return Status::InvalidArgument(
+        "PartitionTopY: keep exceeds the streamed group's resident limit");
+  }
   const std::vector<Point> mem = std::move(mem_);
   std::unique_ptr<RecordStream<Point>> source = std::move(source_);
   std::vector<Point> top;
@@ -165,7 +171,6 @@ Result<std::vector<Point>> PointGroup::PartitionTopY(
                                                  mem.size());
   } else {
     // Streamed: the writer kept the top resident_limit_ set.
-    CCIDX_CHECK(keep <= top_.size());
     top.assign(top_.begin(), top_.begin() + keep);
     top_ = {};
   }

@@ -71,9 +71,13 @@ class PointGroup {
   /// Stages a sorted stream. Inputs of at most `resident_limit` records
   /// stay in memory; larger inputs spill to a device-resident run,
   /// holding one block and the top `resident_limit` points by y in
-  /// memory. `resident_limit` bounds the `keep` PartitionTopY accepts
-  /// and the size of a resident child. Verifies x order, and y >= x per
-  /// point when `require_above_diagonal`.
+  /// memory. `resident_limit` is also the size above which a child
+  /// spills, and it must be at least every `keep` the group (or a spilled
+  /// descendant) will be partitioned with: a spilled group answers a
+  /// larger `keep` with InvalidArgument. Build callers pass the sorter
+  /// budget (DefaultSortBudget, B^2 points), which covers every family's
+  /// node set. Verifies x order, and y >= x per point when
+  /// `require_above_diagonal`.
   static Result<PointGroup> FromStream(Pager* pager,
                                        RecordStream<Point>* sorted_by_x,
                                        size_t resident_limit,
@@ -106,11 +110,22 @@ class PointGroup {
   /// complete. An error stops the partition and is returned from it.
   using ChildFn = std::function<Status(PointGroup child)>;
 
-  /// Consumes the group (requires size() > keep, and for a streamed
-  /// group keep <= its resident limit) in one scan: returns the `keep`
-  /// highest-y points (PointYOrder), descending by y, and hands the rest,
-  /// split into at most `fanout` non-empty x-contiguous children per
-  /// `mode`, to `on_child`. The scan pauses while `on_child` runs.
+  /// Consumes the group (requires 1 <= keep < size()) in one scan:
+  /// returns the `keep` highest-y points (PointYOrder), descending by y,
+  /// and hands the rest, split into at most `fanout` non-empty
+  /// x-contiguous children per `mode`, to `on_child`. The scan pauses
+  /// while `on_child` runs. A streamed group with keep above its
+  /// resident limit returns InvalidArgument and is left unconsumed.
+  ///
+  /// Pool floor: a paused scan keeps its current page pinned, so while
+  /// `on_child` runs every streamed ancestor holds one frame: the root's
+  /// merge one per way (at most the sorter's fan-in, M/B - 3), and each
+  /// spilled group below it one. A stream build therefore needs a pool
+  /// of at least fan-in + d + 1 frames, d = the depth of nested spilled
+  /// groups: 0 at n <= B^3 in the metablock families, below
+  /// log_B(n/B^2) above it, and below log_2(n/M) in the binary PSTs.
+  /// Below the floor a pin fails with ResourceExhausted and the build
+  /// rolls back.
   Result<std::vector<Point>> PartitionTopY(uint32_t keep, uint32_t fanout,
                                            SplitMode mode,
                                            const ChildFn& on_child) &&;

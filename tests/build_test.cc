@@ -3,9 +3,9 @@
 // PointGroup resident / run-backed / sorter-fed partition equivalence,
 // FoldTopK and the resident partition against full-sort references,
 // stream-build == vector-build structural and query equivalence for every
-// migrated index family, the one-pass builds' read counts, streaming-
-// generator determinism, and fault-atomicity of sort + build (clean
-// Status, no leaked pages) at every device transfer.
+// migrated index family, the one-pass builds' read counts and pool
+// floor, streaming-generator determinism, and fault-atomicity of sort +
+// build (clean Status, no leaked pages) at every device transfer.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "ccidx/build/external_sorter.h"
 #include "ccidx/build/point_group.h"
@@ -408,12 +409,115 @@ Status Flatten(PointGroup group, uint32_t keep, uint32_t fanout,
 // boundaries and contents, and hand the children over in x order; the
 // resident one also matches a full-sort reference. Children of at most
 // the limit stay resident, larger ones spill. Recursing into the
-// children, the three partition trees are identical as well.
+// children, the three partition trees are identical as well. A node set
+// above the limit (keep = n - 1) is resident-only: the spilled groups
+// kept just their top B^2 and refuse it.
 TEST_F(BuildTest, PointGroupRepresentationsPartitionIdentically) {
   const uint32_t b2 = kB * kB;
   // The PST's `keep`: a 48-byte node header, then points.
   const uint32_t cap = (PageSizeForBranching(kB) - 48) / sizeof(Point);
   ASSERT_GE(cap, 1u);
+  auto no_children = [](PointGroup) { return Status::OK(); };
+
+  // `pts` sorted by x; `shuffled` the same points in another order.
+  auto check = [&](const std::vector<Point>& pts,
+                   const std::vector<Point>& shuffled, uint32_t keep,
+                   uint32_t fanout, PointGroup::SplitMode mode) {
+    SCOPED_TRACE("n " + std::to_string(pts.size()) + " keep " +
+                 std::to_string(keep) + " fanout " + std::to_string(fanout) +
+                 " mode " + std::to_string(static_cast<int>(mode)));
+    ASSERT_GT(pts.size(), b2);
+    const Partitioned res =
+        PartitionOf(PointGroup::FromVector(pts), keep, fanout, mode);
+
+    std::vector<Point> by_y = pts;
+    std::sort(by_y.begin(), by_y.end(), PointDescYOrder());
+    EXPECT_EQ(res.top, std::vector<Point>(by_y.begin(), by_y.begin() + keep));
+    std::vector<Point> rest;
+    for (const Point& p : pts) {
+      if (PointYOrder()(p, by_y[keep - 1])) rest.push_back(p);
+    }
+    ASSERT_LE(res.children.size(), fanout);
+    std::vector<Point> joined;
+    for (size_t i = 0; i < res.children.size(); ++i) {
+      const std::vector<Point>& c = res.children[i];
+      ASSERT_FALSE(c.empty());
+      EXPECT_TRUE(res.resident[i]);
+      EXPECT_EQ(res.spans[i], std::make_pair(c.front().x, c.back().x));
+      if (mode == PointGroup::SplitMode::kTieFreeX && i > 0) {
+        EXPECT_NE(joined.back().x, c.front().x)
+            << "tie-free split separated an equal-x run";
+      }
+      joined.insert(joined.end(), c.begin(), c.end());
+    }
+    EXPECT_EQ(joined, rest) << "children not the rest in x order";
+
+    if (keep > b2) {
+      {
+        TxnScope scope(&pager_);  // never committed: rolls the runs back
+        SpanStream<Point> stream(pts);
+        auto run_group = PointGroup::FromStream(&pager_, &stream, b2, false);
+        ASSERT_TRUE(run_group.ok());
+        ASSERT_FALSE(run_group->resident());
+        auto top = std::move(*run_group)
+                       .PartitionTopY(keep, fanout, mode, no_children);
+        EXPECT_EQ(top.status().code(), StatusCode::kInvalidArgument);
+        PointSorter sorter(&pager_, /*require_above_diagonal=*/false);
+        for (const Point& p : shuffled) ASSERT_TRUE(sorter.Add(p).ok());
+        auto fed_group = std::move(sorter).Finish();
+        ASSERT_TRUE(fed_group.ok());
+        ASSERT_FALSE(fed_group->resident());
+        top = std::move(*fed_group)
+                  .PartitionTopY(keep, fanout, mode, no_children);
+        EXPECT_EQ(top.status().code(), StatusCode::kInvalidArgument);
+      }
+      EXPECT_EQ(dev_.live_pages(), 0u);
+      return;
+    }
+
+    TxnScope scope(&pager_);
+    SpanStream<Point> stream(pts);
+    auto run_group = PointGroup::FromStream(&pager_, &stream, b2, false);
+    ASSERT_TRUE(run_group.ok());
+    ASSERT_FALSE(run_group->resident());
+    const Partitioned run =
+        PartitionOf(std::move(*run_group), keep, fanout, mode);
+    PointSorter sorter(&pager_, /*require_above_diagonal=*/false);
+    for (const Point& p : shuffled) ASSERT_TRUE(sorter.Add(p).ok());
+    auto fed_group = std::move(sorter).Finish();
+    ASSERT_TRUE(fed_group.ok());
+    ASSERT_FALSE(fed_group->resident());
+    const Partitioned fed =
+        PartitionOf(std::move(*fed_group), keep, fanout, mode);
+    for (const Partitioned* p : {&run, &fed}) {
+      EXPECT_EQ(p->top, res.top);
+      EXPECT_EQ(p->spans, res.spans);
+      EXPECT_EQ(p->children, res.children);
+      for (size_t i = 0; i < p->children.size(); ++i) {
+        EXPECT_EQ(p->resident[i], p->children[i].size() <= b2);
+      }
+    }
+
+    std::vector<Point> res_tree, run_tree, fed_tree;
+    ASSERT_TRUE(
+        Flatten(PointGroup::FromVector(pts), keep, fanout, mode, &res_tree)
+            .ok());
+    SpanStream<Point> again(pts);
+    auto run_root = PointGroup::FromStream(&pager_, &again, b2, false);
+    ASSERT_TRUE(run_root.ok());
+    ASSERT_TRUE(
+        Flatten(std::move(*run_root), keep, fanout, mode, &run_tree).ok());
+    SpanStream<Point> unsorted(shuffled);
+    auto fed_root = SortPointStream(&pager_, &unsorted, false);
+    ASSERT_TRUE(fed_root.ok());
+    ASSERT_TRUE(
+        Flatten(std::move(*fed_root), keep, fanout, mode, &fed_tree).ok());
+    EXPECT_EQ(run_tree, res_tree);
+    EXPECT_EQ(fed_tree, res_tree);
+    ASSERT_TRUE(scope.Commit().ok());
+    EXPECT_EQ(dev_.live_pages(), 0u);
+  };
+
   for (auto mode : {PointGroup::SplitMode::kEven,
                     PointGroup::SplitMode::kTieFreeX}) {
     for (uint32_t seed = 1; seed <= 6; ++seed) {
@@ -424,78 +528,27 @@ TEST_F(BuildTest, PointGroupRepresentationsPartitionIdentically) {
       std::sort(pts.begin(), pts.end(), PointXOrder());
       std::vector<Point> shuffled = pts;
       std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(seed));
-      for (uint32_t keep : {cap, b2}) {
+      const uint32_t all_but_one = static_cast<uint32_t>(pts.size() - 1);
+      for (uint32_t keep : {1u, cap, b2, all_but_one}) {
         for (uint32_t fanout : {2u, kB, 3 * kB}) {
-          const Partitioned res =
-              PartitionOf(PointGroup::FromVector(pts), keep, fanout, mode);
+          check(pts, shuffled, keep, fanout, mode);
+        }
+      }
 
-          std::vector<Point> by_y = pts;
-          std::sort(by_y.begin(), by_y.end(), PointDescYOrder());
-          EXPECT_EQ(res.top, std::vector<Point>(by_y.begin(),
-                                                by_y.begin() + keep));
-          std::vector<Point> rest;
-          for (const Point& p : pts) {
-            if (PointYOrder()(p, by_y[keep - 1])) rest.push_back(p);
+      // Just past the limit: after a B^2 node set the rest is below the
+      // fan-out, so kEven skips zero-want slots, kTieFreeX opens one-point
+      // children, and a one-point rest makes a single child.
+      for (uint32_t r : {1u, 3u, 7u}) {
+        std::vector<Point> small = TiedPoints(2 * b2, seed + 10 * r);
+        small.resize(b2 + r);
+        std::sort(small.begin(), small.end(), PointXOrder());
+        std::vector<Point> small_shuffled = small;
+        std::shuffle(small_shuffled.begin(), small_shuffled.end(),
+                     std::mt19937_64(seed));
+        for (uint32_t keep : {1u, b2, b2 + r - 1}) {
+          for (uint32_t fanout : {2u, kB, 3 * kB}) {
+            check(small, small_shuffled, keep, fanout, mode);
           }
-          ASSERT_LE(res.children.size(), fanout);
-          std::vector<Point> joined;
-          for (size_t i = 0; i < res.children.size(); ++i) {
-            const std::vector<Point>& c = res.children[i];
-            ASSERT_FALSE(c.empty());
-            EXPECT_TRUE(res.resident[i]);
-            EXPECT_EQ(res.spans[i],
-                      std::make_pair(c.front().x, c.back().x));
-            if (mode == PointGroup::SplitMode::kTieFreeX && i > 0) {
-              EXPECT_NE(joined.back().x, c.front().x)
-                  << "tie-free split separated an equal-x run";
-            }
-            joined.insert(joined.end(), c.begin(), c.end());
-          }
-          EXPECT_EQ(joined, rest) << "children not the rest in x order";
-
-          TxnScope scope(&pager_);
-          SpanStream<Point> stream(pts);
-          auto run_group = PointGroup::FromStream(&pager_, &stream, b2, false);
-          ASSERT_TRUE(run_group.ok());
-          ASSERT_FALSE(run_group->resident());
-          const Partitioned run =
-              PartitionOf(std::move(*run_group), keep, fanout, mode);
-          PointSorter sorter(&pager_, /*require_above_diagonal=*/false);
-          for (const Point& p : shuffled) ASSERT_TRUE(sorter.Add(p).ok());
-          auto fed_group = std::move(sorter).Finish();
-          ASSERT_TRUE(fed_group.ok());
-          ASSERT_FALSE(fed_group->resident());
-          const Partitioned fed =
-              PartitionOf(std::move(*fed_group), keep, fanout, mode);
-          for (const Partitioned* p : {&run, &fed}) {
-            EXPECT_EQ(p->top, res.top);
-            EXPECT_EQ(p->spans, res.spans);
-            EXPECT_EQ(p->children, res.children);
-            for (size_t i = 0; i < p->children.size(); ++i) {
-              EXPECT_EQ(p->resident[i], p->children[i].size() <= b2);
-            }
-          }
-
-          std::vector<Point> res_tree, run_tree, fed_tree;
-          ASSERT_TRUE(Flatten(PointGroup::FromVector(pts), keep, fanout, mode,
-                              &res_tree)
-                          .ok());
-          SpanStream<Point> again(pts);
-          auto run_root = PointGroup::FromStream(&pager_, &again, b2, false);
-          ASSERT_TRUE(run_root.ok());
-          ASSERT_TRUE(
-              Flatten(std::move(*run_root), keep, fanout, mode, &run_tree)
-                  .ok());
-          SpanStream<Point> unsorted(shuffled);
-          auto fed_root = SortPointStream(&pager_, &unsorted, false);
-          ASSERT_TRUE(fed_root.ok());
-          ASSERT_TRUE(
-              Flatten(std::move(*fed_root), keep, fanout, mode, &fed_tree)
-                  .ok());
-          EXPECT_EQ(run_tree, res_tree);
-          EXPECT_EQ(fed_tree, res_tree);
-          ASSERT_TRUE(scope.Commit().ok());
-          EXPECT_EQ(dev_.live_pages(), 0u);
         }
       }
     }
@@ -1210,6 +1263,71 @@ TEST_F(BuildTest, OnePassStreamBuildsFaultAtomicUnderSmallPool) {
       [&](Pager* p) { return ThreeSidedTree::Build(p, planar); });
   SweepStreamBuildFaults(
       [&](Pager* p) { return IntervalIndex::Build(p, intervals); });
+}
+
+// The pool floor of a stream build (point_group.h): while a child is
+// built, the paused root merge pins one page per way and each of the d
+// nested spilled groups one more, so a build needs fan-in + d + 1
+// frames. One build at exactly the floor per family, with the same live
+// pages as an uncached build; one at the bare fan-in (below even the
+// sort's own fan-in + 1) fails with ResourceExhausted and rolls back.
+template <typename BuildFn>
+void ExpectBuildsAtPoolFloor(size_t spilled_depth, BuildFn build) {
+  BlockDevice ref_dev(PageSizeForBranching(kB));
+  Pager ref_pager(&ref_dev, 0);
+  const size_t fanin = ExternalSorter<Point, PointXOrder>(&ref_pager).fanin();
+  ASSERT_TRUE(build(&ref_pager).ok());
+  {
+    BlockDevice dev(PageSizeForBranching(kB));
+    Pager pager(&dev, fanin + spilled_depth + 1);
+    auto built = build(&pager);
+    ASSERT_TRUE(built.ok()) << "pool of " << fanin + spilled_depth + 1
+                            << " frames: " << built.status().ToString();
+    EXPECT_EQ(dev.live_pages(), ref_dev.live_pages());
+  }
+  BlockDevice dev(PageSizeForBranching(kB));
+  Pager pager(&dev, fanin);
+  auto built = build(&pager);
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), StatusCode::kResourceExhausted)
+      << built.status().ToString();
+  EXPECT_EQ(dev.live_pages(), 0u);
+}
+
+TEST_F(BuildTest, StreamBuildsFitTheDocumentedPoolFloor) {
+  // ~313 sorted runs: merge steps, then a final merge at the full
+  // fan-in. The metablock families' spilled chain is 2 deep (20000 ->
+  // ~2500 -> ~312 points, each above B^2); the binary PSTs halve 8 times
+  // before a group fits in B^2.
+  const size_t n = 20000;
+  const auto above = RandomPointsAboveDiagonal(n, kDomain, 80);
+  const auto planar = RandomPoints(n, kDomain, 81);
+  const auto ties = RandomPoints(n, 300, 82);
+  const auto intervals =
+      RandomIntervals(n, kDomain, IntervalWorkload::kUniform, 83);
+  auto stream_build = [](auto tag, const std::vector<Point>& pts) {
+    using Tree = typename decltype(tag)::type;
+    return [&pts](Pager* p) {
+      SpanStream<Point> stream(pts, 97);
+      return Tree::Build(p, &stream);
+    };
+  };
+  ExpectBuildsAtPoolFloor(
+      2, stream_build(std::type_identity<MetablockTree>(), above));
+  ExpectBuildsAtPoolFloor(
+      2, stream_build(std::type_identity<AugmentedMetablockTree>(), above));
+  ExpectBuildsAtPoolFloor(
+      2, stream_build(std::type_identity<ThreeSidedTree>(), planar));
+  ExpectBuildsAtPoolFloor(
+      2, stream_build(std::type_identity<AugmentedThreeSidedTree>(), ties));
+  ExpectBuildsAtPoolFloor(
+      8, stream_build(std::type_identity<ExternalPst>(), planar));
+  ExpectBuildsAtPoolFloor(
+      8, stream_build(std::type_identity<DynamicPst>(), ties));
+  ExpectBuildsAtPoolFloor(
+      2, [&](Pager* p) { return IntervalIndex::Build(p, intervals); });
+  ExpectBuildsAtPoolFloor(
+      8, [&](Pager* p) { return DynamicIntervalIndex::Build(p, intervals); });
 }
 
 TEST_F(BuildTest, IntervalIndexStreamBuildFaultAtomic) {
