@@ -163,31 +163,31 @@ Result<MetablockTree> MetablockTree::Build(Pager* pager,
   return Build(pager, std::span<const Point>(points), options);
 }
 
-Status MetablockTree::ReportOwnPoints(const Control& ctrl, Coord a,
-                                      SinkEmitter<Point>& em) const {
+Status MetablockTree::ReportOwnPoints(Pager* pager, const Control& ctrl,
+                                      Coord a, SinkEmitter<Point>& em) {
   if (ctrl.num_points == 0 || em.stopped()) return Status::OK();
   if (ctrl.bbox_xmin > a || ctrl.bbox_ymax < a) return Status::OK();
   const bool x_all = ctrl.bbox_xmax <= a;  // every own point has x <= a
   const bool y_all = ctrl.bbox_ymin >= a;  // every own point has y >= a
-  PageIo io(pager_);
+  PageIo io(pager);
 
   if (x_all && y_all) {
     // Type III: the whole metablock is output; stream the horizontal
     // chain page by page.
-    return EmitChain<Point>(pager_, ctrl.horiz_head, em);
+    return EmitChain<Point>(pager, ctrl.horiz_head, em);
   }
   if (y_all) {
     // Type I: only the vertical boundary x = a cuts the region. Scan
     // vertical blocks left of a; at most one is partially useful.
     std::vector<VerticalBlock> index;
     CCIDX_RETURN_IF_ERROR(
-        ReadVerticalIndex(pager_, ctrl.vindex_head, &index));
-    return ScanVerticalBlocks(pager_, index, kCoordMin, a, em);
+        ReadVerticalIndex(pager, ctrl.vindex_head, &index));
+    return ScanVerticalBlocks(pager, index, kCoordMin, a, em);
   }
   if (x_all) {
     // Type IV: only the horizontal boundary y = a cuts the region. Scan
     // the descending-y chain until we cross below a.
-    auto crossed = ScanDescYChain(pager_, ctrl.horiz_head, a, em);
+    auto crossed = ScanDescYChain(pager, ctrl.horiz_head, a, em);
     return crossed.status();
   }
   // Type II: the corner (a, a) lies inside the bbox; by construction the
@@ -196,7 +196,7 @@ Status MetablockTree::ReportOwnPoints(const Control& ctrl, Coord a,
   // from: scan every vertical block left of the corner and filter.
   if (ctrl.corner_header == kInvalidPageId) {
     std::vector<VerticalBlock> index;
-    CCIDX_RETURN_IF_ERROR(ReadVerticalIndex(pager_, ctrl.vindex_head, &index));
+    CCIDX_RETURN_IF_ERROR(ReadVerticalIndex(pager, ctrl.vindex_head, &index));
     for (const VerticalBlock& blk : index) {
       if (blk.xlo > a || em.stopped()) break;
       auto view = io.ViewRecords<Point>(blk.page);
@@ -205,7 +205,7 @@ Status MetablockTree::ReportOwnPoints(const Control& ctrl, Coord a,
     }
     return Status::OK();
   }
-  CornerStructure corner = CornerStructure::Open(pager_, ctrl.corner_header);
+  CornerStructure corner = CornerStructure::Open(pager, ctrl.corner_header);
   return corner.Query(a, em);
 }
 
@@ -258,7 +258,7 @@ Status MetablockTree::Query(const DiagonalQuery& q,
   Control ctrl;
   CCIDX_RETURN_IF_ERROR(LoadControl(root_, &ctrl));
   while (true) {
-    CCIDX_RETURN_IF_ERROR(ReportOwnPoints(ctrl, a, em));
+    CCIDX_RETURN_IF_ERROR(ReportOwnPoints(pager_, ctrl, a, em));
     if (ctrl.num_children == 0 || em.stopped()) return Status::OK();
 
     std::vector<ChildEntry> children;

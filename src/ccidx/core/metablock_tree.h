@@ -153,7 +153,11 @@ class MetablockTree {
   Status CheckInvariants() const;
 
  private:
+  // The dynamic tree's metablocks are these metablocks plus an update
+  // state: it extends Control and reports own points through
+  // ReportOwnPoints.
   friend class AugmentedMetablockTree;
+  friend struct AugmentedMetablockLayout;
 
   // On-page control record for one metablock. One control page per
   // metablock ("a constant number of disk blocks per metablock to store
@@ -201,8 +205,8 @@ class MetablockTree {
 
   // Reports this metablock's own points that fall in the query, per its
   // Type I-IV classification.
-  Status ReportOwnPoints(const Control& ctrl, Coord a,
-                         SinkEmitter<Point>& em) const;
+  static Status ReportOwnPoints(Pager* pager, const Control& ctrl, Coord a,
+                                SinkEmitter<Point>& em);
 
   // Reports the entire subtree rooted at `control_id`, whose x-interval is
   // known to lie at or left of a: a top-down descending-y scan per node,

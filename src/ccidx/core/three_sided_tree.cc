@@ -167,33 +167,33 @@ Result<ThreeSidedTree> ThreeSidedTree::Build(Pager* pager,
   return Build(pager, std::span<const Point>(points));
 }
 
-Status ThreeSidedTree::ReportOwnPoints(const Control& ctrl, Coord xlo,
-                                       Coord xhi, Coord ylo,
-                                       SinkEmitter<Point>& em) const {
+Status ThreeSidedTree::ReportOwnPoints(Pager* pager, const Control& ctrl,
+                                       Coord xlo, Coord xhi, Coord ylo,
+                                       SinkEmitter<Point>& em) {
   if (ctrl.num_points == 0 || em.stopped()) return Status::OK();
   if (ctrl.bbox_xmin > xhi || ctrl.bbox_xmax < xlo || ctrl.bbox_ymax < ylo) {
     return Status::OK();
   }
   const bool x_all = ctrl.bbox_xmin >= xlo && ctrl.bbox_xmax <= xhi;
   const bool y_all = ctrl.bbox_ymin >= ylo;
-  PageIo io(pager_);
+  PageIo io(pager);
   if (x_all && y_all) {
-    return EmitChain<Point>(pager_, ctrl.horiz_head, em);
+    return EmitChain<Point>(pager, ctrl.horiz_head, em);
   }
   if (y_all) {
     // Only vertical boundaries cut: scan the x-slab of vertical blocks
     // (at most two partially-useful pages).
     std::vector<VerticalBlock> index;
-    CCIDX_RETURN_IF_ERROR(ReadVerticalIndex(pager_, ctrl.vindex_head, &index));
-    return ScanVerticalBlocks(pager_, index, xlo, xhi, em);
+    CCIDX_RETURN_IF_ERROR(ReadVerticalIndex(pager, ctrl.vindex_head, &index));
+    return ScanVerticalBlocks(pager, index, xlo, xhi, em);
   }
   if (x_all) {
     // Only the bottom boundary cuts: top-down scan.
-    auto crossed = ScanDescYChain(pager_, ctrl.horiz_head, ylo, em);
+    auto crossed = ScanDescYChain(pager, ctrl.horiz_head, ylo, em);
     return crossed.status();
   }
   // A corner of the query lies inside the bbox: Lemma 4.1 structure.
-  ExternalPst pst = ExternalPst::Open(pager_, ctrl.own_pst_root);
+  ExternalPst pst = ExternalPst::Open(pager, ctrl.own_pst_root);
   return pst.Query({xlo, xhi, ylo}, em);
 }
 
@@ -234,7 +234,7 @@ Status ThreeSidedTree::LeftPath(PageId id, Coord xlo, Coord ylo,
     CCIDX_RETURN_IF_ERROR(LoadControl(id, &ctrl));
     if (!skip_own) {
       CCIDX_RETURN_IF_ERROR(
-          ReportOwnPoints(ctrl, xlo, kCoordMax, ylo, em));
+          ReportOwnPoints(pager_, ctrl, xlo, kCoordMax, ylo, em));
     }
     skip_own = false;
     if (ctrl.num_children == 0 || em.stopped()) return Status::OK();
@@ -285,7 +285,7 @@ Status ThreeSidedTree::RightPath(PageId id, Coord xhi, Coord ylo,
     CCIDX_RETURN_IF_ERROR(LoadControl(id, &ctrl));
     if (!skip_own) {
       CCIDX_RETURN_IF_ERROR(
-          ReportOwnPoints(ctrl, kCoordMin, xhi, ylo, em));
+          ReportOwnPoints(pager_, ctrl, kCoordMin, xhi, ylo, em));
     }
     skip_own = false;
     if (ctrl.num_children == 0 || em.stopped()) return Status::OK();
@@ -334,7 +334,7 @@ Status ThreeSidedTree::Query(const ThreeSidedQuery& q,
     Control ctrl;
     CCIDX_RETURN_IF_ERROR(LoadControl(id, &ctrl));
     CCIDX_RETURN_IF_ERROR(
-        ReportOwnPoints(ctrl, q.xlo, q.xhi, q.ylo, em));
+        ReportOwnPoints(pager_, ctrl, q.xlo, q.xhi, q.ylo, em));
     if (ctrl.num_children == 0 || em.stopped()) return Status::OK();
     std::vector<ChildEntry> children;
     CCIDX_RETURN_IF_ERROR(

@@ -27,7 +27,8 @@
 //
 // This structure is static; the paper's dynamization (Lemma 4.4) reuses
 // the Section 3.2 machinery verbatim (update blocks, TD structures now
-// 3-sided, level I/II reorganizations) — see DESIGN.md for scope notes.
+// 3-sided, level I/II reorganizations) — AugmentedThreeSidedTree, on the
+// shared update engine (DESIGN.md §8, "The Section 3.2 update engine").
 
 #ifndef CCIDX_CORE_THREE_SIDED_TREE_H_
 #define CCIDX_CORE_THREE_SIDED_TREE_H_
@@ -95,6 +96,12 @@ class ThreeSidedTree {
   Status CheckInvariants() const;
 
  private:
+  // The dynamic tree's metablocks are these metablocks plus an update
+  // state: it extends Control and reports own points through
+  // ReportOwnPoints.
+  friend class AugmentedThreeSidedTree;
+  friend struct AugmentedThreeSidedLayout;
+
   struct Control {
     uint32_t num_points;
     uint32_t num_children;
@@ -138,8 +145,8 @@ class ThreeSidedTree {
   // mean "unbounded"). Uses vertical / horizontal blockings when only one
   // kind of boundary cuts the bbox, and the own PST when a corner lies
   // inside.
-  Status ReportOwnPoints(const Control& ctrl, Coord xlo, Coord xhi,
-                         Coord ylo, SinkEmitter<Point>& em) const;
+  static Status ReportOwnPoints(Pager* pager, const Control& ctrl, Coord xlo,
+                                Coord xhi, Coord ylo, SinkEmitter<Point>& em);
 
   // Subtree known to lie fully inside the x-slab: descending-y scans with
   // the heap-order stop rule (as in the static metablock tree).

@@ -9,11 +9,10 @@
 // old structure still answers queries; (4) only then retire the old
 // pages by id, which needs no device transfer and so cannot fail
 // mid-way, consume the expunged tombstones, and reset the rebuild
-// scheduler. This header centralizes that sequence so the four copies
-// that used to live in AugmentedMetablockTree / AugmentedThreeSidedTree
-// ::GlobalPurgeRebuild, CornerStructure::Rebuild and
-// ExternalPst::GlobalRebuild stay in lockstep and the fault-injection
-// suite reasons about one skeleton.
+// scheduler. This header centralizes that sequence so its users —
+// AugmentedTree::GlobalPurgeRebuild (both augmented trees),
+// CornerStructure::Rebuild and ExternalPst::GlobalRebuild — stay in
+// lockstep and the fault-injection suite reasons about one skeleton.
 //
 // The structure-specific pieces stay with the caller as callables:
 //   collect(std::vector<Record>*)  — harvest every stored record

@@ -1,6 +1,8 @@
 // Tests for the augmented (semi-dynamic) metablock tree (Section 3.2,
 // Theorem 3.7): oracle equivalence under interleaved inserts and queries,
-// space O(n/B), amortized insert I/O, and query I/O after heavy insertion.
+// amortized insert I/O, and query I/O after heavy insertion. Space and
+// duplicate-x runs are tested for both augmented families in
+// augmented_tree_test.
 
 #include <gtest/gtest.h>
 
@@ -176,17 +178,6 @@ TEST_F(AugmentedTreeTest, HighYInsertsStayAtRoot) {
     SortPoints(&got);
     EXPECT_EQ(got, oracle.Diagonal({a})) << "a=" << a;
   }
-}
-
-TEST_F(AugmentedTreeTest, SpaceStaysLinear) {
-  AugmentedMetablockTree tree(&pager_);
-  const size_t n = 40 * kB * kB;
-  auto points = RandomPointsAboveDiagonal(n, 50000, 6);
-  for (const Point& p : points) ASSERT_TRUE(tree.Insert(p).ok());
-  double pages_per_point_page =
-      static_cast<double>(dev_.live_pages()) / (static_cast<double>(n) / kB);
-  // Own orgs (3x) + TS (1x) + TD copies (<= ~1x) + control/index overhead.
-  EXPECT_LE(pages_per_point_page, 12.0);
 }
 
 TEST_F(AugmentedTreeTest, AmortizedInsertIoWithinBound) {

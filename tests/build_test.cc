@@ -1152,30 +1152,51 @@ TEST_F(BuildTest, FullChildrenAndPagesOwnedOnceInEveryFamily) {
 }
 
 // Inserts drive every rewrite of a metablock's organizations: level I
-// merges (RebuildOrganizations, with a fresh borrowing corner), level II
-// push-downs with TD corner rebuilds, leaf splits, and the 2B-children
-// subtree rebuild. Ownership stays exact throughout, and Destroy frees
-// every page.
+// merges (RebuildOrganizations, with a fresh own-point index), level II
+// push-downs with TD rebuilds, leaf splits, and the 2B-children subtree
+// rebuild; deletes then trip the purge rebuild. In both augmented
+// families ownership stays exact throughout, and Destroy frees every
+// page.
 TEST_F(BuildTest, AugmentedInsertsKeepPagesOwnedOnce) {
-  const uint32_t b2 = kB * kB;
-  auto initial = RandomPointsAboveDiagonal(3 * b2, kDomain, 43);
-  auto tree = AugmentedMetablockTree::Build(&pager_, initial);
-  ASSERT_TRUE(tree.ok());
-  auto more = RandomPointsAboveDiagonal(40 * b2, kDomain, 44);
-  std::vector<uint32_t> root_fanouts;
-  for (size_t i = 0; i < more.size(); ++i) {
-    more[i].id += initial.size();
-    ASSERT_TRUE(tree->Insert(more[i]).ok());
-    if ((i + 1) % (5 * b2) == 0) {
-      ASSERT_TRUE(tree->CheckInvariants().ok()) << "after " << i + 1;
-      ExpectPagesOwnedOnce(*tree, dev_);
-      root_fanouts.push_back(ChildCount(&pager_, tree->root_page()));
+  auto run = [&](auto family) {
+    using Tree = typename decltype(family)::type;
+    const uint32_t b2 = kB * kB;
+    auto initial = RandomPointsAboveDiagonal(3 * b2, kDomain, 43);
+    auto tree = Tree::Build(&pager_, initial);
+    ASSERT_TRUE(tree.ok());
+    auto more = RandomPointsAboveDiagonal(40 * b2, kDomain, 44);
+    std::vector<uint32_t> root_fanouts;
+    for (size_t i = 0; i < more.size(); ++i) {
+      more[i].id += initial.size();
+      ASSERT_TRUE(tree->Insert(more[i]).ok());
+      if ((i + 1) % (5 * b2) == 0) {
+        ASSERT_TRUE(tree->CheckInvariants().ok()) << "after " << i + 1;
+        ExpectPagesOwnedOnce(*tree, dev_);
+        root_fanouts.push_back(ChildCount(&pager_, tree->root_page()));
+      }
     }
-  }
-  // Leaf splits grew the root past its built fan-out of 2.
-  EXPECT_GT(*std::max_element(root_fanouts.begin(), root_fanouts.end()), 2u);
-  ASSERT_TRUE(tree->Destroy().ok());
-  EXPECT_EQ(dev_.live_pages(), 0u);
+    // Leaf splits grew the root past its built fan-out of 2.
+    EXPECT_GT(*std::max_element(root_fanouts.begin(), root_fanouts.end()),
+              2u);
+    // Deleting the initial points and every other insert outweighs half
+    // the live points, so the scheduler purges.
+    size_t deletes = 0;
+    auto erase = [&](const Point& p) {
+      bool found = false;
+      ASSERT_TRUE(tree->Delete(p, &found).ok());
+      ASSERT_TRUE(found);
+      deletes++;
+    };
+    for (const Point& p : initial) erase(p);
+    for (size_t i = 0; i < more.size(); i += 2) erase(more[i]);
+    EXPECT_LT(tree->outstanding_tombstones(), deletes) << "no purge ran";
+    ASSERT_TRUE(tree->CheckInvariants().ok());
+    ExpectPagesOwnedOnce(*tree, dev_);
+    ASSERT_TRUE(tree->Destroy().ok());
+    EXPECT_EQ(dev_.live_pages(), 0u);
+  };
+  run(std::type_identity<AugmentedMetablockTree>{});
+  run(std::type_identity<AugmentedThreeSidedTree>{});
 }
 
 // ---------------------------------------------------------------------------

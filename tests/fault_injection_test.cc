@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "ccidx/bptree/bptree.h"
 #include "ccidx/core/augmented_metablock_tree.h"
+#include "ccidx/core/augmented_three_sided_tree.h"
 #include "ccidx/core/metablock_tree.h"
 #include "ccidx/core/three_sided_tree.h"
 #include "ccidx/interval/interval_index.h"
@@ -142,20 +145,28 @@ TEST(FaultInjectionTest, BptreeInsertFailsCleanly) {
   EXPECT_GE(out.size(), 200u);
 }
 
+// In both augmented families a failed insert surfaces a Status and leaves
+// a tree that still answers a query over everything.
 TEST(FaultInjectionTest, AugmentedInsertFailsCleanly) {
-  BlockDevice dev(PageSizeForBranching(kB));
-  Pager pager(&dev, 0);
-  AugmentedMetablockTree tree(&pager);
-  for (Coord i = 0; i < 300; ++i) {
-    ASSERT_TRUE(tree.Insert({i, i + 5, static_cast<uint64_t>(i)}).ok());
-  }
-  dev.SetFailAfter(2);
-  Status s = tree.Insert({400, 500, 999});
-  EXPECT_FALSE(s.ok());
-  dev.SetFailAfter(-1);
-  std::vector<Point> out;
-  VectorSink<Point> sink(&out);
-  EXPECT_TRUE(tree.Query({100}, &sink).ok());
+  auto run = [](auto family, const auto& everything) {
+    using Tree = typename decltype(family)::type;
+    BlockDevice dev(PageSizeForBranching(kB));
+    Pager pager(&dev, 0);
+    Tree tree(&pager);
+    for (Coord i = 0; i < 300; ++i) {
+      ASSERT_TRUE(tree.Insert({i, i + 5, static_cast<uint64_t>(i)}).ok());
+    }
+    dev.SetFailAfter(2);
+    Status s = tree.Insert({400, 500, 999});
+    EXPECT_FALSE(s.ok());
+    dev.SetFailAfter(-1);
+    std::vector<Point> out;
+    VectorSink<Point> sink(&out);
+    EXPECT_TRUE(tree.Query(everything, &sink).ok());
+  };
+  run(std::type_identity<AugmentedMetablockTree>{}, DiagonalQuery{100});
+  run(std::type_identity<AugmentedThreeSidedTree>{},
+      ThreeSidedQuery{kCoordMin, kCoordMax, kCoordMin});
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "ccidx/bptree/bptree.h"
 #include "ccidx/classes/simple_class_index.h"
 #include "ccidx/core/augmented_metablock_tree.h"
+#include "ccidx/core/augmented_three_sided_tree.h"
 #include "ccidx/core/metablock_tree.h"
 #include "ccidx/dynamic/adapters.h"
 #include "ccidx/interval/interval_index.h"
@@ -173,6 +174,20 @@ TEST(UpdateIoBound, AugmentedMetablockTree) {
             pager, std::vector<Point>(t.initial.begin(), t.initial.end()));
       },
       lb + lb * lb / kB + 1.0, /*factor=*/20.0, "augmented metablock tree");
+}
+
+TEST(UpdateIoBound, AugmentedThreeSidedTree) {
+  // Lemma 4.4: insert amortized O(log_B n + log2 B + (log_B n)^2/B) — the
+  // Section 3.2 machinery with 3-sided corner structures; weak delete =
+  // degenerate-slab probe + amortized purge charge, as above.
+  double lb = LogB(kN, kB);
+  ExpectAmortizedWithin<AugmentedThreeSidedTree>(
+      [](Pager* pager, const Trace& t) {
+        return AugmentedThreeSidedTree::Build(
+            pager, std::vector<Point>(t.initial.begin(), t.initial.end()));
+      },
+      lb + Log2(kB) + lb * lb / kB + 1.0, /*factor=*/20.0,
+      "augmented 3-sided tree");
 }
 
 TEST(UpdateIoBound, DynamicMetablockTree) {
