@@ -151,18 +151,25 @@ BENCHMARK(ccidx::bench::BM_AugmentedThreeSidedInsert)
     ->ArgsProduct({{1 << 10, 1 << 12, 1 << 14}, {32}})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
+// The query rows run a fixed iteration count: the query moves every
+// iteration, so a count chosen by elapsed time would make the averaged
+// I/O counters depend on host speed.
 // Lemma 4.4 query cost after pure-insert build.
 BENCHMARK(ccidx::bench::BM_AugmentedThreeSidedQuery)
-    ->ArgsProduct({{1 << 12, 1 << 14, 1 << 16}, {32}});
+    ->ArgsProduct({{1 << 12, 1 << 14, 1 << 16}, {32}})
+    ->Iterations(1000);
 
 // I/O vs n (B = 32, mid-width slab).
 BENCHMARK(ccidx::bench::BM_ThreeSidedVsPst)
-    ->ArgsProduct({{1 << 12, 1 << 14, 1 << 16, 1 << 18}, {32}, {1 << 15}});
+    ->ArgsProduct({{1 << 12, 1 << 14, 1 << 16, 1 << 18}, {32}, {1 << 15}})
+    ->Iterations(500);
 // I/O vs B (n = 2^16).
 BENCHMARK(ccidx::bench::BM_ThreeSidedVsPst)
-    ->ArgsProduct({{1 << 16}, {8, 16, 32, 64}, {1 << 15}});
+    ->ArgsProduct({{1 << 16}, {8, 16, 32, 64}, {1 << 15}})
+    ->Iterations(500);
 // I/O vs t (n = 2^16, width sweep).
 BENCHMARK(ccidx::bench::BM_ThreeSidedVsPst)
-    ->ArgsProduct({{1 << 16}, {32}, {1 << 8, 1 << 12, 1 << 16, 1 << 20}});
+    ->ArgsProduct({{1 << 16}, {32}, {1 << 8, 1 << 12, 1 << 16, 1 << 20}})
+    ->Iterations(500);
 
 CCIDX_BENCH_MAIN();

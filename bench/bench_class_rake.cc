@@ -127,19 +127,25 @@ void BM_RakeVsSimple(benchmark::State& state) {
 }  // namespace bench
 }  // namespace ccidx
 
+// The query rows run a fixed iteration count: the query moves every
+// iteration, so a count chosen by elapsed time would make the averaged
+// I/O counters depend on host speed.
 // Query I/O vs c, random hierarchy (n = 2^16).
 BENCHMARK(ccidx::bench::BM_RakeVsSimple)
-    ->ArgsProduct({{1 << 16}, {16, 64, 256, 1024}, {ccidx::bench::kRandom}});
+    ->ArgsProduct({{1 << 16}, {16, 64, 256, 1024}, {ccidx::bench::kRandom}})
+    ->Iterations(2000);
 // Hierarchy shape sweep (c = 256).
 BENCHMARK(ccidx::bench::BM_RakeVsSimple)
     ->ArgsProduct({{1 << 16},
                    {256},
                    {ccidx::bench::kRandom, ccidx::bench::kDegenerate,
-                    ccidx::bench::kBushy}});
+                    ccidx::bench::kBushy}})
+    ->Iterations(500);
 // Query I/O vs n (c = 256, random).
 BENCHMARK(ccidx::bench::BM_RakeVsSimple)
     ->ArgsProduct({{1 << 13, 1 << 15, 1 << 17},
                    {256},
-                   {ccidx::bench::kRandom}});
+                   {ccidx::bench::kRandom}})
+    ->Iterations(2000);
 
 CCIDX_BENCH_MAIN();

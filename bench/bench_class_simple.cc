@@ -155,12 +155,17 @@ void BM_ClassUpdate(benchmark::State& state) {
 }  // namespace bench
 }  // namespace ccidx
 
+// The query rows run a fixed iteration count: the query moves every
+// iteration, so a count chosen by elapsed time would make the averaged
+// I/O counters depend on host speed.
 // Query I/O + space vs c (n = 2^16, B = 32).
 BENCHMARK(ccidx::bench::BM_ClassQuery)
-    ->ArgsProduct({{1 << 16}, {4, 16, 64, 256, 1024}, {32}});
+    ->ArgsProduct({{1 << 16}, {4, 16, 64, 256, 1024}, {32}})
+    ->Iterations(500);
 // Query I/O vs n (c = 64).
 BENCHMARK(ccidx::bench::BM_ClassQuery)
-    ->ArgsProduct({{1 << 12, 1 << 14, 1 << 16, 1 << 18}, {64}, {32}});
+    ->ArgsProduct({{1 << 12, 1 << 14, 1 << 16, 1 << 18}, {64}, {32}})
+    ->Iterations(200);
 // Update I/O vs c.
 BENCHMARK(ccidx::bench::BM_ClassUpdate)
     ->Arg(16)

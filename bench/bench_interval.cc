@@ -109,6 +109,9 @@ void BM_IntervalIntersect(benchmark::State& state) {
 }  // namespace bench
 }  // namespace ccidx
 
+// The query rows run a fixed iteration count: the query moves every
+// iteration, so a count chosen by elapsed time would make the averaged
+// I/O counters depend on host speed.
 // Stabbing: metablock vs PST vs scan, across workloads (B = 32, n sweep).
 BENCHMARK(ccidx::bench::BM_IntervalStab)
     ->ArgsProduct({{1 << 12, 1 << 15, 1 << 18},
@@ -116,9 +119,11 @@ BENCHMARK(ccidx::bench::BM_IntervalStab)
                    {static_cast<int>(ccidx::IntervalWorkload::kUniform),
                     static_cast<int>(ccidx::IntervalWorkload::kNested),
                     static_cast<int>(ccidx::IntervalWorkload::kClustered),
-                    static_cast<int>(ccidx::IntervalWorkload::kUnit)}});
+                    static_cast<int>(ccidx::IntervalWorkload::kUnit)}})
+    ->Iterations(4);
 // Intersection: selectivity sweep (query width).
 BENCHMARK(ccidx::bench::BM_IntervalIntersect)
-    ->ArgsProduct({{1 << 18}, {32}, {0, 1 << 8, 1 << 12, 1 << 16, 1 << 20}});
+    ->ArgsProduct({{1 << 18}, {32}, {0, 1 << 8, 1 << 12, 1 << 16, 1 << 20}})
+    ->Iterations(10);
 
 CCIDX_BENCH_MAIN();

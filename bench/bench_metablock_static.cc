@@ -97,14 +97,20 @@ void BM_MetablockLowerBoundStaircase(benchmark::State& state) {
 }  // namespace bench
 }  // namespace ccidx
 
+// The query rows run a fixed iteration count: the query moves every
+// iteration, so a count chosen by elapsed time would make the averaged
+// I/O counters depend on host speed.
 // I/O vs n (B = 32).
 BENCHMARK(ccidx::bench::BM_MetablockDiagonalQuery)
-    ->ArgsProduct({{1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20}, {32}});
+    ->ArgsProduct({{1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20}, {32}})
+    ->Iterations(4);
 // I/O vs B (n = 2^18).
 BENCHMARK(ccidx::bench::BM_MetablockDiagonalQuery)
-    ->ArgsProduct({{1 << 18}, {8, 16, 32, 64, 128}});
+    ->ArgsProduct({{1 << 18}, {8, 16, 32, 64, 128}})
+    ->Iterations(6);
 // Lower-bound staircase (E10).
 BENCHMARK(ccidx::bench::BM_MetablockLowerBoundStaircase)
-    ->ArgsProduct({{1 << 12, 1 << 16, 1 << 20}, {32}});
+    ->ArgsProduct({{1 << 12, 1 << 16, 1 << 20}, {32}})
+    ->Iterations(4000);
 
 CCIDX_BENCH_MAIN();

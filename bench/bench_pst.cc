@@ -5,7 +5,6 @@
 
 #include "bench_util.h"
 
-#include "ccidx/pst/dynamic_pst.h"
 #include "ccidx/pst/external_pst.h"
 #include "ccidx/testutil/generators.h"
 
@@ -61,14 +60,14 @@ void BM_PstThreeSided(benchmark::State& state) {
       static_cast<double>(s->disk.device.live_pages());
 }
 
-// §5 dynamization (experiment E11): DynamicPst update churn cost and query
-// I/O under a mixed insert/delete load — the fully dynamic interval
+// §5 dynamization (experiment E11): ExternalPst update churn cost and
+// query I/O under a mixed insert/delete load — the fully dynamic interval
 // manager's engine, with its O(log2 n) search term.
-void BM_DynamicPstChurn(benchmark::State& state) {
+void BM_ExternalPstChurn(benchmark::State& state) {
   int64_t n = state.range(0);
   uint32_t b = static_cast<uint32_t>(state.range(1));
   Disk disk(b);
-  auto pst = DynamicPst::Build(&disk.pager, RandomPoints(n, kDomain, 29));
+  auto pst = ExternalPst::Build(&disk.pager, RandomPoints(n, kDomain, 29));
   CCIDX_CHECK(pst.ok());
   std::vector<Point> live = RandomPoints(n, kDomain, 29);
   std::mt19937 rng(31);
@@ -113,18 +112,23 @@ void BM_DynamicPstChurn(benchmark::State& state) {
 }  // namespace bench
 }  // namespace ccidx
 
-// E11: dynamic PST churn (B = 32).
-BENCHMARK(ccidx::bench::BM_DynamicPstChurn)
+// E11: PST update churn (B = 32).
+BENCHMARK(ccidx::bench::BM_ExternalPstChurn)
     ->ArgsProduct({{1 << 12, 1 << 15, 1 << 18}, {32}})
     ->Iterations(20000);
 
+// The query rows run a fixed iteration count: the query moves every
+// iteration, so a count chosen by elapsed time would make the averaged
+// I/O counters depend on host speed.
 // I/O vs n (B = 32, narrow slab).
 BENCHMARK(ccidx::bench::BM_PstThreeSided)
     ->ArgsProduct({{1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20},
                    {32},
-                   {1 << 16}});
+                   {1 << 16}})
+    ->Iterations(400);
 // I/O vs t (slab width sweep, n = 2^18).
 BENCHMARK(ccidx::bench::BM_PstThreeSided)
-    ->ArgsProduct({{1 << 18}, {32}, {1 << 10, 1 << 14, 1 << 18, 1 << 21}});
+    ->ArgsProduct({{1 << 18}, {32}, {1 << 10, 1 << 14, 1 << 18, 1 << 21}})
+    ->Iterations(150);
 
 CCIDX_BENCH_MAIN();

@@ -23,7 +23,6 @@
 #include "ccidx/dynamic/adapters.h"
 #include "ccidx/interval/interval_index.h"
 #include "ccidx/io/wal.h"
-#include "ccidx/pst/dynamic_pst.h"
 #include "ccidx/pst/external_pst.h"
 #include "ccidx/query/epoch_gate.h"
 #include "ccidx/query/update_executor.h"
@@ -128,19 +127,6 @@ void BM_UpdateExternalPst(benchmark::State& state) {
   Disk disk(b);
   auto pts = ShortSpanSet(n, 9);
   auto tree = ExternalPst::Build(&disk.pager, std::vector<Point>(pts));
-  CCIDX_CHECK(tree.ok());
-  auto wal = MaybeAttachWal(&disk);
-  double l2 = std::log2(static_cast<double>(n));
-  RunUpdateLoop(state, disk.device, &*tree, std::move(pts), n,
-                l2 + l2 * l2 / b);
-}
-
-void BM_UpdateDynamicPst(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  uint32_t b = static_cast<uint32_t>(state.range(1));
-  Disk disk(b);
-  auto pts = ShortSpanSet(n, 10);
-  auto tree = DynamicPst::Build(&disk.pager, std::vector<Point>(pts));
   CCIDX_CHECK(tree.ok());
   auto wal = MaybeAttachWal(&disk);
   double l2 = std::log2(static_cast<double>(n));
@@ -310,7 +296,6 @@ BENCHMARK(BM_UpdateDynamicMetablock)
     ->Args({1 << 14, 64})
     ->Args({1 << 16, 64});
 BENCHMARK(BM_UpdateExternalPst)->Args({1 << 14, 64})->Args({1 << 16, 64});
-BENCHMARK(BM_UpdateDynamicPst)->Args({1 << 14, 64})->Args({1 << 16, 64});
 BENCHMARK(BM_UpdateBPlusTree)->Args({1 << 14, 64})->Args({1 << 16, 64});
 BENCHMARK(BM_UpdateIntervalIndex)
     ->Args({1 << 14, 64})

@@ -1,9 +1,10 @@
 // Fully dynamic workload (§5 conclusions): a reservation calendar where
 // bookings are both created AND cancelled. The optimal metablock-tree
-// interval index is insert-only (deletion is the paper's open problem);
-// the §5 dynamization — DynamicIntervalIndex over a dynamic external
-// priority search tree — handles the full churn at O(log2 n + t/B) per
-// query and amortized O(log2 n + (log2 n)^2/B) per update.
+// interval index deletes only weakly (tombstones and purge rebuilds;
+// deletion is the paper's open problem); the §5 dynamization —
+// DynamicIntervalIndex over the external priority search tree, updated
+// in place — handles the full churn at O(log2 n + t/B) per query and
+// amortized O(log_B n + log2 n) per update.
 //
 // Build & run:   ./build/examples/dynamic_reservations
 

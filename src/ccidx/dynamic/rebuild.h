@@ -6,9 +6,9 @@
 // updates accumulate until they amount to a constant fraction of the
 // structure's live weight, then rebuild — the rebuild cost is paid for by
 // the Omega(weight) updates since the structure was last built. This
-// class centralizes that accounting so every family (DynamicPst, the
-// weak-delete paths of the augmented trees, ExternalPst, CornerStructure,
-// the logarithmic-method adapter, and through them both interval indexes)
+// class centralizes that accounting so every family (the weak-delete
+// paths of the augmented trees, ExternalPst, CornerStructure, the
+// logarithmic-method adapter, and through them both interval indexes)
 // triggers on exactly the same rule and tests can reason about one
 // policy.
 //

@@ -34,7 +34,7 @@ Result<DynamicIntervalIndex> DynamicIntervalIndex::Build(
   CCIDX_RETURN_IF_ERROR(endpoints.status());
   auto points = std::move(point_sorter).Finish();
   CCIDX_RETURN_IF_ERROR(points.status());
-  auto stabbing = DynamicPst::Build(pager, std::move(*points));
+  auto stabbing = ExternalPst::Build(pager, std::move(*points));
   CCIDX_RETURN_IF_ERROR(stabbing.status());
   CCIDX_RETURN_IF_ERROR(txn.Commit());
   return DynamicIntervalIndex(std::move(*endpoints), std::move(*stabbing));
@@ -63,16 +63,13 @@ Status DynamicIntervalIndex::Insert(const Interval& iv) {
 }
 
 Status DynamicIntervalIndex::Delete(const Interval& iv, bool* found) {
-  *found = false;
-  bool ep_found = false;
-  CCIDX_RETURN_IF_ERROR(endpoints_.Delete(iv.lo, iv.id, &ep_found));
-  if (!ep_found) return Status::OK();
+  CCIDX_RETURN_IF_ERROR(internal::DeleteEndpoint(&endpoints_, iv, found));
+  if (!*found) return Status::OK();
   bool pst_found = false;
   CCIDX_RETURN_IF_ERROR(stabbing_.Delete({iv.lo, iv.hi, iv.id}, &pst_found));
   if (!pst_found) {
     return Status::Corruption("interval present in only one component");
   }
-  *found = true;
   return Status::OK();
 }
 
@@ -99,7 +96,7 @@ Status DynamicIntervalIndex::Intersect(Coord qlo, Coord qhi,
 
 Status DynamicIntervalIndex::Destroy() {
   CCIDX_RETURN_IF_ERROR(endpoints_.Destroy());
-  return stabbing_.Destroy();
+  return stabbing_.Free();
 }
 
 }  // namespace ccidx

@@ -65,34 +65,15 @@ Status IntervalIndex::Insert(const Interval& iv) {
 }
 
 Status IntervalIndex::Delete(const Interval& iv, bool* found) {
-  *found = false;
-  if (iv.lo > iv.hi) return Status::OK();
-  // The endpoint B+-tree is the authoritative membership test, and its
-  // delete commits with one in-place leaf write — atomic under device
-  // faults. Only once it lands is the stabbing point tombstoned
-  // (DeleteKnown: pure memory, cannot fail part-way), so no failure can
-  // leave the two component structures disagreeing. At worst the
-  // scheduled purge errors after the delete landed; the purge retries on
-  // a later update.
-  //
-  // The endpoint entry is identified by (lo, id) with hi carried as aux;
-  // a delete whose hi does not match the stored interval must be treated
-  // as "not stored" — deleting the endpoint entry while tombstoning a
-  // point that was never inserted would silently desynchronize the two
-  // components. One extra read-only descent checks it.
-  bool identity_matches = false;
-  CCIDX_RETURN_IF_ERROR(
-      endpoints_.RangeScan(iv.lo, iv.lo, [&](const BtEntry& e) {
-        if (e.value == iv.id && e.aux == iv.hi) identity_matches = true;
-      }));
-  if (!identity_matches) return Status::OK();
-  bool in_endpoints = false;
-  CCIDX_RETURN_IF_ERROR(endpoints_.Delete(iv.lo, iv.id, &in_endpoints));
-  if (!in_endpoints) {
-    return Status::Corruption("endpoint entry vanished between probe and"
-                              " delete");
-  }
-  *found = true;
+  // The endpoint B+-tree is the authoritative membership test (identity-
+  // checked, see DeleteEndpoint), and its delete commits with one
+  // in-place leaf write — atomic under device faults. Only once it lands
+  // is the stabbing point tombstoned (DeleteKnown: pure memory, cannot
+  // fail part-way), so no failure can leave the two component structures
+  // disagreeing. At worst the scheduled purge errors after the delete
+  // landed; the purge retries on a later update.
+  CCIDX_RETURN_IF_ERROR(internal::DeleteEndpoint(&endpoints_, iv, found));
+  if (!*found) return Status::OK();
   return stabbing_.DeleteKnown({iv.lo, iv.hi, iv.id});
 }
 

@@ -22,9 +22,10 @@
 // membership probe + amortized O((log_B n)/B). That preserves the
 // optimal log_B query term, at the price of amortized (not worst-case)
 // delete cost — the worst-case-optimal fully dynamic structure remains
-// open, as the paper conjectures; DynamicIntervalIndex trades the search
-// term to log2 n for the classical fully dynamic bounds, with both
-// update paths driven by the same RebuildScheduler policy.
+// open, as the paper conjectures; DynamicIntervalIndex (B+-tree +
+// ExternalPst) trades the search term to log2 n for eager deletes and
+// O(log_B n + log2 n) amortized updates, with both update paths driven by
+// the same RebuildScheduler policy.
 
 #ifndef CCIDX_INTERVAL_INTERVAL_INDEX_H_
 #define CCIDX_INTERVAL_INTERVAL_INDEX_H_

@@ -11,13 +11,16 @@
 // Note the log2 (not log_B) search term: this is the structure the paper
 // cites as the best previous approach — the metablock tree's raison d'être
 // is removing that binary-height factor for the diagonal special case.
-// Here it serves two roles:
-//   * experiment E8's baseline, and
+// Here it serves three roles:
+//   * experiment E8's baseline,
 //   * the per-metablock / per-children 3-sided sub-structure of the
 //     Section 4 class-indexing tree (where it only ever holds O(B^3)
-//     points, so its log2 term is the paper's log2 B additive cost).
+//     points, so its log2 term is the paper's log2 B additive cost), and
+//   * the stabbing component of DynamicIntervalIndex, the §5 fully
+//     dynamic interval index (updated through the paths below).
 //
-// Dynamization (DESIGN.md §8): Build-constructed handles support updates.
+// Dynamization (DESIGN.md §8): Build-constructed and empty handles support
+// updates.
 //   * Insert is a shadow-path PST insertion: the x-routing descent is
 //     planned read-only, every node on the path below the root is
 //     rewritten as a fresh page under a TxnScope, and the old
@@ -80,6 +83,10 @@ namespace ccidx {
 /// require full quiescence.
 class ExternalPst {
  public:
+  /// Creates an empty, updatable tree (the handle Build returns for an
+  /// empty input).
+  explicit ExternalPst(Pager* pager) : ExternalPst(pager, kInvalidPageId) {}
+
   /// Builds from an x-sorted group (any planar points; no y >= x
   /// restriction) — the one construction implementation (fault-atomic).
   static Result<ExternalPst> Build(Pager* pager, PointGroup points);

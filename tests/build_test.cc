@@ -29,7 +29,6 @@
 #include "ccidx/core/three_sided_tree.h"
 #include "ccidx/interval/dynamic_interval_index.h"
 #include "ccidx/interval/interval_index.h"
-#include "ccidx/pst/dynamic_pst.h"
 #include "ccidx/pst/external_pst.h"
 #include "ccidx/testutil/generators.h"
 #include "ccidx/testutil/oracles.h"
@@ -695,15 +694,15 @@ TEST_F(BuildTest, PstStreamBuildEqualsVectorBuild) {
   }
 }
 
-TEST_F(BuildTest, DynamicPstStreamBuildEqualsVectorBuild) {
+TEST_F(BuildTest, PstStreamBuildThenInsertEqualsVectorBuild) {
   const size_t n = 5000;
   auto pts = RandomPoints(n, kDomain, 20);
-  auto by_vector = DynamicPst::Build(&pager_, std::vector<Point>(pts));
+  auto by_vector = ExternalPst::Build(&pager_, std::vector<Point>(pts));
   ASSERT_TRUE(by_vector.ok());
   BlockDevice dev2(PageSizeForBranching(kB));
   Pager pager2(&dev2, 0);
   PointStream stream(PointStream::Shape::kUniform, n, kDomain, 20, 31);
-  auto by_stream = DynamicPst::Build(&pager2, &stream);
+  auto by_stream = ExternalPst::Build(&pager2, &stream);
   ASSERT_TRUE(by_stream.ok());
   ASSERT_TRUE(by_stream->CheckInvariants().ok());
   ASSERT_TRUE(by_stream->Insert({7, 7, n}).ok());
@@ -777,7 +776,7 @@ TEST_F(BuildTest, EveryPointFamilyAboveBCubedEqualsInCoreBuild) {
   ExpectStreamBuildEqualsInCore<ThreeSidedTree>(planar, three_sided);
   ExpectStreamBuildEqualsInCore<AugmentedThreeSidedTree>(ties, tied);
   ExpectStreamBuildEqualsInCore<ExternalPst>(planar, three_sided);
-  ExpectStreamBuildEqualsInCore<DynamicPst>(ties, tied);
+  ExpectStreamBuildEqualsInCore<ExternalPst>(ties, tied);
 }
 
 TEST_F(BuildTest, BptreeStreamBulkLoadPacksLeaves) {
@@ -1344,7 +1343,7 @@ TEST_F(BuildTest, StreamBuildsFitTheDocumentedPoolFloor) {
   ExpectBuildsAtPoolFloor(
       8, stream_build(std::type_identity<ExternalPst>(), planar));
   ExpectBuildsAtPoolFloor(
-      8, stream_build(std::type_identity<DynamicPst>(), ties));
+      8, stream_build(std::type_identity<ExternalPst>(), ties));
   ExpectBuildsAtPoolFloor(
       2, [&](Pager* p) { return IntervalIndex::Build(p, intervals); });
   ExpectBuildsAtPoolFloor(

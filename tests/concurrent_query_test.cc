@@ -25,7 +25,6 @@
 #include "ccidx/core/three_sided_tree.h"
 #include "ccidx/interval/dynamic_interval_index.h"
 #include "ccidx/interval/interval_index.h"
-#include "ccidx/pst/dynamic_pst.h"
 #include "ccidx/pst/external_pst.h"
 #include "ccidx/query/executor.h"
 #include "ccidx/query/sink.h"
@@ -164,12 +163,6 @@ TEST_F(ConcurrentQueryTest, PstReplay) {
   auto points = RandomPoints(1200, 2000, 19);
   auto pst = ExternalPst::Build(&pager_, points);
   ASSERT_TRUE(pst.ok());
-  auto dyn = DynamicPst::Build(
-      &pager_, std::vector<Point>(points.begin(), points.begin() + 600));
-  ASSERT_TRUE(dyn.ok());
-  for (size_t i = 600; i < points.size(); ++i) {
-    ASSERT_TRUE(dyn->Insert(points[i]).ok());
-  }
   std::vector<ThreeSidedQuery> queries;
   for (Coord q = 0; q < 2000; q += 211) {
     queries.push_back({q, q + 600, q / 3});
@@ -178,12 +171,7 @@ TEST_F(ConcurrentQueryTest, PstReplay) {
       queries, [&](const ThreeSidedQuery& q, ResultSink<Point>* sink) {
         return pst->Query(q, sink);
       });
-  ExpectConcurrentReplayAgrees<Point>(
-      queries, [&](const ThreeSidedQuery& q, ResultSink<Point>* sink) {
-        return dyn->Query(q, sink);
-      });
   ASSERT_TRUE(pst->Free().ok());
-  ASSERT_TRUE(dyn->Destroy().ok());
 }
 
 TEST_F(ConcurrentQueryTest, BPlusTreeReplay) {

@@ -23,7 +23,7 @@
 #include "ccidx/core/metablock_tree.h"  // PageSizeForBranching
 #include "ccidx/io/block_device.h"
 #include "ccidx/io/pager.h"
-#include "ccidx/pst/dynamic_pst.h"
+#include "ccidx/pst/external_pst.h"
 #include "ccidx/query/executor.h"
 #include "ccidx/query/sink.h"
 #include "ccidx/testutil/generators.h"
@@ -77,7 +77,7 @@ std::vector<ThreeSidedQuery> MakeQueries(uint64_t seed) {
   return qs;
 }
 
-Status ApplyRound(DynamicPst* st, const Round& r) {
+Status ApplyRound(ExternalPst* st, const Round& r) {
   for (const Point& p : r.inserts) {
     CCIDX_RETURN_IF_ERROR(st->Insert(p));
   }
@@ -114,7 +114,7 @@ TEST(ConcurrentUpdate, QuiescedUpdatesMatchSequentialReplay) {
   // exactly the surface TSan should see.
   Pager pager(&dev, 512);
   auto initial = RandomPoints(kInitial, kDomain, 0x51);
-  auto st = DynamicPst::Build(&pager, std::vector<Point>(initial));
+  auto st = ExternalPst::Build(&pager, std::vector<Point>(initial));
   ASSERT_TRUE(st.ok());
   auto rounds = MakeRounds(initial);
   auto queries = MakeQueries(0x52);
@@ -189,7 +189,7 @@ TEST(ConcurrentUpdate, QuiesceIsExclusiveWithBatches) {
   // guard and every query reads.
   BlockDevice dev(PageSizeForBranching(kB));
   Pager pager(&dev, 64);
-  auto st = DynamicPst::Build(&pager, RandomPoints(256, kDomain, 0x53));
+  auto st = ExternalPst::Build(&pager, RandomPoints(256, kDomain, 0x53));
   ASSERT_TRUE(st.ok());
   QueryExecutor exec(4);
   std::atomic<bool> updating{false};

@@ -1,6 +1,8 @@
 // Tests for interval management (Prop. 2.2): stabbing and intersection
 // queries against the naive oracle, across workload shapes, plus the
-// no-double-reporting guarantee and I/O bounds.
+// no-double-reporting guarantee and I/O bounds; then the fully dynamic
+// DynamicIntervalIndex (§5) under churn, and the delete identity rule
+// both families share.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +10,7 @@
 #include <random>
 
 #include "ccidx/core/metablock_tree.h"  // PageSizeForBranching
+#include "ccidx/interval/dynamic_interval_index.h"
 #include "ccidx/interval/interval_index.h"
 #include "ccidx/testutil/generators.h"
 #include "ccidx/testutil/oracles.h"
@@ -204,6 +207,115 @@ TEST_F(IntervalIndexTest, DestroyReleasesEverything) {
   EXPECT_GT(dev_.live_pages(), 0u);
   ASSERT_TRUE(idx->Destroy().ok());
   EXPECT_EQ(dev_.live_pages(), 0u);
+}
+
+class DynamicIntervalTest : public IntervalIndexTest {};
+
+TEST_F(DynamicIntervalTest, FullChurnMatchesOracle) {
+  DynamicIntervalIndex idx(&pager_);
+  IntervalOracle oracle;
+  std::vector<Interval> live;
+  std::mt19937 rng(8);
+  uint64_t next_id = 0;
+  for (int step = 0; step < 5000; ++step) {
+    int op = static_cast<int>(rng() % 10);
+    if (op < 5 || live.empty()) {
+      Coord lo = static_cast<Coord>(rng() % 2000);
+      Interval iv{lo, lo + static_cast<Coord>(rng() % 300), next_id++};
+      ASSERT_TRUE(idx.Insert(iv).ok());
+      oracle.Insert(iv);
+      live.push_back(iv);
+    } else if (op < 8) {
+      size_t i = rng() % live.size();
+      bool found = false;
+      ASSERT_TRUE(idx.Delete(live[i], &found).ok());
+      ASSERT_TRUE(found);
+      ASSERT_TRUE(oracle.Erase(live[i]));
+      live.erase(live.begin() + i);
+    } else if (op == 8) {
+      Coord q = static_cast<Coord>(rng() % 2300);
+      std::vector<Interval> got;
+      VectorSink<Interval> sink(&got);
+      ASSERT_TRUE(idx.Stab(q, &sink).ok());
+      SortIntervals(&got);
+      ASSERT_EQ(got, oracle.Stab(q)) << "stab " << q << " step " << step;
+    } else {
+      Coord a = static_cast<Coord>(rng() % 2300);
+      Coord b = a + static_cast<Coord>(rng() % 400);
+      std::vector<Interval> got;
+      VectorSink<Interval> sink(&got);
+      ASSERT_TRUE(idx.Intersect(a, b, &sink).ok());
+      SortIntervals(&got);
+      ASSERT_EQ(got, oracle.Intersect(a, b))
+          << "[" << a << "," << b << "] step " << step;
+    }
+  }
+  EXPECT_EQ(idx.size(), live.size());
+}
+
+TEST_F(DynamicIntervalTest, BulkBuildAndDelete) {
+  auto intervals =
+      RandomIntervals(1500, 5000, IntervalWorkload::kUniform, 9);
+  auto idx = DynamicIntervalIndex::Build(&pager_, intervals);
+  ASSERT_TRUE(idx.ok());
+  IntervalOracle oracle;
+  for (const Interval& iv : intervals) oracle.Insert(iv);
+  for (size_t i = 0; i < intervals.size(); i += 3) {
+    bool found = false;
+    ASSERT_TRUE(idx->Delete(intervals[i], &found).ok());
+    EXPECT_TRUE(found);
+    ASSERT_TRUE(oracle.Erase(intervals[i]));
+  }
+  for (Coord q = 0; q <= 5000; q += 331) {
+    std::vector<Interval> got;
+    VectorSink<Interval> sink(&got);
+    ASSERT_TRUE(idx->Stab(q, &sink).ok());
+    SortIntervals(&got);
+    ASSERT_EQ(got, oracle.Stab(q)) << "q=" << q;
+  }
+}
+
+TEST_F(DynamicIntervalTest, RejectsInverted) {
+  DynamicIntervalIndex idx(&pager_);
+  EXPECT_FALSE(idx.Insert({9, 3, 0}).ok());
+}
+
+// Both families identify a stored interval by (lo, hi, id). A delete that
+// names a stored (lo, id) with another hi, or an inverted interval, is
+// "not stored": it returns OK with found = false and leaves both
+// components — the stabbing tree and the endpoint tree — untouched.
+template <typename Index>
+class IntervalFamilyTest : public IntervalIndexTest {};
+
+using IntervalFamilies = ::testing::Types<IntervalIndex, DynamicIntervalIndex>;
+TYPED_TEST_SUITE(IntervalFamilyTest, IntervalFamilies);
+
+TYPED_TEST(IntervalFamilyTest, DeleteOfUnstoredIntervalChangesNothing) {
+  TypeParam idx(&this->pager_);
+  ASSERT_TRUE(idx.Insert({10, 20, 1}).ok());
+  for (const Interval& miss : {Interval{10, 25, 1}, Interval{10, 15, 1},
+                               Interval{20, 10, 1}, Interval{10, 20, 2}}) {
+    bool found = true;
+    Status s = idx.Delete(miss, &found);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_FALSE(found) << "[" << miss.lo << "," << miss.hi << "] id "
+                        << miss.id;
+  }
+  EXPECT_EQ(idx.size(), 1u);
+  const std::vector<Interval> want = {{10, 20, 1}};
+  std::vector<Interval> stab, cross;
+  VectorSink<Interval> stab_sink(&stab);
+  ASSERT_TRUE(idx.Stab(15, &stab_sink).ok());
+  EXPECT_EQ(stab, want);  // answered by the stabbing tree
+  VectorSink<Interval> cross_sink(&cross);
+  ASSERT_TRUE(idx.Intersect(5, 12, &cross_sink).ok());
+  EXPECT_EQ(cross, want);  // answered by the endpoint tree
+  bool found = false;
+  ASSERT_TRUE(idx.Delete({10, 20, 1}, &found).ok());
+  EXPECT_TRUE(found);
+  EXPECT_EQ(idx.size(), 0u);
+  ASSERT_TRUE(idx.Destroy().ok());
+  EXPECT_EQ(this->dev_.live_pages(), 0u);
 }
 
 }  // namespace

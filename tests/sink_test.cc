@@ -19,7 +19,6 @@
 #include "ccidx/core/three_sided_tree.h"
 #include "ccidx/interval/dynamic_interval_index.h"
 #include "ccidx/interval/interval_index.h"
-#include "ccidx/pst/dynamic_pst.h"
 #include "ccidx/pst/external_pst.h"
 #include "ccidx/query/sink.h"
 #include "ccidx/tess/tessellation.h"
@@ -230,26 +229,6 @@ TEST_F(SinkQueryTest, ExternalPstAgreesWithVectorOverload) {
     });
   }
   ASSERT_TRUE(pst->Free().ok());
-}
-
-TEST_F(SinkQueryTest, DynamicPstAgreesWithVectorOverload) {
-  auto points = RandomPoints(1200, 2000, 31);
-  auto pst = DynamicPst::Build(
-      &pager_, std::vector<Point>(points.begin(), points.begin() + 600));
-  ASSERT_TRUE(pst.ok());
-  for (size_t i = 600; i < points.size(); ++i) {
-    ASSERT_TRUE(pst->Insert(points[i]).ok());
-  }
-  for (Coord q = 0; q < 2000; q += 157) {
-    ThreeSidedQuery query{q, q + 600, q / 3};
-    std::vector<Point> full;
-    VectorSink<Point> sink(&full);
-    ASSERT_TRUE(pst->Query(query, &sink).ok());
-    ExpectSinksAgree(full, [&](ResultSink<Point>* s) {
-      return pst->Query(query, s);
-    });
-  }
-  ASSERT_TRUE(pst->Destroy().ok());
 }
 
 TEST_F(SinkQueryTest, BPlusTreeAgreesWithVectorOverload) {

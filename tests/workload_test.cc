@@ -34,7 +34,6 @@
 #include "ccidx/interval/interval_index.h"
 #include "ccidx/io/block_device.h"
 #include "ccidx/io/pager.h"
-#include "ccidx/pst/dynamic_pst.h"
 #include "ccidx/pst/external_pst.h"
 #include "ccidx/testutil/oracles.h"
 #include "ccidx/testutil/workload.h"
@@ -212,7 +211,7 @@ struct DiagonalAdapter : PointBase {
 };
 
 // Families answering 3-sided queries with the uniform surface:
-// DynamicThreeSidedTree, AugmentedThreeSidedTree, ExternalPst, DynamicPst.
+// DynamicThreeSidedTree, AugmentedThreeSidedTree, ExternalPst.
 template <typename St>
 struct ThreeSidedAdapter : PointBase {
   std::optional<St> st;
@@ -767,23 +766,6 @@ TEST(Workload, ExternalPst) {
       a->oracle.Insert(p);
     }
     auto st = ExternalPst::Build(pager, std::move(init));
-    EXPECT_TRUE(st.ok()) << st.status().ToString();
-    if (!st.ok()) return decltype(a)(nullptr);
-    a->st.emplace(std::move(*st));
-    return a;
-  });
-}
-
-TEST(Workload, DynamicPst) {
-  RunAllShapes([](Pager* pager, const Shape& shape, std::mt19937_64& rng) {
-    auto a = std::make_unique<ThreeSidedAdapter<DynamicPst>>();
-    std::vector<Point> init;
-    for (size_t i = 0; i < shape.initial; ++i) {
-      Point p = FreshAnywhere(rng, a->next_id++);
-      init.push_back(p);
-      a->oracle.Insert(p);
-    }
-    auto st = DynamicPst::Build(pager, std::move(init));
     EXPECT_TRUE(st.ok()) << st.status().ToString();
     if (!st.ok()) return decltype(a)(nullptr);
     a->st.emplace(std::move(*st));
