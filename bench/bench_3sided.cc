@@ -163,9 +163,9 @@ BENCHMARK(ccidx::bench::BM_AugmentedThreeSidedQuery)
 BENCHMARK(ccidx::bench::BM_ThreeSidedVsPst)
     ->ArgsProduct({{1 << 12, 1 << 14, 1 << 16, 1 << 18}, {32}, {1 << 15}})
     ->Iterations(500);
-// I/O vs B (n = 2^16).
+// I/O vs B (n = 2^16; the B = 32 row is the n sweep's).
 BENCHMARK(ccidx::bench::BM_ThreeSidedVsPst)
-    ->ArgsProduct({{1 << 16}, {8, 16, 32, 64}, {1 << 15}})
+    ->ArgsProduct({{1 << 16}, {8, 16, 64}, {1 << 15}})
     ->Iterations(500);
 // I/O vs t (n = 2^16, width sweep).
 BENCHMARK(ccidx::bench::BM_ThreeSidedVsPst)

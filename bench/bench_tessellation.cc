@@ -95,11 +95,10 @@ BENCHMARK(ccidx::bench::BM_TessellationLineQueries)
     ->Args({256, 16, 4})
     ->Args({256, 32, 2})
     ->Args({256, 64, 1});
-// B sweep with square tiles.
+// B sweep with square tiles (the 8 x 8 row is the aspect sweep's).
 BENCHMARK(ccidx::bench::BM_TessellationLineQueries)
     ->Args({256, 2, 2})
     ->Args({256, 4, 4})
-    ->Args({256, 8, 8})
     ->Args({256, 16, 16});
 // Metablock contrast (p = 128, B sweep).
 BENCHMARK(ccidx::bench::BM_MetablockContrast)

@@ -309,9 +309,11 @@ Status BPlusTree::Delete(int64_t key, uint64_t value, bool* found) {
         }
         if (e.key == key && e.value == value) {
           node.entries.erase(node.entries.begin() + i);
+          // Counted only once the leaf is stored: a failed store leaves
+          // the entry on the device, so size() and *found must not move.
+          CCIDX_RETURN_IF_ERROR(StoreNode(path.back().first, node));
           sy_->size.fetch_sub(1, std::memory_order_relaxed);
           *found = true;
-          CCIDX_RETURN_IF_ERROR(StoreNode(path.back().first, node));
           return txn.Commit();
         }
       }
@@ -338,9 +340,10 @@ Status BPlusTree::DeleteExclusive(int64_t key, uint64_t value, bool* found) {
       if (e.key > key) return Status::OK();  // passed all candidates
       if (e.key == key && e.value == value) {
         node.entries.erase(node.entries.begin() + i);
+        CCIDX_RETURN_IF_ERROR(StoreNode(id, node));  // then count, as above
         sy_->size.fetch_sub(1, std::memory_order_relaxed);
         *found = true;
-        return StoreNode(id, node);
+        return Status::OK();
       }
     }
     id = node.next;

@@ -112,33 +112,64 @@ std::vector<WalRecord> ParseLog(std::span<const uint8_t> log, bool* torn) {
 // Log storage flavors
 // ---------------------------------------------------------------------------
 
+// The mem log lives in fixed kMemWalSegmentBytes segments: an append
+// copies only its own bytes (a growing flat buffer would copy the whole
+// log, tens of MB, each time it crossed its capacity, holding both copies
+// at once), and Reset hands every segment back, so resident memory
+// follows the log's current length.
 class MemWalStorage final : public WalStorage {
  public:
   const char* name() const override { return "mem"; }
   Status Append(std::span<const uint8_t> bytes) override {
     std::lock_guard lock(mu_);
-    log_.insert(log_.end(), bytes.begin(), bytes.end());
+    AppendLocked(bytes);
     return Status::OK();
   }
   Status Sync() override { return Status::OK(); }
   Status ReadAll(std::vector<uint8_t>* out) override {
     std::lock_guard lock(mu_);
-    *out = log_;
+    out->clear();
+    out->reserve(size_);
+    for (size_t i = 0; i < segments_.size(); ++i) {
+      const uint8_t* seg = segments_[i].get();
+      out->insert(out->end(), seg,
+                  seg + std::min<uint64_t>(kMemWalSegmentBytes,
+                                           size_ - i * kMemWalSegmentBytes));
+    }
     return Status::OK();
   }
   Status Reset(std::span<const uint8_t> bytes) override {
     std::lock_guard lock(mu_);
-    log_.assign(bytes.begin(), bytes.end());
+    segments_.clear();
+    size_ = 0;
+    AppendLocked(bytes);
     return Status::OK();
   }
   uint64_t size() const override {
     std::lock_guard lock(mu_);
-    return log_.size();
+    return size_;
   }
 
  private:
+  void AppendLocked(std::span<const uint8_t> bytes) {
+    while (!bytes.empty()) {
+      const size_t offset = size_ % kMemWalSegmentBytes;
+      // Left uninitialized: a segment's pages become resident as the log
+      // reaches them.
+      if (offset == 0) {
+        segments_.push_back(
+            std::make_unique_for_overwrite<uint8_t[]>(kMemWalSegmentBytes));
+      }
+      const size_t n = std::min(bytes.size(), kMemWalSegmentBytes - offset);
+      std::memcpy(segments_.back().get() + offset, bytes.data(), n);
+      size_ += n;
+      bytes = bytes.subspan(n);
+    }
+  }
+
   mutable std::mutex mu_;
-  std::vector<uint8_t> log_;
+  std::vector<std::unique_ptr<uint8_t[]>> segments_;  // guarded by mu_
+  uint64_t size_ = 0;                                 // guarded by mu_
 };
 
 class FileWalStorage final : public WalStorage {

@@ -191,9 +191,10 @@ class WalDecoder {
 
 /// Byte-stream backing for the log: an append-only blob with sync and
 /// whole-log rewrite (checkpoint truncation). The mem flavor keeps the
-/// log in process memory (Sync is a no-op) — it survives the simulated
-/// crash because the "disk" of the mem BlockDevice does too. The file
-/// flavor appends through a buffered fd and syncs with fdatasync.
+/// log in process memory, in kMemWalSegmentBytes segments (Sync is a
+/// no-op) — it survives the simulated crash because the "disk" of the mem
+/// BlockDevice does too. The file flavor appends through a buffered fd
+/// and syncs with fdatasync.
 class WalStorage {
  public:
   virtual ~WalStorage() = default;
@@ -209,6 +210,8 @@ class WalStorage {
   virtual uint64_t size() const = 0;
 };
 
+/// The mem flavor stores the log in segments of this many bytes.
+inline constexpr size_t kMemWalSegmentBytes = size_t{1} << 20;
 std::unique_ptr<WalStorage> MakeMemWalStorage();
 /// `path` is the log file (created if absent, truncated at Reset).
 std::unique_ptr<WalStorage> MakeFileWalStorage(const std::string& path);

@@ -34,7 +34,8 @@ struct ServeTables {
 /// Server tuning. Defaults serve a small-to-medium deployment; the load
 /// driver sweeps these.
 struct ServerOptions {
-  /// Submission queue ring capacity.
+  /// Bound on queued submissions (caps the high watermark). Reserves no
+  /// memory: the queue's ring grows with the backlog.
   size_t queue_capacity = 1024;
   /// Busy threshold: at/above this depth the admission controller drops
   /// Pager::speculation_budget() to 0 (demand I/O first).

@@ -100,6 +100,7 @@ ServerStats Server::stats() const {
   s.shed = queue_.shed();
   s.rejected_closed = queue_.rejected_closed();
   s.deadline_dropped = queue_.deadline_dropped();
+  s.queue_slots = queue_.slots();
   s.bad_frames = bad_frames_.load(std::memory_order_relaxed);
   s.no_credit = no_credit_.load(std::memory_order_relaxed);
   s.dispatch = dispatcher_.stats();

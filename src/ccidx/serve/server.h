@@ -42,6 +42,9 @@ struct ServerStats {
   uint64_t shed = 0;            // overload sheds only (kOverloaded policy)
   uint64_t rejected_closed = 0; // pushes refused after Stop() closed the queue
   uint64_t deadline_dropped = 0;
+  // Ring slots the queue holds (its resident memory is queue_slots x
+  // sizeof(Submission)); grows with the deepest backlog, never shrinks.
+  uint64_t queue_slots = 0;
   // Rejections before the queue.
   uint64_t bad_frames = 0;  // undecodable; dropped (or kBadRequest'd)
   uint64_t no_credit = 0;

@@ -1,13 +1,13 @@
 // SubmissionQueue: the bounded MPMC admission queue between transports
 // and the dispatcher (DESIGN.md §12).
 //
-// Admission policy — shed, don't collapse: the queue has a fixed
-// capacity ring and two watermarks. Below the low watermark the server
-// is kNormal; between low and high it is kBusy (still admitting, but
-// the level listener throttles speculative I/O so demand reads own the
-// device); at or above the high watermark new submissions are rejected
-// immediately with kOverloaded (TryPush returns kShed) — the client
-// learns in microseconds instead of queueing into a latency collapse.
+// Admission policy — shed, don't collapse: the queue has a capacity and
+// two watermarks. Below the low watermark the server is kNormal; between
+// low and high it is kBusy (still admitting, but the level listener
+// throttles speculative I/O so demand reads own the device); at or above
+// the high watermark new submissions are rejected immediately with
+// kOverloaded (TryPush returns kShed) — the client learns in
+// microseconds instead of queueing into a latency collapse.
 // Accepted requests carry their admission time and absolute deadline;
 // PopBatch drops expired submissions at dequeue (they are returned
 // separately so the dispatcher can answer kDeadlineExceeded without
@@ -28,12 +28,21 @@
 // Implementation: a mutex-guarded ring. At serving batch sizes the lock
 // is held for pointer moves only; fairness and the watermark accounting
 // matter far more here than lock-freedom, and the dispatcher drains in
-// batches so producers rarely contend with more than one consumer.
+// batches so producers rarely contend with more than one consumer. The
+// ring's slot count is a power of two that starts at kInitialSlots (or
+// the high watermark, when smaller) and doubles when a push finds it
+// full, so its memory follows the deepest backlog seen, not the
+// configured capacity: a queue configured for 262,144 submissions that
+// never holds more than 3,000 keeps 4,096 slots. A growth moves the live
+// submissions under the lock the push already holds; the ring never
+// shrinks, so each growth is paid once per new high-water mark.
 
 #ifndef CCIDX_SERVE_SUBMISSION_QUEUE_H_
 #define CCIDX_SERVE_SUBMISSION_QUEUE_H_
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -67,16 +76,15 @@ enum class QueueLevel : uint8_t { kNormal = 0, kBusy = 1, kOverloaded = 2 };
 class SubmissionQueue {
  public:
   /// `capacity` bounds queued submissions; shedding starts at
-  /// `high_watermark` (<= capacity) and the busy throttle engages at
-  /// `low_watermark` (< high). A queue that is never above low behaves
-  /// exactly like an unbounded one.
+  /// `high_watermark` (clamped to capacity) and the busy throttle engages
+  /// at `low_watermark` (< high). A queue that is never above low behaves
+  /// exactly like an unbounded one. No slot is reserved for capacity up
+  /// front: the ring grows with the backlog (see slots()).
   SubmissionQueue(size_t capacity, size_t low_watermark,
                   size_t high_watermark)
-      : capacity_(capacity),
-        low_(low_watermark),
-        high_(high_watermark <= capacity ? high_watermark : capacity) {
-    ring_.resize(capacity_);
-  }
+      : low_(low_watermark),
+        high_(high_watermark <= capacity ? high_watermark : capacity),
+        ring_(std::bit_ceil(std::min(high_, kInitialSlots))) {}
 
   SubmissionQueue(const SubmissionQueue&) = delete;
   SubmissionQueue& operator=(const SubmissionQueue&) = delete;
@@ -106,7 +114,8 @@ class SubmissionQueue {
         shed_.fetch_add(1, std::memory_order_relaxed);
         return Admission::kShed;
       }
-      ring_[(head_ + size_) % capacity_] = std::move(s);
+      if (size_ == ring_.size()) GrowLocked();
+      ring_[(head_ + size_) & (ring_.size() - 1)] = std::move(s);
       ++size_;
       admitted_.fetch_add(1, std::memory_order_relaxed);
       NoteDepthLocked(size_);
@@ -151,7 +160,7 @@ class SubmissionQueue {
           out->push_back(std::move(s));
           ++popped;
         }
-        head_ = (head_ + 1) % capacity_;
+        head_ = (head_ + 1) & (ring_.size() - 1);
         --size_;
       }
       pending = UpdateLevelLocked();
@@ -180,6 +189,13 @@ class SubmissionQueue {
   QueueLevel level() const {
     std::lock_guard lock(mu_);
     return level_;
+  }
+  /// Ring slots allocated: the queue's resident memory is
+  /// slots() * sizeof(Submission). At most max(kInitialSlots, 2 x the
+  /// deepest backlog seen), and at most bit_ceil(high watermark).
+  size_t slots() const {
+    std::lock_guard lock(mu_);
+    return ring_.size();
   }
 
   // --- counters (relaxed; exact under quiescence) -----------------------
@@ -210,6 +226,21 @@ class SubmissionQueue {
   }
 
  private:
+  static constexpr size_t kInitialSlots = 64;
+
+  // Doubles a full ring, unrolling the FIFO to start at slot 0. Only a
+  // push below the high watermark gets here, so the ring stops at
+  // bit_ceil(high_) slots.
+  void GrowLocked() {
+    std::vector<Submission> grown(ring_.size() * 2);
+    const size_t mask = ring_.size() - 1;
+    for (size_t i = 0; i < size_; ++i) {
+      grown[i] = std::move(ring_[(head_ + i) & mask]);
+    }
+    ring_.swap(grown);
+    head_ = 0;
+  }
+
   void NoteDepthLocked(size_t depth) {
     size_t bucket = 0;
     while ((size_t{2} << bucket) <= depth && bucket + 1 < kDepthBuckets) {
@@ -244,13 +275,12 @@ class SubmissionQueue {
     return pending;
   }
 
-  const size_t capacity_;
   const size_t low_;
   const size_t high_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<Submission> ring_;  // guarded by mu_
+  std::vector<Submission> ring_;  // guarded by mu_; power-of-two size
   size_t head_ = 0;               // guarded by mu_
   size_t size_ = 0;               // guarded by mu_
   bool closed_ = false;           // guarded by mu_

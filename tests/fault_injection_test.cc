@@ -1,6 +1,6 @@
 // Fault-injection tests: every structure must surface device failures as
 // Status (never abort or return wrong results silently), at any point in a
-// query or insert.
+// query, insert or delete.
 
 #include <gtest/gtest.h>
 
@@ -143,6 +143,39 @@ TEST(FaultInjectionTest, BptreeInsertFailsCleanly) {
   VectorSink<BtEntry> sink(&out);
   EXPECT_TRUE(tree.RangeScan(0, 199, &sink).ok());
   EXPECT_GE(out.size(), 200u);
+}
+
+// A delete whose leaf store fails leaves the entry on the device, so it
+// must report not-found and keep size() equal to what a scan counts; a
+// retry then deletes it.
+TEST(FaultInjectionTest, BptreeDeleteFailsCleanly) {
+  BlockDevice dev(PageSizeForBranching(16));
+  Pager pager(&dev, 0);
+  BPlusTree tree(&pager);
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(tree.Insert(i, static_cast<uint64_t>(i)).ok());
+  }
+  auto scan_count = [&] {
+    std::vector<BtEntry> out;
+    VectorSink<BtEntry> sink(&out);
+    EXPECT_TRUE(tree.RangeScan(kCoordMin, kCoordMax, &sink).ok());
+    return out.size();
+  };
+  // Four reads reach the leaf (root, internal node, the leaf's routing
+  // pin and its load); the transfer after them, the leaf store, fails.
+  dev.SetFailAfter(4);
+  bool found = true;
+  Status s = tree.Delete(100, 100, &found);
+  dev.SetFailAfter(-1);
+  EXPECT_EQ(s.code(), StatusCode::kIoError) << s.ToString();
+  EXPECT_FALSE(found);
+  EXPECT_EQ(tree.size(), 200u);
+  EXPECT_EQ(scan_count(), 200u);
+
+  ASSERT_TRUE(tree.Delete(100, 100, &found).ok());
+  EXPECT_TRUE(found);
+  EXPECT_EQ(tree.size(), 199u);
+  EXPECT_EQ(scan_count(), 199u);
 }
 
 // In both augmented families a failed insert surfaces a Status and leaves

@@ -1,6 +1,6 @@
 // Serving front-end (DESIGN.md §12): codec round-trips for every request
 // type and result mode, FrameScanner reassembly and poisoning, queue
-// watermark/shed/deadline semantics, session response ordering and
+// watermark/shed/deadline semantics across ring growth, session response ordering and
 // flow-control credits, a loopback end-to-end differential against
 // direct execution through the library sinks (bit-identical answers and
 // pins), the oversize-answer error, overload behavior (nonzero shed,
@@ -312,6 +312,122 @@ TEST(ServeQueue, LevelListenerMayCallQueueAccessors) {
   EXPECT_EQ(seen[1].second, 4u);
   EXPECT_EQ(seen[2].first, QueueLevel::kNormal);
   EXPECT_EQ(seen[2].second, 0u);
+}
+
+// The ring starts small and doubles when a push finds it full; a growth
+// with the head mid-ring must unroll the wrapped FIFO in order.
+TEST(ServeQueue, GrowthWithWrappedHeadKeepsFifoOrder) {
+  SubmissionQueue q(1024, 512, 1024);
+  EXPECT_EQ(q.slots(), 64u);
+  std::vector<Submission> out;
+  std::vector<Submission> expired;
+  uint64_t next_push = 1;
+  uint64_t next_pop = 1;
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_EQ(q.TryPush(MakeSub(next_push++)), Admission::kAdmitted);
+  }
+  ASSERT_EQ(q.PopBatch(&out, &expired, 30, nanoseconds{0}), 30u);
+  // Head at slot 30; 54 more pushes wrap the tail round and fill the ring.
+  for (int i = 0; i < 54; ++i) {
+    ASSERT_EQ(q.TryPush(MakeSub(next_push++)), Admission::kAdmitted);
+  }
+  EXPECT_EQ(q.depth(), 64u);
+  EXPECT_EQ(q.slots(), 64u);
+  ASSERT_EQ(q.TryPush(MakeSub(next_push++)), Admission::kAdmitted);
+  EXPECT_EQ(q.slots(), 128u);
+  // Interleave pops and pushes across a second growth.
+  ASSERT_EQ(q.PopBatch(&out, &expired, 10, nanoseconds{0}), 10u);
+  for (int i = 0; i < 80; ++i) {
+    ASSERT_EQ(q.TryPush(MakeSub(next_push++)), Admission::kAdmitted);
+  }
+  EXPECT_EQ(q.slots(), 256u);
+  while (q.PopBatch(&out, &expired, 16, nanoseconds{0}) > 0) {
+  }
+  EXPECT_TRUE(expired.empty());
+  ASSERT_EQ(out.size(), next_push - 1);
+  for (const Submission& s : out) EXPECT_EQ(s.req.id, next_pop++);
+  EXPECT_EQ(q.slots(), 256u);  // the ring never shrinks
+}
+
+// Growth never changes admission: with the benchmark's capacity the queue
+// sheds exactly at the high watermark, and the ring only reaches the
+// power of two above the deepest backlog.
+TEST(ServeQueue, ShedsExactlyAtHighWatermarkWithRingSizedToDepth) {
+  constexpr size_t kHigh = 1000;
+  SubmissionQueue q(/*capacity=*/262144, /*low=*/500, kHigh);
+  EXPECT_LE(q.slots(), 64u);
+  size_t admitted = 0;
+  while (q.TryPush(MakeSub(admitted + 1)) == Admission::kAdmitted) {
+    ++admitted;
+    ASSERT_LE(q.slots(), std::max<size_t>(64, 2 * admitted));
+  }
+  EXPECT_EQ(admitted, kHigh);
+  EXPECT_EQ(q.depth(), kHigh);
+  EXPECT_EQ(q.shed(), 1u);
+  EXPECT_EQ(q.level(), QueueLevel::kOverloaded);
+  EXPECT_EQ(q.slots(), 1024u);
+  std::vector<Submission> out;
+  std::vector<Submission> expired;
+  ASSERT_EQ(q.PopBatch(&out, &expired, 1, nanoseconds{0}), 1u);
+  EXPECT_EQ(q.TryPush(MakeSub(kHigh + 1)), Admission::kAdmitted);
+  EXPECT_EQ(q.TryPush(MakeSub(kHigh + 2)), Admission::kShed);
+}
+
+// Expired submissions moved across a growth are still dropped at dequeue,
+// in order, without consuming live slots.
+TEST(ServeQueue, DropsExpiredAcrossGrowth) {
+  SubmissionQueue q(4096, 2048, 4096);
+  const auto past = std::chrono::steady_clock::now() - milliseconds(1);
+  for (uint64_t id = 1; id <= 100; ++id) {
+    Submission s = MakeSub(id);
+    if (id % 3 == 0) s.deadline = past;
+    ASSERT_EQ(q.TryPush(std::move(s)), Admission::kAdmitted);
+    if (id == 50) {
+      // Move the head off slot 0 before the ring grows.
+      std::vector<Submission> out;
+      std::vector<Submission> expired;
+      ASSERT_EQ(q.PopBatch(&out, &expired, 5, nanoseconds{0}), 5u);
+    }
+  }
+  EXPECT_EQ(q.slots(), 128u);
+  std::vector<Submission> out;
+  std::vector<Submission> expired;
+  while (q.depth() > 0) q.PopBatch(&out, &expired, 8, nanoseconds{0});
+  // The first pop took ids 1..7 (5 live, the expired 3 and 6).
+  std::vector<uint64_t> live;
+  std::vector<uint64_t> dead;
+  for (const Submission& s : out) live.push_back(s.req.id);
+  for (const Submission& s : expired) dead.push_back(s.req.id);
+  std::vector<uint64_t> want_live;
+  std::vector<uint64_t> want_dead;
+  for (uint64_t id = 8; id <= 100; ++id) {
+    (id % 3 == 0 ? want_dead : want_live).push_back(id);
+  }
+  EXPECT_EQ(live, want_live);
+  EXPECT_EQ(dead, want_dead);
+  EXPECT_EQ(q.deadline_dropped(), 33u);
+}
+
+// Degenerate capacities: 0 sheds every push, 1 holds one submission.
+TEST(ServeQueue, CapacityZeroAndOne) {
+  std::vector<Submission> out;
+  std::vector<Submission> expired;
+  SubmissionQueue zero(0, 0, 0);
+  EXPECT_EQ(zero.TryPush(MakeSub(1)), Admission::kShed);
+  EXPECT_EQ(zero.PopBatch(&out, &expired, 4, nanoseconds{0}), 0u);
+  EXPECT_EQ(zero.shed(), 1u);
+  EXPECT_LE(zero.slots(), 1u);
+
+  SubmissionQueue one(1, 0, 1);
+  for (uint64_t id = 1; id <= 3; ++id) {
+    EXPECT_EQ(one.TryPush(MakeSub(id)), Admission::kAdmitted);
+    EXPECT_EQ(one.TryPush(MakeSub(100 + id)), Admission::kShed);
+    ASSERT_EQ(one.PopBatch(&out, &expired, 4, nanoseconds{0}), 1u);
+    EXPECT_EQ(out.back().req.id, id);
+  }
+  EXPECT_EQ(one.slots(), 1u);
+  EXPECT_EQ(one.admitted(), 3u);
+  EXPECT_EQ(one.shed(), 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -733,6 +849,7 @@ TEST_F(ServeEndToEndTest, OverloadShedsAndBoundsAcceptedBacklog) {
   ServerStats stats = server.stats();
   EXPECT_EQ(stats.admitted, 32u);  // exactly the high watermark
   EXPECT_EQ(stats.shed, static_cast<uint64_t>(kOffered) - 32u);
+  EXPECT_EQ(stats.queue_slots, 32u);  // the ring holds the backlog, no more
   // Rejections are answered immediately, in order, kOverloaded.
   server.Start();
   int ok = 0;

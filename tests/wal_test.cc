@@ -1,6 +1,7 @@
 // WAL unit tests (DESIGN.md §13): record encode/parse with torn-tail
-// detection, the TxnScope commit and abort protocols over the pager, the
-// alloc-no-image optimization, crash undo back to the last committed
+// detection, the segmented mem log (boundary-straddling records, reset,
+// a torn tail on a segment boundary), the TxnScope commit and abort
+// protocols over the pager, the alloc-no-image optimization, crash undo back to the last committed
 // state (clean kill, commit-record kill, pooled pool discard), the meta
 // registry overlay (checkpoint < commit < nothing-in-flight), checkpoint
 // truncation, group commit under concurrent committers, and file-backend
@@ -119,6 +120,148 @@ TEST(WalTest, RecordRoundTripAndTornTail) {
   // Every further transfer fails until recovery.
   std::vector<uint8_t> buf(kPageSize);
   EXPECT_FALSE(dev.Read(3, buf).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Mem log segments
+// ---------------------------------------------------------------------------
+
+std::vector<uint8_t> PatternBytes(size_t n, uint8_t seed) {
+  std::vector<uint8_t> out(n);
+  for (size_t i = 0; i < n; ++i) out[i] = static_cast<uint8_t>(seed + i * 7);
+  return out;
+}
+
+TEST(WalTest, MemStorageReadAllIsTheConcatenatedAppends) {
+  constexpr size_t kSeg = kMemWalSegmentBytes;
+  auto storage = MakeMemWalStorage();
+  std::vector<uint8_t> want;
+  auto append = [&](size_t n, uint8_t seed) {
+    std::vector<uint8_t> bytes = PatternBytes(n, seed);
+    ASSERT_TRUE(storage->Append(bytes).ok());
+    want.insert(want.end(), bytes.begin(), bytes.end());
+    EXPECT_EQ(storage->size(), want.size());
+  };
+  append(1000, 1);
+  append(kSeg - 1000, 2);  // ends exactly on the first boundary
+  append(0, 3);
+  append(kSeg / 2, 4);
+  append(kSeg, 5);  // straddles the second boundary
+  append(2 * kSeg + 17, 6);  // spans whole segments
+  std::vector<uint8_t> got;
+  ASSERT_TRUE(storage->ReadAll(&got).ok());
+  EXPECT_TRUE(got == want);
+
+  // Reset drops every segment; the new log starts from its bytes alone,
+  // including a reset image longer than a segment.
+  for (size_t n : {size_t{64}, kSeg + 5}) {
+    want = PatternBytes(n, 7);
+    ASSERT_TRUE(storage->Reset(want).ok());
+    EXPECT_EQ(storage->size(), n);
+    append(kSeg - 3, 8);
+    ASSERT_TRUE(storage->ReadAll(&got).ok());
+    EXPECT_TRUE(got == want);
+  }
+}
+
+TEST(WalTest, RecordsStraddlingSegmentBoundariesParse) {
+  BlockDevice dev(kPageSize);
+  Wal wal(&dev, MakeMemWalStorage());
+  // 300,001-byte payloads (odd, so no record lines up with a boundary)
+  // put records across the first three segment boundaries.
+  std::vector<std::vector<uint8_t>> images;
+  uint64_t t = wal.BeginTxn();
+  for (uint8_t i = 0; i < 12; ++i) {
+    images.push_back(PatternBytes(300001, i));
+    ASSERT_TRUE(wal.LogPageImage(t, i, images.back()).ok());
+  }
+  ASSERT_TRUE(wal.CommitTxn(t).ok());
+  EXPECT_GT(wal.log_bytes(), 3 * kMemWalSegmentBytes);
+
+  std::vector<WalRecord> recs;
+  bool torn = true;
+  ASSERT_TRUE(wal.ReadRecords(&recs, &torn).ok());
+  EXPECT_FALSE(torn);
+  ASSERT_EQ(recs.size(), images.size() + 1);
+  for (size_t i = 0; i < images.size(); ++i) {
+    WalDecoder dec(recs[i].payload);
+    EXPECT_EQ(dec.GetU64(), i);
+    std::span<const uint8_t> got = dec.GetBytes(images[i].size());
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), images[i].begin(),
+                           images[i].end()));
+  }
+  EXPECT_EQ(recs.back().type, WalRecordType::kCommit);
+}
+
+// A torn tail whose prefix ends exactly on a segment boundary, or starts a
+// fresh segment, recovers like any other torn tail: the committed state
+// survives and the in-flight txn is undone.
+TEST(WalTest, TornTailOnSegmentBoundaryRecovers) {
+  // Record wire format: 20-byte header; a page image's payload is the
+  // u64 page id plus the image. A torn record keeps the header and half
+  // its payload.
+  constexpr size_t kHeader = 20;
+  constexpr size_t kImageRecord = kHeader + 8;
+  for (bool prefix_ends_on_boundary : {true, false}) {
+    SCOPED_TRACE(prefix_ends_on_boundary ? "prefix ends on the boundary"
+                                         : "prefix starts a segment");
+    BlockDevice dev(kPageSize);
+    Pager pager(&dev, 0);  // uncached: the in-flight write reaches the device
+    Wal wal(&dev, MakeMemWalStorage());
+    pager.AttachWal(&wal);
+
+    PageId id;
+    {
+      TxnScope ws(&pager);
+      id = pager.Allocate();
+      ASSERT_TRUE(pager.Write(id, FilledPage(0x11)).ok());
+      ASSERT_TRUE(ws.Commit().ok());
+    }
+    {
+      TxnScope ws(&pager);  // in flight at the crash: must be undone
+      ASSERT_TRUE(pager.Write(id, FilledPage(0x22)).ok());
+
+      // The torn prefix of a record with an m-byte image is
+      // kHeader + (8 + m) / 2 bytes; with m = 1944 that is 996.
+      constexpr size_t kTornImage = 1944;
+      constexpr size_t kTornPrefix = kHeader + (8 + kTornImage) / 2;
+      const uint64_t boundary = kMemWalSegmentBytes;
+      const uint64_t fill_to =
+          prefix_ends_on_boundary ? boundary - kTornPrefix : boundary;
+      // Filler: a resolved (aborted) raw txn whose one image record plus
+      // its abort record end the log exactly at fill_to.
+      const uint64_t filler = wal.BeginTxn();
+      const size_t filler_image =
+          fill_to - wal.log_bytes() - kImageRecord - kHeader;
+      ASSERT_TRUE(
+          wal.LogPageImage(filler, id, PatternBytes(filler_image, 9)).ok());
+      ASSERT_TRUE(wal.AbortTxn(filler).ok());
+      ASSERT_EQ(wal.log_bytes(), fill_to);
+
+      wal.SetCrashAfterRecords(0, Wal::CrashMode::kTorn);
+      const uint64_t torn_txn = wal.BeginTxn();
+      EXPECT_FALSE(
+          wal.LogPageImage(torn_txn, id, PatternBytes(kTornImage, 3)).ok());
+      EXPECT_TRUE(wal.crashed());
+      EXPECT_EQ(wal.log_bytes(), fill_to + kTornPrefix);
+      if (prefix_ends_on_boundary) {
+        EXPECT_EQ(wal.log_bytes(), boundary);
+      }
+    }  // dtor abort can't force (device off): the txn stays unresolved
+
+    auto info = wal.Recover(&pager);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    EXPECT_TRUE(info->torn_tail);
+    EXPECT_EQ(info->committed_txns, 1u);
+    EXPECT_EQ(info->images_restored, 1u);
+    std::vector<uint8_t> out;
+    ASSERT_TRUE(ReadPage(&pager, id, &out).ok());
+    EXPECT_EQ(out, FilledPage(0x11));
+    std::vector<WalRecord> recs;
+    ASSERT_TRUE(wal.ReadRecords(&recs, nullptr).ok());
+    ASSERT_EQ(recs.size(), 1u);
+    EXPECT_EQ(recs[0].type, WalRecordType::kCheckpoint);
+  }
 }
 
 // ---------------------------------------------------------------------------
