@@ -1,4 +1,4 @@
-// Microbenchmark: copy-based Pager::Read vs zero-copy Pager::Pin on the
+// Microbenchmark: a page copy out of a pin vs zero-copy Pager::Pin on the
 // buffer-pool hit path, raw and on a metablock-tree query workload.
 //
 // The paper's cost model counts device transfers only, but a real engine
@@ -10,6 +10,7 @@
 
 #include "bench_util.h"
 
+#include <cstring>
 #include <random>
 #include <vector>
 
@@ -32,6 +33,14 @@ struct WarmDisk {
   Pager pager;
 };
 
+// The copy baseline: the whole page copied out of a pin into `buf`.
+Status CopyPage(Pager* pager, PageId id, std::vector<uint8_t>* buf) {
+  auto page = pager->Pin(id);
+  CCIDX_RETURN_IF_ERROR(page.status());
+  std::memcpy(buf->data(), page->data().data(), buf->size());
+  return Status::OK();
+}
+
 // --- Raw page access: read one warm page N times -------------------------
 
 void BM_RawAccessCopy(benchmark::State& state) {
@@ -48,7 +57,7 @@ void BM_RawAccessCopy(benchmark::State& state) {
   for (auto _ : state) {
     // The historical front end: full page copy into a caller buffer, then
     // decode out of the copy.
-    Status s = disk.pager.Read(ids->front(), buf);
+    Status s = CopyPage(&disk.pager, ids->front(), &buf);
     if (!s.ok()) state.SkipWithError("read failed");
     PageReader r(buf);
     uint32_t count = r.Get<uint32_t>();
@@ -137,7 +146,7 @@ void BM_WarmPageSweepCopy(benchmark::State& state) {
   Coord sum = 0;
   for (auto _ : state) {
     for (PageId id : ids) {
-      Status s = disk.pager.Read(id, buf);
+      Status s = CopyPage(&disk.pager, id, &buf);
       if (!s.ok()) state.SkipWithError("read failed");
       PageReader r(buf);
       uint32_t count = r.Get<uint32_t>();

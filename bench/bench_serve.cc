@@ -316,7 +316,6 @@ int Run() {
   base.query_threads = 4;
   base.update_threads = 2;
   base.queue_capacity = 4096;
-  base.low_watermark = 256;
   // Sweep legs must never shed: the high watermark sits above the
   // largest possible backlog (one outstanding request per client).
   base.high_watermark = 4096;
@@ -341,7 +340,6 @@ int Run() {
   // keeps accepted p99 flat while the excess sheds.
   {
     ServerOptions opts = base;
-    opts.low_watermark = 2;
     opts.high_watermark = 4;
     LegResult r = RunLeg(&fx, opts, 2 * kSaturating, duration);
     Report("serve/overload/c" + std::to_string(2 * kSaturating), &r);

@@ -181,7 +181,6 @@ Status BPlusTree::Insert(int64_t key, uint64_t value, int64_t aux) {
         auto pos = std::upper_bound(node.entries.begin(),
                                     node.entries.end(), entry);
         node.entries.insert(pos, entry);
-        sy_->size.fetch_add(1, std::memory_order_relaxed);
         CCIDX_RETURN_IF_ERROR(
             SplitAndPropagate(std::move(path), std::move(node)));
         return txn.Commit();
@@ -220,7 +219,6 @@ Status BPlusTree::InsertExclusive(const BtEntry& entry) {
 
   auto pos = std::upper_bound(node.entries.begin(), node.entries.end(), entry);
   node.entries.insert(pos, entry);
-  sy_->size.fetch_add(1, std::memory_order_relaxed);
   return SplitAndPropagate(std::move(path), std::move(node));
 }
 
@@ -246,6 +244,7 @@ Status BPlusTree::SplitAndPropagate(
     // to it, so the caller's rollback may free it.
     CCIDX_RETURN_IF_ERROR(StoreNode(right_id, right));
     CCIDX_RETURN_IF_ERROR(StoreNode(node_id, node));
+    if (node.is_leaf) sy_->size.fetch_add(1, std::memory_order_relaxed);
     // The stored left half may now link to this sibling (leaf chain) and
     // to the one split below (promoted child). The chain is not fault-
     // atomic (DESIGN.md §13): a later failure must leak, not free, them.
@@ -270,7 +269,9 @@ Status BPlusTree::SplitAndPropagate(
     CCIDX_CHECK(!node.is_leaf && child_idx < node.entries.size());
     node.entries.insert(node.entries.begin() + child_idx + 1, promoted);
   }
-  return StoreNode(node_id, node);
+  CCIDX_RETURN_IF_ERROR(StoreNode(node_id, node));
+  if (node.is_leaf) sy_->size.fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
 }
 
 Status BPlusTree::Delete(int64_t key, uint64_t value, bool* found) {

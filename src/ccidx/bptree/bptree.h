@@ -185,8 +185,9 @@ class BPlusTree {
   Status DescendToLeaf(PageId start, int64_t key,
                        std::vector<std::pair<PageId, size_t>>* path) const;
 
-  Status InsertIntoLeaf(const std::vector<std::pair<PageId, size_t>>& path,
-                        BtEntry entry);
+  // Stores `node`, the leaf at path.back() holding one new entry,
+  // splitting up the path as needed. The entry counts in size() only once
+  // the leaf level is stored: a failed leaf store leaves it off the device.
   Status SplitAndPropagate(std::vector<std::pair<PageId, size_t>> path,
                            Node node);
 

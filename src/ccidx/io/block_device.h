@@ -10,7 +10,7 @@
 //
 //   * mem  (default)             — the historical in-memory simulator
 //   * file (CCIDX_DEVICE=file)   — a real unlinked temp file, pread/pwrite
-//                                  (+ O_DIRECT / io_uring where available)
+//                                  (+ O_DIRECT where available)
 //
 // CCIDX_DEVICE_LATENCY_US=N injects a deterministic N-microsecond delay
 // per device read — and *one* delay per ReadBatch, which models a real
@@ -76,7 +76,7 @@ class BlockDevice {
 
   uint32_t page_size() const { return page_size_; }
 
-  /// Short label of the storage backend ("mem", "file", "file+uring").
+  /// Short label of the storage backend ("mem", "file").
   const char* backend_name() const { return backend_->name(); }
 
   /// True when transfers leave the process (file backend) — overlap pays

@@ -154,8 +154,7 @@ Pager::Pager(BlockDevice* device, uint32_t capacity_pages)
       prefetch_env != nullptr && std::strcmp(prefetch_env, "0") == 0;
   if (capacity_ > 0 && !prefetch_off &&
       (device_->read_latency_us() > 0 || device_->real_io())) {
-    base_spec_budget_ = kSpeculationBudget;
-    spec_budget_.store(base_spec_budget_, std::memory_order_relaxed);
+    spec_budget_ = kSpeculationBudget;
   }
 
   // One contiguous page-aligned arena for every frame. Strides are
@@ -898,7 +897,7 @@ Result<std::vector<PageRef>> Pager::PinMany(std::span<const PageId> ids) {
 }
 
 void Pager::WarmMany(std::span<const PageId> ids) {
-  if (base_spec_budget_ == 0 || ids.empty()) return;
+  if (spec_budget_ == 0 || ids.empty()) return;
   (void)BatchLoadResident(ids, nullptr);
 }
 
@@ -1076,26 +1075,6 @@ Status Pager::TakeDeferredError() {
   Status s = std::move(deferred_error_);
   deferred_error_ = Status::OK();
   return s;
-}
-
-Status Pager::Read(PageId id, std::span<uint8_t> out) {
-  if (out.size() != device_->page_size()) {
-    return Status::InvalidArgument("pager read buffer size mismatch");
-  }
-  auto ref = Pin(id);
-  CCIDX_RETURN_IF_ERROR(ref.status());
-  std::memcpy(out.data(), ref->data().data(), out.size());
-  return Status::OK();
-}
-
-Status Pager::Write(PageId id, std::span<const uint8_t> in) {
-  if (in.size() != device_->page_size()) {
-    return Status::InvalidArgument("pager write buffer size mismatch");
-  }
-  auto ref = PinMut(id, MutMode::kOverwrite);
-  CCIDX_RETURN_IF_ERROR(ref.status());
-  std::memcpy(ref->data().data(), in.data(), in.size());
-  return ref->Release();
 }
 
 Status Pager::Flush() {

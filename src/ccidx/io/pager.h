@@ -347,7 +347,7 @@ class Pager {
     /// on a pool miss / uncached pin.
     kLoad,
     /// Caller rewrites the whole page: the view starts zero-filled and no
-    /// device read is ever issued. This is the historical Write() cost.
+    /// device read is ever issued.
     kOverwrite,
   };
 
@@ -416,32 +416,12 @@ class Pager {
   /// <= this many unused pages per descent level.
   static constexpr uint32_t kSpeculationBudget = 4;
 
-  /// The current speculation budget: kSpeculationBudget unless throttled,
-  /// and zero whenever speculation is off: cost-model devices (in-memory
-  /// with zero injected latency), uncached pools, or CCIDX_PREFETCH=0.
-  /// Call sites gate their speculative/batched paths on this being
-  /// nonzero, so cost-model I/O counts never change.
-  uint32_t speculation_budget() const {
-    return spec_budget_.load(std::memory_order_relaxed);
-  }
-
-  /// The budget speculation restores to: kSpeculationBudget, or 0 when
-  /// overlap is structurally off. set_speculation_budget restores to at
-  /// most this.
-  uint32_t base_speculation_budget() const { return base_spec_budget_; }
-
-  /// Runtime throttle for the speculation budget (DESIGN.md §10/§12): an
-  /// admission controller lowers it toward 0 under load so speculative
-  /// I/O yields the device to demand I/O, and restores it when the
-  /// backlog clears. Clamped to [0, base_speculation_budget()], so on a
-  /// cost-model device (base 0) this can never turn speculation *on* —
-  /// counted I/Os stay exact no matter who calls it. Thread-safe (one
-  /// relaxed atomic store); descents racing with a change see either
-  /// budget, both of which are correct.
-  void set_speculation_budget(uint32_t budget) {
-    if (budget > base_spec_budget_) budget = base_spec_budget_;
-    spec_budget_.store(budget, std::memory_order_relaxed);
-  }
+  /// The speculation budget, fixed at construction: kSpeculationBudget
+  /// when overlap pays (a cached pool over a device with injected latency
+  /// or real kernel I/O, and CCIDX_PREFETCH not 0), else zero. Call sites
+  /// gate their speculative/batched paths on this being nonzero, so
+  /// cost-model I/O counts never change.
+  uint32_t speculation_budget() const { return spec_budget_; }
 
   /// Pages WarmMany has read from the device since construction
   /// (diagnostics).
@@ -463,14 +443,6 @@ class Pager {
 
   /// Total outstanding pin handles (pool + transient).
   uint64_t outstanding_pins() const;
-
-  /// Copies the page into `out` (size page_size()). Thin wrapper over Pin,
-  /// kept for fault-injection tests and callers that need an owned copy.
-  Status Read(PageId id, std::span<uint8_t> out);
-
-  /// Replaces the page contents from `in` (size page_size()). Thin wrapper
-  /// over PinMut(kOverwrite).
-  Status Write(PageId id, std::span<const uint8_t> in);
 
   /// Writes back all dirty pages (keeps them cached clean). Frames with an
   /// active mutable pin are written but stay dirty (the writer may still
@@ -638,11 +610,9 @@ class Pager {
   // Speculation gate (DESIGN.md §10): batched warm-ups and speculative
   // descent fetches are enabled only when overlap pays — injected latency
   // or real kernel I/O — on a cached pool with CCIDX_PREFETCH not 0. The
-  // base budget is kSpeculationBudget then, else 0; the current budget
-  // is atomic because the serve-layer admission controller stores it from
-  // its dispatcher thread while descents load on the workers.
-  std::atomic<uint32_t> spec_budget_{0};
-  uint32_t base_spec_budget_ = 0;
+  // budget is kSpeculationBudget then, else 0; set once by the
+  // constructor and never changed.
+  uint32_t spec_budget_ = 0;
 
   std::mutex deferred_mu_;
   Status deferred_error_;

@@ -12,13 +12,6 @@
 #include <thread>
 #include <vector>
 
-#if defined(__has_include)
-#if __has_include(<liburing.h>)
-#define CCIDX_HAVE_LIBURING 1
-#include <liburing.h>
-#endif
-#endif
-
 namespace ccidx {
 
 Status StorageBackend::ReadPages(const PageReadRequest* reqs, size_t count) {
@@ -115,31 +108,14 @@ class FileStorageBackend final : public StorageBackend {
     }
     CCIDX_CHECK(zero_buf_ != nullptr);
     std::memset(zero_buf_, 0, page_size_);
-#if defined(CCIDX_HAVE_LIBURING)
-    // io_uring is strictly opt-in (CCIDX_URING=1): kernels and seccomp
-    // sandboxes that reject io_uring_setup are common, and the thread-pool
-    // fallback is always correct.
-    const char* env = std::getenv("CCIDX_URING");
-    if (env != nullptr && std::strcmp(env, "1") == 0) {
-      uring_ok_ = io_uring_queue_init(64, &ring_, 0) == 0;
-    }
-#endif
   }
 
   ~FileStorageBackend() override {
-#if defined(CCIDX_HAVE_LIBURING)
-    if (uring_ok_) io_uring_queue_exit(&ring_);
-#endif
     std::free(zero_buf_);
     ::close(fd_);
   }
 
-  const char* name() const override {
-#if defined(CCIDX_HAVE_LIBURING)
-    if (uring_ok_) return "file+uring";
-#endif
-    return "file";
-  }
+  const char* name() const override { return "file"; }
   bool real_io() const override { return true; }
 
   Status EnsureCapacity(uint64_t num_pages) override {
@@ -182,11 +158,6 @@ class FileStorageBackend final : public StorageBackend {
     if (count < kBatchSpawnThreshold) {
       return StorageBackend::ReadPages(reqs, count);
     }
-#if defined(CCIDX_HAVE_LIBURING)
-    if (uring_ok_ && !AnyBounce(reqs, count)) {
-      return ReadPagesUring(reqs, count);
-    }
-#endif
     return ReadPagesThreaded(reqs, count);
   }
 
@@ -214,14 +185,6 @@ class FileStorageBackend final : public StorageBackend {
   bool NeedsBounce(const void* p) const {
     return direct_ &&
            (reinterpret_cast<uintptr_t>(p) % kDirectAlign) != 0;
-  }
-
-  bool AnyBounce(const PageReadRequest* reqs, size_t count) const {
-    if (!direct_) return false;
-    for (size_t i = 0; i < count; ++i) {
-      if (NeedsBounce(reqs[i].out)) return true;
-    }
-    return false;
   }
 
   off_t Offset(PageId id) const {
@@ -289,58 +252,11 @@ class FileStorageBackend final : public StorageBackend {
     return first_err;
   }
 
-#if defined(CCIDX_HAVE_LIBURING)
-  // io_uring batch submission: one submit_and_wait per chunk of the ring.
-  // Serialized under uring_mu_ — the ring is a single shared resource; the
-  // parallelism is inside the kernel.
-  Status ReadPagesUring(const PageReadRequest* reqs, size_t count) {
-    std::lock_guard lock(uring_mu_);
-    size_t submitted = 0;
-    while (submitted < count) {
-      unsigned chunk = 0;
-      while (submitted + chunk < count) {
-        struct io_uring_sqe* sqe = io_uring_get_sqe(&ring_);
-        if (sqe == nullptr) break;
-        const PageReadRequest& r = reqs[submitted + chunk];
-        io_uring_prep_read(sqe, fd_, r.out, page_size_, Offset(r.id));
-        chunk++;
-      }
-      if (chunk == 0) {
-        return Status::IoError("io_uring submission queue stalled");
-      }
-      int rc = io_uring_submit_and_wait(&ring_, chunk);
-      if (rc < 0) {
-        return Status::IoError("io_uring_submit_and_wait failed");
-      }
-      Status first_err;
-      for (unsigned i = 0; i < chunk; ++i) {
-        struct io_uring_cqe* cqe = nullptr;
-        if (io_uring_wait_cqe(&ring_, &cqe) != 0) {
-          return Status::IoError("io_uring_wait_cqe failed");
-        }
-        if (first_err.ok() &&
-            cqe->res != static_cast<int32_t>(page_size_)) {
-          first_err = Status::IoError("io_uring short or failed read");
-        }
-        io_uring_cqe_seen(&ring_, cqe);
-      }
-      CCIDX_RETURN_IF_ERROR(first_err);
-      submitted += chunk;
-    }
-    return Status::OK();
-  }
-#endif
-
   int fd_;
   uint32_t page_size_;
   bool direct_;
   uint64_t file_bytes_ = 0;
   uint8_t* zero_buf_ = nullptr;
-#if defined(CCIDX_HAVE_LIBURING)
-  bool uring_ok_ = false;
-  std::mutex uring_mu_;
-  struct io_uring ring_;
-#endif
 };
 
 // Opens an anonymous temp file in `dir`: O_TMPFILE when the filesystem

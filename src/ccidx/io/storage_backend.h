@@ -8,9 +8,9 @@
 //   * mem  — the historical in-memory simulator (default): one zeroed
 //            heap allocation per page, stable addresses.
 //   * file — a real file (pread/pwrite), O_DIRECT where the page size
-//            permits it, io_uring batch submission behind the CCIDX_URING
-//            gate with a portable thread-pool fallback. Exists so the
-//            full test suite can replay against real kernel I/O paths.
+//            permits it, batch reads fanned out over a few helper
+//            threads. Exists so the full test suite can replay against
+//            real kernel I/O paths.
 //
 // Locking discipline is inherited from BlockDevice and is part of this
 // contract: EnsureCapacity / ZeroPage are invoked only under the device's
@@ -49,7 +49,7 @@ class StorageBackend {
  public:
   virtual ~StorageBackend() = default;
 
-  /// Short stable label ("mem", "file", "file+uring") for logs and the
+  /// Short stable label ("mem", "file") for logs and the
   /// per-line `backend` field in benchmark JSON.
   virtual const char* name() const = 0;
 
@@ -70,8 +70,8 @@ class StorageBackend {
   /// Overwrites one page from `in` (exactly page_size bytes). Shared lock.
   virtual Status WritePage(PageId id, const uint8_t* in) = 0;
 
-  /// Reads `count` pages, as concurrently as the backend can (io_uring /
-  /// thread pool for file, plain loop for mem). All-or-error: on failure
+  /// Reads `count` pages, as concurrently as the backend can (helper
+  /// threads for file, plain loop for mem). All-or-error: on failure
   /// the buffer contents are unspecified and the caller retries or aborts
   /// page-at-a-time. Shared lock. The base implementation is the serial
   /// loop, which is exact for zero-latency memory.
@@ -89,8 +89,8 @@ std::unique_ptr<StorageBackend> MakeMemStorageBackend(uint32_t page_size);
 
 /// File-backed storage in `dir` (an anonymous unlinked temp file; empty
 /// dir means $TMPDIR or /tmp). Attempts O_DIRECT when page_size is a
-/// multiple of 4096; uses io_uring for ReadPages when built against
-/// liburing *and* CCIDX_URING=1, else a small persistent thread pool.
+/// multiple of 4096; ReadPages fans a batch of four or more pages out over
+/// up to three helper threads plus the caller.
 Result<std::unique_ptr<StorageBackend>> MakeFileStorageBackend(
     uint32_t page_size, const std::string& dir);
 

@@ -1,5 +1,5 @@
-// The serving catalog and tuning knobs shared by the server and the
-// dispatcher (DESIGN.md §12).
+// The serving catalog, the server's tuning options and the fixed serving
+// constants shared by the server and the dispatcher (DESIGN.md §12).
 
 #ifndef CCIDX_SERVE_CATALOG_H_
 #define CCIDX_SERVE_CATALOG_H_
@@ -31,36 +31,35 @@ struct ServeTables {
   const ThreeSidedTree* three_sided = nullptr;
 };
 
-/// Server tuning. Defaults serve a small-to-medium deployment; the load
-/// driver sweeps these.
+/// Server tuning: the knobs a deployment sets.
 struct ServerOptions {
   /// Bound on queued submissions (caps the high watermark). Reserves no
   /// memory: the queue's ring grows with the backlog.
   size_t queue_capacity = 1024;
-  /// Busy threshold: at/above this depth the admission controller drops
-  /// Pager::speculation_budget() to 0 (demand I/O first).
-  size_t low_watermark = 64;
   /// Shed threshold: at/above this depth new requests answer kOverloaded.
   size_t high_watermark = 512;
   /// Reader workers in the QueryExecutor (0 = hardware concurrency).
   unsigned query_threads = 4;
   /// Writer workers in the UpdateExecutor.
   unsigned update_threads = 2;
-  /// Adaptive batch-formation cap: the dispatcher never forms a larger
-  /// batch than this, whatever the backlog.
-  size_t max_batch = 256;
   /// Nonzero pins batch formation to exactly this size (no adaptation) —
   /// the load driver's batch-size-1 comparison leg.
   size_t fixed_batch = 0;
-  /// How long PopBatch blocks for the *first* submission. Batch growth
-  /// past the first never waits: at low load a request dispatches alone
-  /// immediately (latency), at high load the backlog fills the batch
-  /// (throughput) — waiting is the one thing adaptive formation must
-  /// never add at low load.
-  std::chrono::nanoseconds batch_wait{2'000'000};  // 2 ms idle poll
-  /// Flow-control window per session (concurrent requests).
-  uint32_t session_credits = 1u << 16;
 };
+
+/// Adaptive batch-formation cap: the dispatcher never forms a larger
+/// batch than this, whatever the backlog.
+inline constexpr size_t kMaxBatch = 256;
+
+/// How long PopBatch blocks for the *first* submission. Batch growth past
+/// the first never waits: at low load a request dispatches alone
+/// immediately (latency), at high load the backlog fills the batch
+/// (throughput) — waiting is the one thing adaptive formation must never
+/// add at low load.
+inline constexpr std::chrono::nanoseconds kBatchWait{2'000'000};  // 2 ms
+
+/// Flow-control window per session (concurrent requests).
+inline constexpr uint32_t kSessionCredits = 1u << 16;
 
 }  // namespace serve
 }  // namespace ccidx

@@ -123,14 +123,14 @@ void Dispatcher::Loop() {
   for (;;) {
     batch.clear();
     expired.clear();
-    size_t got = queue_->PopBatch(&batch, &expired, target, opts_.batch_wait);
+    size_t got = queue_->PopBatch(&batch, &expired, target, kBatchWait);
     // Batch-admission hook: a writer is draining at the gate, so a read
     // batch entered now would park. Convert that wait into batch growth
     // with one more non-blocking drain (adaptive mode only — the pinned
     // comparison leg must stay pinned).
-    if (got > 0 && opts_.fixed_batch == 0 && got < opts_.max_batch &&
+    if (got > 0 && opts_.fixed_batch == 0 && got < kMaxBatch &&
         query_exec_->gate_busy()) {
-      got += queue_->PopBatch(&batch, &expired, opts_.max_batch - got,
+      got += queue_->PopBatch(&batch, &expired, kMaxBatch - got,
                               std::chrono::nanoseconds{0});
     }
     // Deadline-expired submissions answer without executing.
@@ -152,7 +152,7 @@ void Dispatcher::Loop() {
       const double observed = static_cast<double>(got + queue_->depth());
       load_ewma = 0.75 * load_ewma + 0.25 * observed;
       target = std::clamp(static_cast<size_t>(std::lround(load_ewma)),
-                          size_t{1}, opts_.max_batch);
+                          size_t{1}, kMaxBatch);
     }
     target_now_.store(target, std::memory_order_relaxed);
   }

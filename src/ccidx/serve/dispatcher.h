@@ -2,17 +2,17 @@
 // adaptive batch formation (DESIGN.md §12).
 //
 // Batch-formation policy. The dispatcher pops up to `target` submissions
-// per round; only the *first* pop of an idle round blocks (batch_wait),
+// per round; only the *first* pop of an idle round blocks (kBatchWait),
 // growth past the first takes whatever backlog exists and never waits.
 // `target` tracks an EWMA of the observed load (items popped + backlog
 // remaining after the pop — a Little's-law proxy for arrival rate ×
-// batch service time), clamped to [1, max_batch]:
+// batch service time), clamped to [1, kMaxBatch]:
 //
 //   * low load: the backlog is empty, the EWMA decays to ~1, and each
 //     request dispatches alone the moment it arrives — minimum latency;
 //   * high load: the backlog is deep, the EWMA rises to the cap, and
 //     each RunBatch amortizes its gate entry + worker wake over up to
-//     max_batch queries — maximum throughput.
+//     kMaxBatch queries — maximum throughput.
 //
 // Batch-admission hook: when the epoch gate has a writer active or
 // queued (QueryExecutor::gate_busy()), a reader batch entered now would

@@ -6,26 +6,11 @@ namespace ccidx {
 namespace serve {
 
 Server::Server(const ServeTables& tables, const ServerOptions& opts)
-    : tables_(tables),
-      opts_(opts),
-      queue_(opts.queue_capacity, opts.low_watermark, opts.high_watermark),
+    : opts_(opts),
+      queue_(opts.queue_capacity, opts.high_watermark),
       query_exec_(opts.query_threads),
       update_exec_(opts.update_threads),
-      dispatcher_(tables, opts, &queue_, &query_exec_, &update_exec_) {
-  // Admission controller (the PR 7 follow-on): watermark transitions
-  // throttle the speculation budget. kNormal restores the configured
-  // ceiling; kBusy/kOverloaded zero it so demand reads own the device.
-  // The listener runs under the queue lock — one relaxed atomic store,
-  // per the submission-queue contract.
-  if (tables_.pager != nullptr) {
-    Pager* pager = tables_.pager;
-    queue_.set_level_listener([pager](QueueLevel level) {
-      pager->set_speculation_budget(
-          level == QueueLevel::kNormal ? pager->base_speculation_budget()
-                                       : 0);
-    });
-  }
-}
+      dispatcher_(tables, opts, &queue_, &query_exec_, &update_exec_) {}
 
 Server::~Server() { Stop(); }
 
@@ -38,19 +23,12 @@ void Server::Stop() {
   if (!running_.exchange(false)) return;
   queue_.Close();
   dispatcher_.Stop();
-  // Serving is over: hand the speculation budget back to its configured
-  // value so post-serving work (rebuilds, benches) is not left throttled
-  // by whatever level the queue drained at.
-  if (tables_.pager != nullptr) {
-    tables_.pager->set_speculation_budget(
-        tables_.pager->base_speculation_budget());
-  }
 }
 
 Session* Server::OpenSession(Session::Writer writer) {
   std::lock_guard lock(sessions_mu_);
   sessions_.push_back(std::make_unique<Session>(
-      next_session_id_++, opts_.session_credits, std::move(writer)));
+      next_session_id_++, kSessionCredits, std::move(writer)));
   return sessions_.back().get();
 }
 

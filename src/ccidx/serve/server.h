@@ -4,11 +4,7 @@
 //   transport -> OnFrame (decode, credit, deadline) -> SubmissionQueue
 //            -> Dispatcher (adaptive batches) -> executors -> Session
 //
-// and the admission controller: the queue's watermark level listener
-// throttles Pager::set_speculation_budget() — kNormal restores the
-// configured budget, kBusy/kOverloaded drop it to 0 so speculative
-// sibling fetches stop competing with demand reads exactly when the
-// backlog says the device is the bottleneck (the PR 7 follow-on).
+// Admission is the queue's one policy: shed at the high watermark.
 //
 // Shutdown order is the session-lifetime contract (§12): Stop() closes
 // the queue (new pushes shed), the dispatcher drains what is left and
@@ -92,7 +88,6 @@ class Server {
   const ServerOptions& options() const { return opts_; }
 
  private:
-  const ServeTables tables_;
   const ServerOptions opts_;
 
   SubmissionQueue queue_;

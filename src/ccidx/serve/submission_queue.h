@@ -2,10 +2,8 @@
 // and the dispatcher (DESIGN.md §12).
 //
 // Admission policy — shed, don't collapse: the queue has a capacity and
-// two watermarks. Below the low watermark the server is kNormal; between
-// low and high it is kBusy (still admitting, but the level listener
-// throttles speculative I/O so demand reads own the device); at or above
-// the high watermark new submissions are rejected immediately with
+// one threshold, the high watermark. Below it every submission is
+// admitted; at or above it new submissions are rejected immediately with
 // kOverloaded (TryPush returns kShed) — the client learns in
 // microseconds instead of queueing into a latency collapse.
 // Accepted requests carry their admission time and absolute deadline;
@@ -13,20 +11,8 @@
 // separately so the dispatcher can answer kDeadlineExceeded without
 // executing them).
 //
-// The level listener fires on watermark *transitions* (edge-triggered,
-// at most one callback per crossing) and is how the admission controller
-// throttles Pager::set_speculation_budget() — the PR 7 follow-on. The
-// transition is detected and latched under the queue lock, but the
-// callback itself runs AFTER the lock is released: listeners may call
-// queue accessors (depth(), level()) without self-deadlocking. When two
-// threads race opposite crossings, each fires exactly one callback with
-// its own transition's level, but the two callbacks' arrival order is
-// best-effort — listeners that care should read level() (the latest
-// state), which is exactly what makes them deadlock-prone under the old
-// fire-under-lock scheme.
-//
 // Implementation: a mutex-guarded ring. At serving batch sizes the lock
-// is held for pointer moves only; fairness and the watermark accounting
+// is held for pointer moves only; fairness and the shed accounting
 // matter far more here than lock-freedom, and the dispatcher drains in
 // batches so producers rarely contend with more than one consumer. The
 // ring's slot count is a power of two that starts at kInitialSlots (or
@@ -46,7 +32,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <vector>
 
@@ -70,32 +55,17 @@ struct Submission {
 
 enum class Admission : uint8_t { kAdmitted = 0, kShed = 1 };
 
-/// Watermark level, exported to the admission controller.
-enum class QueueLevel : uint8_t { kNormal = 0, kBusy = 1, kOverloaded = 2 };
-
 class SubmissionQueue {
  public:
   /// `capacity` bounds queued submissions; shedding starts at
-  /// `high_watermark` (clamped to capacity) and the busy throttle engages
-  /// at `low_watermark` (< high). A queue that is never above low behaves
-  /// exactly like an unbounded one. No slot is reserved for capacity up
-  /// front: the ring grows with the backlog (see slots()).
-  SubmissionQueue(size_t capacity, size_t low_watermark,
-                  size_t high_watermark)
-      : low_(low_watermark),
-        high_(high_watermark <= capacity ? high_watermark : capacity),
+  /// `high_watermark` (clamped to capacity). No slot is reserved for
+  /// capacity up front: the ring grows with the backlog (see slots()).
+  SubmissionQueue(size_t capacity, size_t high_watermark)
+      : high_(high_watermark <= capacity ? high_watermark : capacity),
         ring_(std::bit_ceil(std::min(high_, kInitialSlots))) {}
 
   SubmissionQueue(const SubmissionQueue&) = delete;
   SubmissionQueue& operator=(const SubmissionQueue&) = delete;
-
-  /// Installed by the server; called (after the queue lock is released —
-  /// accessors like depth() are safe inside) whenever the watermark level
-  /// changes.
-  void set_level_listener(std::function<void(QueueLevel)> listener) {
-    std::lock_guard lock(mu_);
-    listener_ = std::move(listener);
-  }
 
   /// Admit or shed. O(1); never blocks. Sheds when size >= high
   /// watermark. A closed queue also rejects, but that is shutdown
@@ -103,7 +73,6 @@ class SubmissionQueue {
   /// shed(), so the overload shed *rate* stays meaningful while clients
   /// drain against a closing server.
   Admission TryPush(Submission s) {
-    PendingLevel pending;
     {
       std::lock_guard lock(mu_);
       if (closed_) {
@@ -119,10 +88,8 @@ class SubmissionQueue {
       ++size_;
       admitted_.fetch_add(1, std::memory_order_relaxed);
       NoteDepthLocked(size_);
-      pending = UpdateLevelLocked();
     }
     cv_.notify_one();
-    if (pending.fn) pending.fn(pending.level);
     return Admission::kAdmitted;
   }
 
@@ -140,32 +107,26 @@ class SubmissionQueue {
   size_t PopBatch(std::vector<Submission>* out,
                   std::vector<Submission>* expired, size_t max_n,
                   std::chrono::nanoseconds wait) {
-    PendingLevel pending;
-    size_t popped = 0;
-    {
-      std::unique_lock lock(mu_);
-      if (size_ == 0 && wait.count() > 0) {
-        cv_.wait_for(lock, wait, [this] { return size_ > 0 || closed_; });
-      }
-      size_t expired_moved = 0;
-      const auto now = std::chrono::steady_clock::now();
-      while (size_ > 0 && popped < max_n &&
-             expired_moved < kMaxExpiredPerPop) {
-        Submission& s = ring_[head_];
-        if (s.deadline < now) {
-          expired->push_back(std::move(s));
-          deadline_dropped_.fetch_add(1, std::memory_order_relaxed);
-          ++expired_moved;  // a dropped request frees a slot for a live one
-        } else {
-          out->push_back(std::move(s));
-          ++popped;
-        }
-        head_ = (head_ + 1) & (ring_.size() - 1);
-        --size_;
-      }
-      pending = UpdateLevelLocked();
+    std::unique_lock lock(mu_);
+    if (size_ == 0 && wait.count() > 0) {
+      cv_.wait_for(lock, wait, [this] { return size_ > 0 || closed_; });
     }
-    if (pending.fn) pending.fn(pending.level);
+    size_t popped = 0;
+    size_t expired_moved = 0;
+    const auto now = std::chrono::steady_clock::now();
+    while (size_ > 0 && popped < max_n && expired_moved < kMaxExpiredPerPop) {
+      Submission& s = ring_[head_];
+      if (s.deadline < now) {
+        expired->push_back(std::move(s));
+        deadline_dropped_.fetch_add(1, std::memory_order_relaxed);
+        ++expired_moved;  // a dropped request frees a slot for a live one
+      } else {
+        out->push_back(std::move(s));
+        ++popped;
+      }
+      head_ = (head_ + 1) & (ring_.size() - 1);
+      --size_;
+    }
     return popped;
   }
 
@@ -185,10 +146,6 @@ class SubmissionQueue {
   bool closed() const {
     std::lock_guard lock(mu_);
     return closed_;
-  }
-  QueueLevel level() const {
-    std::lock_guard lock(mu_);
-    return level_;
   }
   /// Ring slots allocated: the queue's resident memory is
   /// slots() * sizeof(Submission). At most max(kInitialSlots, 2 x the
@@ -249,33 +206,6 @@ class SubmissionQueue {
     depth_hist_[bucket].fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// A latched watermark transition whose callback still has to run (after
-  /// mu_ is released). fn is empty when no transition happened.
-  struct PendingLevel {
-    std::function<void(QueueLevel)> fn;
-    QueueLevel level = QueueLevel::kNormal;
-  };
-
-  // Detects and latches a level transition under mu_; the caller fires the
-  // returned callback after unlocking. level_ changes only here, under the
-  // lock, so exactly one caller observes (and reports) each crossing —
-  // the edge-trigger guarantee survives the deferred fire.
-  PendingLevel UpdateLevelLocked() {
-    QueueLevel next = size_ >= high_  ? QueueLevel::kOverloaded
-                      : size_ >= low_ ? QueueLevel::kBusy
-                                      : QueueLevel::kNormal;
-    PendingLevel pending;
-    if (next != level_) {
-      level_ = next;
-      if (listener_) {
-        pending.fn = listener_;  // snapshot: set_level_listener may race
-        pending.level = next;
-      }
-    }
-    return pending;
-  }
-
-  const size_t low_;
   const size_t high_;
 
   mutable std::mutex mu_;
@@ -284,8 +214,6 @@ class SubmissionQueue {
   size_t head_ = 0;               // guarded by mu_
   size_t size_ = 0;               // guarded by mu_
   bool closed_ = false;           // guarded by mu_
-  QueueLevel level_ = QueueLevel::kNormal;         // guarded by mu_
-  std::function<void(QueueLevel)> listener_;       // guarded by mu_
 
   std::atomic<uint64_t> admitted_{0};
   std::atomic<uint64_t> shed_{0};

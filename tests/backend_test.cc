@@ -299,8 +299,9 @@ TEST(PinManyTest, UncachedPoolReadsOneCopyPerRequest) {
   BlockDevice device(kPageSize, {"mem", "", 0});
   Pager pager(&device, 0);  // caching disabled: exact uncached cost model
   PageId a = pager.Allocate();
-  std::vector<uint8_t> zeros(kPageSize, 0);
-  ASSERT_TRUE(pager.Write(a, zeros).ok());
+  auto page = pager.PinMut(a, Pager::MutMode::kOverwrite);  // zero-filled
+  ASSERT_TRUE(page.ok());
+  ASSERT_TRUE(page->Release().ok());
   device.ResetStats();
 
   PageId ids[3] = {a, a, a};

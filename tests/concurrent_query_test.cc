@@ -274,9 +274,10 @@ TEST(ConcurrentPagerStressTest, PinReleaseEvictionChurnTinyPool) {
   std::vector<PageId> ids;
   for (int i = 0; i < kPages; ++i) {
     PageId id = pager.Allocate();
-    std::vector<uint8_t> fill(kPageSize,
-                              static_cast<uint8_t>((i * 37 + 11) & 0xFF));
-    ASSERT_TRUE(pager.Write(id, fill).ok());
+    auto page = pager.PinMut(id, Pager::MutMode::kOverwrite);
+    ASSERT_TRUE(page.ok());
+    std::memset(page->data().data(), (i * 37 + 11) & 0xFF, kPageSize);
+    ASSERT_TRUE(page->Release().ok());
     ids.push_back(id);
   }
   ASSERT_TRUE(pager.DropCache().ok());
@@ -330,8 +331,10 @@ TEST(ConcurrentPagerStressTest, MultiShardHotSetStaysResident) {
   std::vector<PageId> ids;
   for (int i = 0; i < kPages; ++i) {
     PageId id = pager.Allocate();
-    std::vector<uint8_t> fill(kPageSize, static_cast<uint8_t>(i + 1));
-    ASSERT_TRUE(pager.Write(id, fill).ok());
+    auto page = pager.PinMut(id, Pager::MutMode::kOverwrite);
+    ASSERT_TRUE(page.ok());
+    std::memset(page->data().data(), i + 1, kPageSize);
+    ASSERT_TRUE(page->Release().ok());
     ids.push_back(id);
   }
   ASSERT_TRUE(pager.DropCache().ok());
@@ -378,8 +381,10 @@ TEST(ConcurrentPagerStressTest, ShardSaturationDegradesToTransientReads) {
   std::vector<PageId> ids;
   for (int i = 0; i < 600; ++i) {
     PageId id = pager.Allocate();
-    std::vector<uint8_t> fill(256, static_cast<uint8_t>(i & 0xFF));
-    ASSERT_TRUE(pager.Write(id, fill).ok());
+    auto page = pager.PinMut(id, Pager::MutMode::kOverwrite);
+    ASSERT_TRUE(page.ok());
+    std::memset(page->data().data(), i & 0xFF, 256);
+    ASSERT_TRUE(page->Release().ok());
     ids.push_back(id);
   }
   ASSERT_TRUE(pager.DropCache().ok());
@@ -414,8 +419,10 @@ TEST(ConcurrentPagerStressTest, SamePageConcurrentPins) {
   BlockDevice dev(256);
   Pager pager(&dev, 32);
   PageId id = pager.Allocate();
-  std::vector<uint8_t> fill(256, 0x5A);
-  ASSERT_TRUE(pager.Write(id, fill).ok());
+  auto page = pager.PinMut(id, Pager::MutMode::kOverwrite);
+  ASSERT_TRUE(page.ok());
+  std::memset(page->data().data(), 0x5A, 256);
+  ASSERT_TRUE(page->Release().ok());
 
   std::atomic<uint64_t> failures{0};
   std::vector<std::thread> threads;

@@ -121,10 +121,14 @@ TEST(ConcurrentUpdate, QuiescedUpdatesMatchSequentialReplay) {
   auto boundaries = BoundaryAnswers(initial, rounds, queries);
 
   QueryExecutor exec(4);
+  std::atomic<bool> reading{false};
   std::atomic<bool> done{false};
   std::atomic<size_t> rounds_applied{0};
   Status updater_status;
   std::thread updater([&] {
+    // Start once the first batch is under way, so at least one batch runs
+    // however the threads are scheduled.
+    while (!reading.load(std::memory_order_acquire)) std::this_thread::yield();
     for (const Round& r : rounds) {
       auto guard = exec.Quiesce();  // drains in-flight batches
       Status s = ApplyRound(&*st, r);
@@ -144,6 +148,7 @@ TEST(ConcurrentUpdate, QuiescedUpdatesMatchSequentialReplay) {
   while (!done.load(std::memory_order_acquire)) {
     size_t applied_before = rounds_applied.load(std::memory_order_acquire);
     std::vector<std::vector<Point>> got(queries.size());
+    reading.store(true, std::memory_order_release);
     auto report = exec.RunBatch(
         std::span<const ThreeSidedQuery>(queries),
         [&](const ThreeSidedQuery& q, size_t index, unsigned) {

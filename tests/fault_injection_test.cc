@@ -127,7 +127,7 @@ TEST(FaultInjectionTest, IntervalStabPropagatesErrors) {
   });
 }
 
-TEST(FaultInjectionTest, BptreeInsertFailsCleanly) {
+TEST(FaultInjectionTest, BptreeInsertFailureLeavesTreeQueryable) {
   BlockDevice dev(256);
   Pager pager(&dev, 0);
   BPlusTree tree(&pager);
@@ -143,6 +143,48 @@ TEST(FaultInjectionTest, BptreeInsertFailsCleanly) {
   VectorSink<BtEntry> sink(&out);
   EXPECT_TRUE(tree.RangeScan(0, 199, &sink).ok());
   EXPECT_GE(out.size(), 200u);
+}
+
+// An insert whose leaf store fails leaves the entry off the device, so
+// size() must not count it; a retry then inserts it.
+TEST(FaultInjectionTest, BptreeInsertFailsCleanly) {
+  BlockDevice dev(PageSizeForBranching(16));
+  Pager pager(&dev, 0);
+  BPlusTree tree(&pager);
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(tree.Insert(i, static_cast<uint64_t>(i)).ok());
+  }
+  auto scan_count = [&] {
+    std::vector<BtEntry> out;
+    VectorSink<BtEntry> sink(&out);
+    EXPECT_TRUE(tree.RangeScan(kCoordMin, kCoordMax, &sink).ok());
+    return out.size();
+  };
+  // Three reads reach the leaf (the root's routing pin, the internal node
+  // and the leaf's load); the transfer after them, the leaf store, fails.
+  dev.SetFailAfter(3);
+  Status s = tree.Insert(100, 1000);
+  dev.SetFailAfter(-1);
+  EXPECT_EQ(s.code(), StatusCode::kIoError) << s.ToString();
+  EXPECT_EQ(tree.size(), scan_count());
+
+  ASSERT_TRUE(tree.Insert(100, 1000).ok());
+  EXPECT_EQ(tree.size(), scan_count());
+  EXPECT_EQ(tree.size(), 201u);
+
+  // Splits: fail each transfer of each insert in turn until it succeeds.
+  // A split that fails after its leaf halves are stored leaves the entry
+  // reachable through the leaf chain, so it counts, and the retry adds a
+  // duplicate; either way size() is what a scan counts.
+  for (uint64_t v = 2000; v < 2064; ++v) {
+    for (int64_t k = 0;; ++k) {
+      dev.SetFailAfter(k);
+      Status st = tree.Insert(100, v);
+      dev.SetFailAfter(-1);
+      ASSERT_EQ(tree.size(), scan_count()) << "value " << v << " fault " << k;
+      if (st.ok()) break;
+    }
+  }
 }
 
 // A delete whose leaf store fails leaves the entry on the device, so it

@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <span>
 
 #include "ccidx/io/block_device.h"
 #include "ccidx/io/page_builder.h"
@@ -13,6 +14,22 @@ namespace ccidx {
 namespace {
 
 constexpr uint32_t kPageSize = 256;
+
+// Whole-page copies through the pin API: an overwrite pin plus a memcpy
+// in, a read pin plus a memcpy out.
+Status WritePage(Pager* pager, PageId id, std::span<const uint8_t> in) {
+  auto page = pager->PinMut(id, Pager::MutMode::kOverwrite);
+  CCIDX_RETURN_IF_ERROR(page.status());
+  std::memcpy(page->data().data(), in.data(), in.size());
+  return page->Release();
+}
+
+Status ReadPage(Pager* pager, PageId id, std::span<uint8_t> out) {
+  auto page = pager->Pin(id);
+  CCIDX_RETURN_IF_ERROR(page.status());
+  std::memcpy(out.data(), page->data().data(), out.size());
+  return Status::OK();
+}
 
 TEST(BlockDeviceTest, AllocateReadWriteRoundTrip) {
   BlockDevice dev(kPageSize);
@@ -117,8 +134,8 @@ TEST(PagerTest, UncachedPassesThrough) {
   Pager pager(&dev, /*capacity_pages=*/0);
   PageId id = pager.Allocate();
   std::vector<uint8_t> in(kPageSize, 7), out(kPageSize);
-  ASSERT_TRUE(pager.Write(id, in).ok());
-  ASSERT_TRUE(pager.Read(id, out).ok());
+  ASSERT_TRUE(WritePage(&pager, id, in).ok());
+  ASSERT_TRUE(ReadPage(&pager, id, out).ok());
   EXPECT_EQ(in, out);
   EXPECT_EQ(dev.stats().device_writes, 1u);
   EXPECT_EQ(dev.stats().device_reads, 1u);
@@ -129,8 +146,8 @@ TEST(PagerTest, CacheAbsorbsRepeatedReads) {
   Pager pager(&dev, 8);
   PageId id = pager.Allocate();
   std::vector<uint8_t> buf(kPageSize, 3);
-  ASSERT_TRUE(pager.Write(id, buf).ok());
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(pager.Read(id, buf).ok());
+  ASSERT_TRUE(WritePage(&pager, id, buf).ok());
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(ReadPage(&pager, id, buf).ok());
   // Everything stayed in the pool: no device traffic at all yet.
   EXPECT_EQ(dev.stats().TotalIos(), 0u);
   ASSERT_TRUE(pager.Flush().ok());
@@ -146,11 +163,11 @@ TEST(PagerTest, EvictionWritesBackDirtyPages) {
     PageId id = pager.Allocate();
     ids.push_back(id);
     std::fill(buf.begin(), buf.end(), static_cast<uint8_t>(i + 1));
-    ASSERT_TRUE(pager.Write(id, buf).ok());
+    ASSERT_TRUE(WritePage(&pager, id, buf).ok());
   }
   // All five written pages must be readable with their own contents.
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(pager.Read(ids[i], buf).ok());
+    ASSERT_TRUE(ReadPage(&pager, ids[i], buf).ok());
     EXPECT_EQ(buf[0], static_cast<uint8_t>(i + 1)) << "page " << i;
   }
 }
@@ -160,10 +177,10 @@ TEST(PagerTest, DropCacheForcesColdReads) {
   Pager pager(&dev, 8);
   PageId id = pager.Allocate();
   std::vector<uint8_t> buf(kPageSize, 9);
-  ASSERT_TRUE(pager.Write(id, buf).ok());
+  ASSERT_TRUE(WritePage(&pager, id, buf).ok());
   ASSERT_TRUE(pager.DropCache().ok());
   dev.ResetStats();
-  ASSERT_TRUE(pager.Read(id, buf).ok());
+  ASSERT_TRUE(ReadPage(&pager, id, buf).ok());
   EXPECT_EQ(dev.stats().device_reads, 1u);
   EXPECT_EQ(buf[5], 9);
 }
@@ -173,11 +190,11 @@ TEST(PagerTest, FreeDiscardsCachedCopy) {
   Pager pager(&dev, 8);
   PageId id = pager.Allocate();
   std::vector<uint8_t> buf(kPageSize, 1);
-  ASSERT_TRUE(pager.Write(id, buf).ok());
+  ASSERT_TRUE(WritePage(&pager, id, buf).ok());
   ASSERT_TRUE(pager.Free(id).ok());
   PageId id2 = pager.Allocate();  // device reuses the id
   EXPECT_EQ(id, id2);
-  ASSERT_TRUE(pager.Read(id2, buf).ok());
+  ASSERT_TRUE(ReadPage(&pager, id2, buf).ok());
   EXPECT_EQ(buf[0], 0);  // fresh page, not the stale cached copy
 }
 
@@ -186,8 +203,8 @@ TEST(PagerTest, CombinedStatsExposesHitsAndMisses) {
   Pager pager(&dev, 4);
   PageId id = pager.Allocate();
   std::vector<uint8_t> buf(kPageSize);
-  ASSERT_TRUE(pager.Read(id, buf).ok());
-  ASSERT_TRUE(pager.Read(id, buf).ok());
+  ASSERT_TRUE(ReadPage(&pager, id, buf).ok());
+  ASSERT_TRUE(ReadPage(&pager, id, buf).ok());
   IoStats s = pager.CombinedStats();
   EXPECT_GE(s.cache_hits, 2u);  // allocate seeded the frame
   pager.ResetStats();

@@ -16,15 +16,19 @@ namespace {
 
 constexpr uint32_t kPageSize = 256;
 
-std::vector<uint8_t> Filled(uint8_t v) {
-  return std::vector<uint8_t>(kPageSize, v);
+// Rewrites the whole page with byte `v` through an overwrite pin.
+Status FillPage(Pager* pager, PageId id, uint8_t v) {
+  auto page = pager->PinMut(id, Pager::MutMode::kOverwrite);
+  CCIDX_RETURN_IF_ERROR(page.status());
+  std::memset(page->data().data(), v, kPageSize);
+  return page->Release();
 }
 
 TEST(PagerPinTest, PinBlocksEviction) {
   BlockDevice dev(kPageSize);
   Pager pager(&dev, /*capacity_pages=*/2);
   PageId a = pager.Allocate();
-  ASSERT_TRUE(pager.Write(a, Filled(0xAA)).ok());
+  ASSERT_TRUE(FillPage(&pager, a, 0xAA).ok());
   ASSERT_TRUE(pager.Flush().ok());
 
   auto pin = pager.Pin(a);
@@ -35,7 +39,7 @@ TEST(PagerPinTest, PinBlocksEviction) {
   // and must be skipped by eviction even though it becomes the LRU tail.
   for (int i = 0; i < 6; ++i) {
     PageId id = pager.Allocate();
-    ASSERT_TRUE(pager.Write(id, Filled(static_cast<uint8_t>(i))).ok());
+    ASSERT_TRUE(FillPage(&pager, id, static_cast<uint8_t>(i)).ok());
   }
   // The pinned view is still the same frame with the same contents.
   EXPECT_EQ(pin->data().data(), stable);
@@ -89,24 +93,24 @@ TEST(PagerPinTest, OverwriteOfPinnedPageIsCheckedError) {
   BlockDevice dev(kPageSize);
   Pager pager(&dev, 4);
   PageId a = pager.Allocate();
-  ASSERT_TRUE(pager.Write(a, Filled(0x42)).ok());
+  ASSERT_TRUE(FillPage(&pager, a, 0x42).ok());
   auto pin = pager.Pin(a);
   ASSERT_TRUE(pin.ok());
   // Zero-filling under a live view would corrupt it mid-read.
   EXPECT_EQ(pager.PinMut(a, Pager::MutMode::kOverwrite).status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(pager.Write(a, Filled(0)).code(),
+  EXPECT_EQ(FillPage(&pager, a, 0).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(pin->data()[0], 0x42);  // view untouched
   pin->Release();
-  EXPECT_TRUE(pager.Write(a, Filled(0)).ok());
+  EXPECT_TRUE(FillPage(&pager, a, 0).ok());
 }
 
 TEST(PagerPinTest, MultipleConcurrentPinsOnOneFrame) {
   BlockDevice dev(kPageSize);
   Pager pager(&dev, 4);
   PageId a = pager.Allocate();
-  ASSERT_TRUE(pager.Write(a, Filled(0x5A)).ok());
+  ASSERT_TRUE(FillPage(&pager, a, 0x5A).ok());
 
   auto p1 = pager.Pin(a);
   auto p2 = pager.Pin(a);
@@ -230,7 +234,7 @@ TEST(PagerPinTest, FaultInjectionThroughPinPath) {
   BlockDevice dev(kPageSize);
   Pager pager(&dev, 0);
   PageId a = pager.Allocate();
-  ASSERT_TRUE(pager.Write(a, Filled(1)).ok());
+  ASSERT_TRUE(FillPage(&pager, a, 1).ok());
 
   // Read pin: the device read fails synchronously at Pin().
   dev.SetFailAfter(0);

@@ -210,19 +210,12 @@ Submission MakeSub(uint64_t id, Session* session = nullptr) {
   return s;
 }
 
-TEST(ServeQueue, ShedsAtHighWatermarkAndReportsLevels) {
-  SubmissionQueue q(/*capacity=*/8, /*low=*/2, /*high=*/4);
-  std::vector<QueueLevel> transitions;
-  q.set_level_listener(
-      [&](QueueLevel level) { transitions.push_back(level); });
-
-  EXPECT_EQ(q.level(), QueueLevel::kNormal);
+TEST(ServeQueue, ShedsAtHighWatermarkInFifoOrder) {
+  SubmissionQueue q(/*capacity=*/8, /*high=*/4);
   EXPECT_EQ(q.TryPush(MakeSub(1)), Admission::kAdmitted);
   EXPECT_EQ(q.TryPush(MakeSub(2)), Admission::kAdmitted);
-  EXPECT_EQ(q.level(), QueueLevel::kBusy);
   EXPECT_EQ(q.TryPush(MakeSub(3)), Admission::kAdmitted);
   EXPECT_EQ(q.TryPush(MakeSub(4)), Admission::kAdmitted);
-  EXPECT_EQ(q.level(), QueueLevel::kOverloaded);
   // At the high watermark every further push sheds, O(1), no blocking.
   EXPECT_EQ(q.TryPush(MakeSub(5)), Admission::kShed);
   EXPECT_EQ(q.TryPush(MakeSub(6)), Admission::kShed);
@@ -233,20 +226,14 @@ TEST(ServeQueue, ShedsAtHighWatermarkAndReportsLevels) {
   std::vector<Submission> out;
   std::vector<Submission> expired;
   EXPECT_EQ(q.PopBatch(&out, &expired, 8, nanoseconds{0}), 4u);
-  EXPECT_EQ(q.level(), QueueLevel::kNormal);
   ASSERT_EQ(out.size(), 4u);
   EXPECT_EQ(out[0].req.id, 1u);  // FIFO
   EXPECT_EQ(out[3].req.id, 4u);
   EXPECT_TRUE(expired.empty());
-  // Edge-triggered transitions: one callback per crossing.
-  EXPECT_EQ(transitions,
-            (std::vector<QueueLevel>{QueueLevel::kBusy,
-                                     QueueLevel::kOverloaded,
-                                     QueueLevel::kNormal}));
 }
 
 TEST(ServeQueue, DropsExpiredAtDequeue) {
-  SubmissionQueue q(8, 4, 8);
+  SubmissionQueue q(8, 8);
   Submission live = MakeSub(1);
   Submission dead = MakeSub(2);
   dead.deadline = std::chrono::steady_clock::now() - milliseconds(1);
@@ -265,7 +252,7 @@ TEST(ServeQueue, DropsExpiredAtDequeue) {
 }
 
 TEST(ServeQueue, CloseUnblocksAndSheds) {
-  SubmissionQueue q(4, 2, 4);
+  SubmissionQueue q(4, 4);
   std::thread popper([&] {
     std::vector<Submission> out;
     std::vector<Submission> expired;
@@ -286,38 +273,10 @@ TEST(ServeQueue, CloseUnblocksAndSheds) {
   EXPECT_EQ(q.admitted(), 0u);
 }
 
-TEST(ServeQueue, LevelListenerMayCallQueueAccessors) {
-  // Regression: the listener used to fire with mu_ held, so a listener
-  // touching depth()/level() self-deadlocked. Transitions are now
-  // latched under the lock and fired after release — a listener reading
-  // the queue back must complete, and the edge-trigger (one callback per
-  // crossing) must survive the deferred fire.
-  SubmissionQueue q(8, 2, 4);
-  std::vector<std::pair<QueueLevel, size_t>> seen;
-  q.set_level_listener([&](QueueLevel level) {
-    seen.push_back({level, q.depth()});  // deadlocked before the split
-    EXPECT_EQ(q.level(), level);  // single-threaded: latest == reported
-  });
-  EXPECT_EQ(q.TryPush(MakeSub(1)), Admission::kAdmitted);
-  EXPECT_EQ(q.TryPush(MakeSub(2)), Admission::kAdmitted);  // -> kBusy
-  EXPECT_EQ(q.TryPush(MakeSub(3)), Admission::kAdmitted);
-  EXPECT_EQ(q.TryPush(MakeSub(4)), Admission::kAdmitted);  // -> kOverloaded
-  std::vector<Submission> out;
-  std::vector<Submission> expired;
-  EXPECT_EQ(q.PopBatch(&out, &expired, 8, nanoseconds{0}), 4u);  // -> kNormal
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[0].first, QueueLevel::kBusy);
-  EXPECT_EQ(seen[0].second, 2u);
-  EXPECT_EQ(seen[1].first, QueueLevel::kOverloaded);
-  EXPECT_EQ(seen[1].second, 4u);
-  EXPECT_EQ(seen[2].first, QueueLevel::kNormal);
-  EXPECT_EQ(seen[2].second, 0u);
-}
-
 // The ring starts small and doubles when a push finds it full; a growth
 // with the head mid-ring must unroll the wrapped FIFO in order.
 TEST(ServeQueue, GrowthWithWrappedHeadKeepsFifoOrder) {
-  SubmissionQueue q(1024, 512, 1024);
+  SubmissionQueue q(1024, 1024);
   EXPECT_EQ(q.slots(), 64u);
   std::vector<Submission> out;
   std::vector<Submission> expired;
@@ -354,7 +313,7 @@ TEST(ServeQueue, GrowthWithWrappedHeadKeepsFifoOrder) {
 // power of two above the deepest backlog.
 TEST(ServeQueue, ShedsExactlyAtHighWatermarkWithRingSizedToDepth) {
   constexpr size_t kHigh = 1000;
-  SubmissionQueue q(/*capacity=*/262144, /*low=*/500, kHigh);
+  SubmissionQueue q(/*capacity=*/262144, kHigh);
   EXPECT_LE(q.slots(), 64u);
   size_t admitted = 0;
   while (q.TryPush(MakeSub(admitted + 1)) == Admission::kAdmitted) {
@@ -364,7 +323,6 @@ TEST(ServeQueue, ShedsExactlyAtHighWatermarkWithRingSizedToDepth) {
   EXPECT_EQ(admitted, kHigh);
   EXPECT_EQ(q.depth(), kHigh);
   EXPECT_EQ(q.shed(), 1u);
-  EXPECT_EQ(q.level(), QueueLevel::kOverloaded);
   EXPECT_EQ(q.slots(), 1024u);
   std::vector<Submission> out;
   std::vector<Submission> expired;
@@ -376,7 +334,7 @@ TEST(ServeQueue, ShedsExactlyAtHighWatermarkWithRingSizedToDepth) {
 // Expired submissions moved across a growth are still dropped at dequeue,
 // in order, without consuming live slots.
 TEST(ServeQueue, DropsExpiredAcrossGrowth) {
-  SubmissionQueue q(4096, 2048, 4096);
+  SubmissionQueue q(4096, 4096);
   const auto past = std::chrono::steady_clock::now() - milliseconds(1);
   for (uint64_t id = 1; id <= 100; ++id) {
     Submission s = MakeSub(id);
@@ -412,13 +370,13 @@ TEST(ServeQueue, DropsExpiredAcrossGrowth) {
 TEST(ServeQueue, CapacityZeroAndOne) {
   std::vector<Submission> out;
   std::vector<Submission> expired;
-  SubmissionQueue zero(0, 0, 0);
+  SubmissionQueue zero(0, 0);
   EXPECT_EQ(zero.TryPush(MakeSub(1)), Admission::kShed);
   EXPECT_EQ(zero.PopBatch(&out, &expired, 4, nanoseconds{0}), 0u);
   EXPECT_EQ(zero.shed(), 1u);
   EXPECT_LE(zero.slots(), 1u);
 
-  SubmissionQueue one(1, 0, 1);
+  SubmissionQueue one(1, 1);
   for (uint64_t id = 1; id <= 3; ++id) {
     EXPECT_EQ(one.TryPush(MakeSub(id)), Admission::kAdmitted);
     EXPECT_EQ(one.TryPush(MakeSub(100 + id)), Admission::kShed);
@@ -672,9 +630,8 @@ TEST_F(ServeEndToEndTest, LoopbackMatchesDirectExecutionBitForBit) {
   EXPECT_EQ(conn.decode_errors(), 0u);
   // Every mode stops where its library sink stops, so on a cost-model
   // device serving pins exactly the pages direct execution pinned. Where
-  // speculation runs, its batched pins (and the admission throttle that
-  // turns them off under backlog) make the count timing-dependent.
-  if (pager_.base_speculation_budget() == 0) {
+  // speculation runs, its batched pins make the count timing-dependent.
+  if (pager_.speculation_budget() == 0) {
     EXPECT_EQ(pager_.CombinedStats().pin_requests - pins_before - direct_pins,
               direct_pins);
   }
@@ -833,7 +790,6 @@ TEST_F(ServeEndToEndTest, OverloadShedsAndBoundsAcceptedBacklog) {
   BuildTables();
   ServerOptions opts;
   opts.queue_capacity = 64;
-  opts.low_watermark = 8;
   opts.high_watermark = 32;
   Server server(Tables(), opts);
   LoopbackConnection conn(&server);
@@ -866,29 +822,6 @@ TEST_F(ServeEndToEndTest, OverloadShedsAndBoundsAcceptedBacklog) {
   EXPECT_EQ(ok, 32);
   EXPECT_EQ(overloaded, kOffered - 32);
   server.Stop();
-}
-
-TEST_F(ServeEndToEndTest, AdmissionThrottlesSpeculationBudget) {
-  BuildTables();
-  const uint32_t base = pager_.base_speculation_budget();
-  ServerOptions opts;
-  opts.queue_capacity = 16;
-  opts.low_watermark = 2;
-  opts.high_watermark = 8;
-  Server server(Tables(), opts);  // dispatcher stopped: depth is manual
-  LoopbackConnection conn(&server);
-  Request req;
-  req.type = RequestType::kPing;
-  conn.Send(req);
-  conn.Send(req);  // depth 2 = low watermark -> kBusy
-  EXPECT_EQ(server.queue()->level(), QueueLevel::kBusy);
-  EXPECT_EQ(pager_.speculation_budget(), 0u)
-      << "busy level must zero the speculation budget";
-  server.Start();  // drains; level returns to kNormal
-  for (int i = 0; i < 2; ++i) conn.Receive();
-  EXPECT_EQ(pager_.speculation_budget(), base);
-  server.Stop();
-  EXPECT_EQ(pager_.speculation_budget(), base);
 }
 
 TEST_F(ServeEndToEndTest, TcpRoundTrip) {

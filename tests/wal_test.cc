@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <string>
@@ -32,8 +33,18 @@ std::vector<uint8_t> FilledPage(uint8_t b) {
 }
 
 Status ReadPage(Pager* pager, PageId id, std::vector<uint8_t>* out) {
-  out->assign(kPageSize, 0);
-  return pager->Read(id, *out);
+  auto page = pager->Pin(id);
+  CCIDX_RETURN_IF_ERROR(page.status());
+  out->assign(page->data().begin(), page->data().end());
+  return Status::OK();
+}
+
+// Rewrites the whole page with byte `b` through an overwrite pin.
+Status FillPage(Pager* pager, PageId id, uint8_t b) {
+  auto page = pager->PinMut(id, Pager::MutMode::kOverwrite);
+  CCIDX_RETURN_IF_ERROR(page.status());
+  std::memset(page->data().data(), b, kPageSize);
+  return page->Release();
 }
 
 // ---------------------------------------------------------------------------
@@ -214,12 +225,12 @@ TEST(WalTest, TornTailOnSegmentBoundaryRecovers) {
     {
       TxnScope ws(&pager);
       id = pager.Allocate();
-      ASSERT_TRUE(pager.Write(id, FilledPage(0x11)).ok());
+      ASSERT_TRUE(FillPage(&pager, id, 0x11).ok());
       ASSERT_TRUE(ws.Commit().ok());
     }
     {
       TxnScope ws(&pager);  // in flight at the crash: must be undone
-      ASSERT_TRUE(pager.Write(id, FilledPage(0x22)).ok());
+      ASSERT_TRUE(FillPage(&pager, id, 0x22).ok());
 
       // The torn prefix of a record with an m-byte image is
       // kHeader + (8 + m) / 2 bytes; with m = 1944 that is 996.
@@ -281,7 +292,7 @@ TEST(WalTest, ScopeCommitLogsAllocWithoutImageAndZeroRecordScopeIsFree) {
   {
     TxnScope ws(&pager);
     id = pager.Allocate();
-    ASSERT_TRUE(pager.Write(id, FilledPage(0x11)).ok());
+    ASSERT_TRUE(FillPage(&pager, id, 0x11).ok());
     ASSERT_TRUE(ws.Commit().ok());
   }
   std::vector<WalRecord> recs;
@@ -295,8 +306,8 @@ TEST(WalTest, ScopeCommitLogsAllocWithoutImageAndZeroRecordScopeIsFree) {
   // before-image exactly once.
   {
     TxnScope ws(&pager);
-    ASSERT_TRUE(pager.Write(id, FilledPage(0x22)).ok());
-    ASSERT_TRUE(pager.Write(id, FilledPage(0x33)).ok());
+    ASSERT_TRUE(FillPage(&pager, id, 0x22).ok());
+    ASSERT_TRUE(FillPage(&pager, id, 0x33).ok());
     ASSERT_TRUE(ws.Commit().ok());
   }
   ASSERT_TRUE(wal.ReadRecords(&recs, nullptr).ok());
@@ -331,10 +342,10 @@ TEST(WalTest, ScopeCommitLogsAllocWithoutImageAndZeroRecordScopeIsFree) {
   before_commits = wal.commits();
   {
     TxnScope outer(&pager);
-    ASSERT_TRUE(pager.Write(id, FilledPage(0x44)).ok());
+    ASSERT_TRUE(FillPage(&pager, id, 0x44).ok());
     {
       TxnScope inner(&pager);
-      ASSERT_TRUE(pager.Write(id, FilledPage(0x55)).ok());
+      ASSERT_TRUE(FillPage(&pager, id, 0x55).ok());
       ASSERT_TRUE(inner.Commit().ok());
     }
     ASSERT_TRUE(outer.Commit().ok());
@@ -352,7 +363,7 @@ TEST(WalTest, CrashUndoRestoresLastCommittedState) {
   {
     TxnScope ws(&pager);
     id = pager.Allocate();
-    ASSERT_TRUE(pager.Write(id, FilledPage(0x11)).ok());
+    ASSERT_TRUE(FillPage(&pager, id, 0x11).ok());
     ASSERT_TRUE(ws.Commit().ok());
   }
 
@@ -360,7 +371,7 @@ TEST(WalTest, CrashUndoRestoresLastCommittedState) {
   // commit-record append: recovery must undo it from the before-image.
   {
     TxnScope ws(&pager);
-    ASSERT_TRUE(pager.Write(id, FilledPage(0x22)).ok());
+    ASSERT_TRUE(FillPage(&pager, id, 0x22).ok());
     wal.SetCrashAfterRecords(0, Wal::CrashMode::kClean);
     EXPECT_FALSE(ws.Commit().ok());
   }  // dtor abort can't force (device off): the txn stays unresolved
@@ -402,12 +413,12 @@ TEST(WalTest, InProcessAbortResolvesSurvivingState) {
   {
     TxnScope ws(&pager);
     id = pager.Allocate();
-    ASSERT_TRUE(pager.Write(id, FilledPage(0x11)).ok());
+    ASSERT_TRUE(FillPage(&pager, id, 0x11).ok());
     ASSERT_TRUE(ws.Commit().ok());
   }
   {
     TxnScope ws(&pager);
-    ASSERT_TRUE(pager.Write(id, FilledPage(0x22)).ok());
+    ASSERT_TRUE(FillPage(&pager, id, 0x22).ok());
     // The op fails here; the scope unwinds without Commit.
   }
   std::vector<WalRecord> recs;
@@ -434,12 +445,12 @@ TEST(WalTest, PooledPagerCrashDiscardsStaleCache) {
   {
     TxnScope ws(&pager);
     id = pager.Allocate();
-    ASSERT_TRUE(pager.Write(id, FilledPage(0x11)).ok());
+    ASSERT_TRUE(FillPage(&pager, id, 0x11).ok());
     ASSERT_TRUE(ws.Commit().ok());
   }
   {
     TxnScope ws(&pager);
-    ASSERT_TRUE(pager.Write(id, FilledPage(0x22)).ok());
+    ASSERT_TRUE(FillPage(&pager, id, 0x22).ok());
     wal.SetCrashAfterRecords(0, Wal::CrashMode::kTorn);
     EXPECT_FALSE(ws.Commit().ok());
   }
@@ -464,7 +475,7 @@ TEST(WalTest, UncommittedFreeIsDeferredAndUndone) {
   {
     TxnScope ws(&pager);
     id = pager.Allocate();
-    ASSERT_TRUE(pager.Write(id, FilledPage(0x11)).ok());
+    ASSERT_TRUE(FillPage(&pager, id, 0x11).ok());
     ASSERT_TRUE(ws.Commit().ok());
   }
   {
@@ -499,7 +510,7 @@ TEST(WalTest, UncommittedScopeFreesItsPagesAndRecoveryAgrees) {
   {
     TxnScope ws(&pager);
     a = pager.Allocate();
-    ASSERT_TRUE(pager.Write(a, FilledPage(0x11)).ok());
+    ASSERT_TRUE(FillPage(&pager, a, 0x11).ok());
     b = pager.Allocate();
     // The op fails here; the scope unwinds without Commit.
   }
@@ -539,7 +550,7 @@ TEST(WalTest, FailedWalCommitKeepsTheAllocations) {
   {
     TxnScope ws(&pager);
     forced = pager.Allocate();
-    ASSERT_TRUE(pager.Write(forced, FilledPage(0x11)).ok());
+    ASSERT_TRUE(FillPage(&pager, forced, 0x11).ok());
     dev.SetFailAfter(0);
     EXPECT_FALSE(ws.Commit().ok());
     dev.SetFailAfter(-1);
@@ -555,7 +566,7 @@ TEST(WalTest, FailedWalCommitKeepsTheAllocations) {
   {
     TxnScope ws(&pager);
     crashed = pager.Allocate();
-    ASSERT_TRUE(pager.Write(crashed, FilledPage(0x22)).ok());
+    ASSERT_TRUE(FillPage(&pager, crashed, 0x22).ok());
     wal.SetCrashAfterRecords(0, Wal::CrashMode::kClean);
     EXPECT_FALSE(ws.Commit().ok());
   }
@@ -592,14 +603,14 @@ TEST(WalTest, MetaRegistryRecoversLastCommittedBlobs) {
   {
     TxnScope ws(&pager);
     id = pager.Allocate();
-    ASSERT_TRUE(pager.Write(id, FilledPage(0x11)).ok());
+    ASSERT_TRUE(FillPage(&pager, id, 0x11).ok());
     ASSERT_TRUE(ws.Commit().ok());  // commit carries a=2, b=200
   }
   a = 3;
   b = 300;
   {
     TxnScope ws(&pager);
-    ASSERT_TRUE(pager.Write(id, FilledPage(0x22)).ok());
+    ASSERT_TRUE(FillPage(&pager, id, 0x22).ok());
     wal.SetCrashAfterRecords(0, Wal::CrashMode::kClean);
     EXPECT_FALSE(ws.Commit().ok());  // a=3/b=300 die with the crash
   }
@@ -629,7 +640,7 @@ TEST(WalTest, CheckpointTruncatesLogAndRecoveryRestartsFromIt) {
   for (int i = 0; i < 8; ++i) {
     TxnScope ws(&pager);
     PageId id = pager.Allocate();
-    ASSERT_TRUE(pager.Write(id, FilledPage(static_cast<uint8_t>(i))).ok());
+    ASSERT_TRUE(FillPage(&pager, id, static_cast<uint8_t>(i)).ok());
     ASSERT_TRUE(ws.Commit().ok());
     ids.push_back(id);
   }
@@ -644,12 +655,12 @@ TEST(WalTest, CheckpointTruncatesLogAndRecoveryRestartsFromIt) {
   // Post-checkpoint txns recover against the checkpoint base state.
   {
     TxnScope ws(&pager);
-    ASSERT_TRUE(pager.Write(ids[0], FilledPage(0xEE)).ok());
+    ASSERT_TRUE(FillPage(&pager, ids[0], 0xEE).ok());
     ASSERT_TRUE(ws.Commit().ok());
   }
   {
     TxnScope ws(&pager);
-    ASSERT_TRUE(pager.Write(ids[1], FilledPage(0xFF)).ok());
+    ASSERT_TRUE(FillPage(&pager, ids[1], 0xFF).ok());
     wal.SetCrashAfterRecords(0, Wal::CrashMode::kClean);
     EXPECT_FALSE(ws.Commit().ok());
   }
@@ -686,7 +697,7 @@ TEST(WalTest, GroupCommitSharesSyncsAcrossConcurrentCommitters) {
       for (int i = 0; i < kTxnsPerThread; ++i) {
         TxnScope ws(&pager);
         PageId id = pager.Allocate();  // distinct pages: no write overlap
-        ASSERT_TRUE(pager.Write(id, FilledPage(0x77)).ok());
+        ASSERT_TRUE(FillPage(&pager, id, 0x77).ok());
         ASSERT_TRUE(ws.Commit().ok());
       }
     });
