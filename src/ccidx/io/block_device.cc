@@ -67,8 +67,8 @@ PageId BlockDevice::Allocate() {
     // RestoreAllocation, so the backend page it re-covers holds stale
     // bytes — zero it (and count the write) to keep the "allocated pages
     // read as zeros" contract. Genuinely-new backend pages already read
-    // as zeros (mem calloc / file ftruncate growth), so the common bulk
-    // path pays no extra page write.
+    // as zeros (mem: no storage until the first write; file: ftruncate
+    // growth), so the common bulk path pays no extra page write.
     CCIDX_CHECK(backend_->ZeroPage(id).ok());
     device_writes_.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -159,7 +159,9 @@ Status BlockDevice::ReadBatch(std::span<const PageReadRequest> reqs) {
       approved++;
     }
     if (approved > 0) {
-      CCIDX_RETURN_IF_ERROR(backend_->ReadPages(reqs.data(), approved));
+      for (size_t i = 0; i < approved; ++i) {
+        CCIDX_RETURN_IF_ERROR(backend_->ReadPage(reqs[i].id, reqs[i].out));
+      }
       device_reads_.fetch_add(approved, std::memory_order_relaxed);
       read_batches_.fetch_add(1, std::memory_order_relaxed);
       read_rounds_.fetch_add(1, std::memory_order_relaxed);

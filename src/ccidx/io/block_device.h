@@ -96,7 +96,8 @@ class BlockDevice {
   /// Counts one device read.
   Status Read(PageId id, std::span<uint8_t> out);
 
-  /// Reads a batch of pages as one concurrent device operation. Counting
+  /// Reads a batch of pages as one device round (the backend moves the
+  /// pages in turn; a real device would take them as one queue). Counting
   /// semantics are serial-equivalent: each request is validated and
   /// consumes fault-injection budget in array order, the approved prefix
   /// is issued (and counted) as a batch, and the first failure's Status is
@@ -190,7 +191,7 @@ class BlockDevice {
   std::unique_ptr<StorageBackend> backend_;
   // Guards the allocation-table *structure* (freed_/free_list_) and the
   // backend's capacity. Transfers take it shared — backends give stable
-  // per-page storage, so concurrent reads of distinct pages proceed in
+  // per-page storage, so concurrent transfers of distinct pages proceed in
   // parallel; Allocate/Free take it exclusive.
   mutable std::shared_mutex mu_;
   std::vector<PageId> free_list_;

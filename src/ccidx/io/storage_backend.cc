@@ -3,31 +3,22 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 namespace ccidx {
 
-Status StorageBackend::ReadPages(const PageReadRequest* reqs, size_t count) {
-  for (size_t i = 0; i < count; ++i) {
-    CCIDX_RETURN_IF_ERROR(ReadPage(reqs[i].id, reqs[i].out));
-  }
-  return Status::OK();
-}
-
 namespace {
 
 // ---------------------------------------------------------------------------
-// mem: the historical in-memory simulator. One zeroed heap allocation per
-// page; unique_ptr gives stable data addresses, so concurrent transfers of
-// distinct pages under the device's shared lock are safe while the vector
-// grows only under the exclusive lock (EnsureCapacity).
+// mem: the historical in-memory simulator, sparse. A slot holds no storage
+// until its page's first write; a null slot reads as zeros. unique_ptr
+// gives stable data addresses, and the slot vector grows only under the
+// device's exclusive lock (EnsureCapacity), so concurrent transfers of
+// distinct pages under the shared lock are safe — a first write fills its
+// own slot, which no other transfer touches.
 // ---------------------------------------------------------------------------
 
 class MemStorageBackend final : public StorageBackend {
@@ -38,28 +29,31 @@ class MemStorageBackend final : public StorageBackend {
   bool real_io() const override { return false; }
 
   Status EnsureCapacity(uint64_t num_pages) override {
-    while (pages_.size() < num_pages) {
-      auto page = std::make_unique<uint8_t[]>(page_size_);
-      std::memset(page.get(), 0, page_size_);
-      pages_.push_back(std::move(page));
-    }
+    if (pages_.size() < num_pages) pages_.resize(num_pages);
     return Status::OK();
   }
 
   Status ZeroPage(PageId id) override {
     CCIDX_CHECK(id < pages_.size());
-    std::memset(pages_[id].get(), 0, page_size_);
+    pages_[id].reset();
     return Status::OK();
   }
 
   Status ReadPage(PageId id, uint8_t* out) override {
     CCIDX_CHECK(id < pages_.size());
-    std::memcpy(out, pages_[id].get(), page_size_);
+    if (pages_[id] == nullptr) {
+      std::memset(out, 0, page_size_);
+    } else {
+      std::memcpy(out, pages_[id].get(), page_size_);
+    }
     return Status::OK();
   }
 
   Status WritePage(PageId id, const uint8_t* in) override {
     CCIDX_CHECK(id < pages_.size());
+    if (pages_[id] == nullptr) {
+      pages_[id] = std::make_unique_for_overwrite<uint8_t[]>(page_size_);
+    }
     std::memcpy(pages_[id].get(), in, page_size_);
     return Status::OK();
   }
@@ -76,14 +70,6 @@ class MemStorageBackend final : public StorageBackend {
 // O_DIRECT alignment unit: buffers, offsets and sizes must be multiples of
 // the logical block size; 4096 is safe on every modern device.
 constexpr size_t kDirectAlign = 4096;
-
-// Batches below this run as a plain serial loop: on tmpfs a pread costs
-// about a microsecond, so fan-out overhead would dominate.
-constexpr size_t kBatchSpawnThreshold = 4;
-
-// Extra reader threads a batch may fan out to (the submitting thread also
-// works, so parallelism is kMaxBatchThreads + 1).
-constexpr size_t kMaxBatchThreads = 3;
 
 std::string PickDir(const std::string& dir) {
   if (!dir.empty()) return dir;
@@ -154,13 +140,6 @@ class FileStorageBackend final : public StorageBackend {
     return PwriteFull(in, Offset(id));
   }
 
-  Status ReadPages(const PageReadRequest* reqs, size_t count) override {
-    if (count < kBatchSpawnThreshold) {
-      return StorageBackend::ReadPages(reqs, count);
-    }
-    return ReadPagesThreaded(reqs, count);
-  }
-
   Status SyncData() override {
     if (::fdatasync(fd_) != 0) {
       return Status::IoError("fdatasync failed: " +
@@ -222,34 +201,6 @@ class FileStorageBackend final : public StorageBackend {
       done += static_cast<size_t>(n);
     }
     return Status::OK();
-  }
-
-  // Portable concurrent batch: the submitting thread plus up to
-  // kMaxBatchThreads helpers drain an atomic cursor over the request
-  // array. Each request is an independent pread, so no coordination
-  // beyond the cursor and a first-error slot is needed.
-  Status ReadPagesThreaded(const PageReadRequest* reqs, size_t count) {
-    std::atomic<size_t> next{0};
-    std::mutex err_mu;
-    Status first_err;
-    auto work = [&] {
-      for (;;) {
-        size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) return;
-        Status s = ReadPage(reqs[i].id, reqs[i].out);
-        if (!s.ok()) {
-          std::lock_guard lock(err_mu);
-          if (first_err.ok()) first_err = std::move(s);
-        }
-      }
-    };
-    size_t helpers = std::min(kMaxBatchThreads, count / 2);
-    std::vector<std::thread> threads;
-    threads.reserve(helpers);
-    for (size_t i = 0; i < helpers; ++i) threads.emplace_back(work);
-    work();
-    for (std::thread& t : threads) t.join();
-    return first_err;
   }
 
   int fd_;

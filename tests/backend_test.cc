@@ -16,11 +16,16 @@
 //
 // Plus the batch primitives' serial-equivalent counting: ReadBatch's
 // approved-prefix fault semantics and PinMany's hit/miss/duplicate
-// accounting.
+// accounting; and the sparse mem backend: a page holds storage only from
+// its first write, and reads as zeros before it.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <numeric>
 #include <vector>
@@ -309,6 +314,115 @@ TEST(PinManyTest, UncachedPoolReadsOneCopyPerRequest) {
   ASSERT_TRUE(refs.ok());
   ASSERT_EQ(refs->size(), 3u);
   EXPECT_EQ(device.stats().device_reads, 3u);  // same as three Pin calls
+}
+
+// --- Sparse mem backend: storage from a page's first write ---------------
+
+bool AllZero(const std::vector<uint8_t>& buf) {
+  return std::all_of(buf.begin(), buf.end(),
+                     [](uint8_t b) { return b == 0; });
+}
+
+std::vector<uint8_t> Pattern(uint32_t page_size, uint8_t seed) {
+  std::vector<uint8_t> buf(page_size);
+  std::iota(buf.begin(), buf.end(), seed);
+  return buf;
+}
+
+TEST(SparseMemDeviceTest, NeverWrittenPageReadsZeros) {
+  BlockDevice dev(kPageSize, {"mem", "", 0});
+  PageId a = dev.Allocate();
+  PageId b = dev.Allocate();
+  PageId c = dev.Allocate();
+  ASSERT_TRUE(dev.Write(b, Pattern(kPageSize, 1)).ok());
+
+  std::vector<uint8_t> out(kPageSize, 0xAB);
+  ASSERT_TRUE(dev.Read(a, out).ok());
+  EXPECT_TRUE(AllZero(out));
+  // A batch mixing written and never-written pages fills each buffer.
+  std::vector<std::vector<uint8_t>> bufs(3,
+                                         std::vector<uint8_t>(kPageSize, 0xAB));
+  PageReadRequest reqs[3] = {
+      {a, bufs[0].data()}, {b, bufs[1].data()}, {c, bufs[2].data()}};
+  ASSERT_TRUE(dev.ReadBatch(reqs).ok());
+  EXPECT_TRUE(AllZero(bufs[0]));
+  EXPECT_EQ(bufs[1], Pattern(kPageSize, 1));
+  EXPECT_TRUE(AllZero(bufs[2]));
+  EXPECT_EQ(dev.stats().device_reads, 4u);
+}
+
+TEST(SparseMemDeviceTest, WrittenPageReadsBackItsBytes) {
+  BlockDevice dev(kPageSize, {"mem", "", 0});
+  PageId id = dev.Allocate();
+  std::vector<uint8_t> out(kPageSize);
+  ASSERT_TRUE(dev.Write(id, Pattern(kPageSize, 3)).ok());
+  ASSERT_TRUE(dev.Read(id, out).ok());
+  EXPECT_EQ(out, Pattern(kPageSize, 3));
+  // A second write overwrites the storage the first one allocated.
+  ASSERT_TRUE(dev.Write(id, Pattern(kPageSize, 9)).ok());
+  ASSERT_TRUE(dev.Read(id, out).ok());
+  EXPECT_EQ(out, Pattern(kPageSize, 9));
+}
+
+TEST(SparseMemDeviceTest, FreedPageReusedThroughAllocateReadsZeros) {
+  BlockDevice dev(kPageSize, {"mem", "", 0});
+  PageId id = dev.Allocate();
+  ASSERT_TRUE(dev.Write(id, Pattern(kPageSize, 5)).ok());
+  ASSERT_TRUE(dev.Free(id).ok());
+  PageId again = dev.Allocate();
+  ASSERT_EQ(again, id);
+  std::vector<uint8_t> out(kPageSize, 0xAB);
+  ASSERT_TRUE(dev.Read(again, out).ok());
+  EXPECT_TRUE(AllZero(out));
+  // The reused page takes new bytes like a fresh one.
+  ASSERT_TRUE(dev.Write(again, Pattern(kPageSize, 7)).ok());
+  ASSERT_TRUE(dev.Read(again, out).ok());
+  EXPECT_EQ(out, Pattern(kPageSize, 7));
+}
+
+TEST(SparseMemDeviceTest, IdReCoveredAfterRestoreAllocationReadsZeros) {
+  BlockDevice dev(kPageSize, {"mem", "", 0});
+  (void)dev.Allocate();
+  BlockDevice::AllocationSnapshot snap = dev.SnapshotAllocation();
+  PageId b = dev.Allocate();
+  ASSERT_TRUE(dev.Write(b, Pattern(kPageSize, 11)).ok());
+
+  dev.RestoreAllocation(snap);  // shrinks the table past b
+  PageId c = dev.Allocate();
+  ASSERT_EQ(c, b);
+  std::vector<uint8_t> out(kPageSize, 0xAB);
+  ASSERT_TRUE(dev.Read(c, out).ok());
+  EXPECT_TRUE(AllZero(out));
+}
+
+// Resident set size of this process, from /proc/self/statm.
+size_t ResidentBytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long size = 0, resident = 0;
+  int n = std::fscanf(f, "%lu %lu", &size, &resident);
+  std::fclose(f);
+  if (n != 2) return 0;
+  return resident * static_cast<size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(SparseMemDeviceTest, AllocatedUnwrittenPagesHoldNoStorage) {
+  // The e2e tables' page size: a zero-filled store would keep
+  // 20,000 x 1,552 B (about 31 MB) resident.
+  constexpr uint32_t kTablePageSize = 1552;
+  constexpr int kPages = 20000;
+  BlockDevice dev(kTablePageSize, {"mem", "", 0});
+  const size_t before = ResidentBytes();
+  ASSERT_GT(before, 0u) << "cannot read /proc/self/statm";
+  for (int i = 0; i < kPages; ++i) (void)dev.Allocate();
+  const size_t after = ResidentBytes();
+  EXPECT_EQ(dev.live_pages(), static_cast<uint64_t>(kPages));
+  EXPECT_LT(after - std::min(after, before), size_t{4} << 20)
+      << "resident set grew from " << before << " to " << after << " bytes";
+  // The pages are still there: the last one reads as zeros.
+  std::vector<uint8_t> out(kTablePageSize, 0xAB);
+  ASSERT_TRUE(dev.Read(kPages - 1, out).ok());
+  EXPECT_TRUE(AllZero(out));
 }
 
 }  // namespace

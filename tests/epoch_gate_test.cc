@@ -41,9 +41,11 @@ TEST(EpochGate, ReadersRunConcurrently) {
       gate.ExitRead();
     });
   }
-  // All readers must get in simultaneously (no writer anywhere).
+  // All readers must get in simultaneously (no writer anywhere). Wait on
+  // `peak`, not `inside`: a reader raises `peak` just after `inside`, so
+  // `inside` can reach kReaders before the last reader has recorded it.
   auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (inside.load() < kReaders &&
+  while (peak.load() < kReaders &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
   }

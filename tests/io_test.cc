@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <numeric>
 #include <span>
+#include <thread>
+#include <vector>
 
 #include "ccidx/io/block_device.h"
 #include "ccidx/io/page_builder.h"
@@ -127,6 +130,92 @@ TEST(BlockDeviceTest, HighWaterAllocationZeroesOnlyRestoreOrphanedPages) {
   ASSERT_TRUE(dev.Read(c, buf).ok());
   EXPECT_TRUE(std::all_of(buf.begin(), buf.end(),
                           [](uint8_t v) { return v == 0; }));
+}
+
+// Byte j of page `id` in the concurrent first-write test.
+uint8_t PatternByte(PageId id, size_t j) {
+  return static_cast<uint8_t>(id * 31 + j * 7 + 1);
+}
+
+std::vector<uint8_t> PatternPage(PageId id) {
+  std::vector<uint8_t> buf(kPageSize);
+  for (size_t j = 0; j < buf.size(); ++j) buf[j] = PatternByte(id, j);
+  return buf;
+}
+
+// The mem backend allocates a page's storage at its first write, under the
+// device's shared lock. Four writers each allocate and first-write their
+// own pages (so the slot vector also grows between their writes) while a
+// fifth thread reads pages written before the threads started, one by one
+// and as batches. Under TSan this is the race check for first writes.
+TEST(BlockDeviceTest, ConcurrentFirstWritesBesideReaders) {
+  BlockDevice dev(kPageSize, {"mem", "", 0});
+  constexpr int kWriters = 4;
+  constexpr int kPagesPerWriter = 300;
+  constexpr int kWritten = 32;
+  std::vector<PageId> written;
+  for (int i = 0; i < kWritten; ++i) {
+    PageId id = dev.Allocate();
+    ASSERT_TRUE(dev.Write(id, PatternPage(id)).ok());
+    written.push_back(id);
+  }
+
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<bool> write_failed{false};
+  std::vector<std::vector<PageId>> fresh(kWriters);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWriters; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPagesPerWriter; ++i) {
+        PageId id = dev.Allocate();
+        if (!dev.Write(id, PatternPage(id)).ok()) write_failed = true;
+        fresh[t].push_back(id);
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  size_t bad_reads = 0;
+  std::thread reader([&] {
+    std::vector<uint8_t> out(kPageSize);
+    std::vector<std::vector<uint8_t>> bufs(4,
+                                           std::vector<uint8_t>(kPageSize));
+    do {
+      for (PageId id : written) {
+        if (!dev.Read(id, out).ok() || out != PatternPage(id)) ++bad_reads;
+      }
+      for (size_t i = 0; i + 4 <= written.size(); i += 4) {
+        PageReadRequest reqs[4];
+        for (size_t k = 0; k < 4; ++k) {
+          reqs[k] = {written[i + k], bufs[k].data()};
+        }
+        if (!dev.ReadBatch(reqs).ok()) ++bad_reads;
+        for (size_t k = 0; k < 4; ++k) {
+          if (bufs[k] != PatternPage(written[i + k])) ++bad_reads;
+        }
+      }
+    } while (writers_left.load() > 0);
+  });
+  for (std::thread& th : threads) th.join();
+  reader.join();
+
+  EXPECT_FALSE(write_failed.load());
+  EXPECT_EQ(bad_reads, 0u);
+  EXPECT_EQ(dev.live_pages(),
+            static_cast<uint64_t>(kWritten + kWriters * kPagesPerWriter));
+  std::vector<uint8_t> out(kPageSize);
+  size_t bad_bytes = 0;
+  auto check = [&](PageId id) {
+    ASSERT_TRUE(dev.Read(id, out).ok());
+    for (size_t j = 0; j < out.size(); ++j) {
+      if (out[j] != PatternByte(id, j)) ++bad_bytes;
+    }
+  };
+  for (PageId id : written) check(id);
+  for (const std::vector<PageId>& ids : fresh) {
+    ASSERT_EQ(ids.size(), static_cast<size_t>(kPagesPerWriter));
+    for (PageId id : ids) check(id);
+  }
+  EXPECT_EQ(bad_bytes, 0u);
 }
 
 TEST(PagerTest, UncachedPassesThrough) {

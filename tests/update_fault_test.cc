@@ -613,16 +613,31 @@ struct GeneralizedSetup {
 
 constexpr uint64_t kNoOpCommitted = ~uint64_t{0};
 
-std::unique_ptr<WalStorage> MakeSweepStorage(bool file_backend,
-                                             uint64_t kill_point) {
-  if (!file_backend) return MakeMemWalStorage();
-  // Fresh log file per kill point (Reset truncates, but a crashed run
-  // leaves a tail behind — never reuse it across iterations).
-  std::string path = ::testing::TempDir() + "ccidx_crash_sweep_" +
-                     std::to_string(kill_point) + ".wal";
-  std::remove(path.c_str());
-  return MakeFileWalStorage(path);
-}
+// The log of one kill point. With the file backend it is a fresh file
+// (Reset truncates, but a crashed run leaves a tail behind — never reuse it
+// across iterations), removed before use and again when the kill point
+// returns, on every path, so a sweep leaves no logs behind.
+class SweepLog {
+ public:
+  SweepLog(bool file_backend, uint64_t kill_point) {
+    if (!file_backend) return;
+    path_ = ::testing::TempDir() + "ccidx_crash_sweep_" +
+            std::to_string(kill_point) + ".wal";
+    std::remove(path_.c_str());
+  }
+  ~SweepLog() {
+    if (!path_.empty()) std::remove(path_.c_str());
+  }
+  SweepLog(const SweepLog&) = delete;
+  SweepLog& operator=(const SweepLog&) = delete;
+
+  std::unique_ptr<WalStorage> MakeStorage() const {
+    return path_.empty() ? MakeMemWalStorage() : MakeFileWalStorage(path_);
+  }
+
+ private:
+  std::string path_;
+};
 
 // One simulated crash at record boundary `k`, recovery, reattach, and
 // the differential check. Returns false when the script finished without
@@ -630,6 +645,8 @@ std::unique_ptr<WalStorage> MakeSweepStorage(bool file_backend,
 template <typename Setup>
 bool RunOneKillPoint(Setup& setup, uint64_t k, bool file_backend,
                      Wal::CrashMode mode) {
+  // Declared before the Wal, so the log is closed before it is removed.
+  SweepLog log(file_backend, k);
   BlockDevice dev(PageSizeForBranching(kBranching));
   Pager pager(&dev, 0);
   Status st = setup.Reset(&pager);
@@ -637,7 +654,7 @@ bool RunOneKillPoint(Setup& setup, uint64_t k, bool file_backend,
   if (!st.ok()) return false;
 
   uint64_t cur_op = kNoOpCommitted;
-  Wal wal(&dev, MakeSweepStorage(file_backend, k));
+  Wal wal(&dev, log.MakeStorage());
   wal.SetMetaProvider(setup.MetaKey(), [&] { return setup.Meta(); });
   // Test-layer commit watermark: every commit record carries the index
   // of the op that produced it, so recovery reports exactly how far the
